@@ -63,9 +63,7 @@ def construct_product(subset: MonodromicSubset, cycles: Sequence, order: int) ->
     out = Jet2.constant(1, order)
     for choice, cyc in zip(subset.choices, cycles):
         if choice:
-            fac = cyc.factor.regenerate(order) if cyc.factor.can_regenerate() \
-                else cyc.factor.truncate(order)
-            out = out * fac ** choice
+            out = out * cyc.factor.at_order(order) ** choice
     return out
 
 
@@ -130,7 +128,7 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
     witness = ExtensionWitness(H=H, subsets=subsets, mu=mu,
                                certificate_order=order, h=h, cycles=list(cycles))
     # certificate 1: H divides h^(2^mu) on the leaf
-    target = (h.regenerate(order) if h.can_regenerate() else h) ** (2 ** mu)
+    target = h.at_order(order) ** (2 ** mu)
     if not germ_divides(target, H, order):
         raise CertificateError("witness does not divide the required power")
     witness.divisibility_checked = True

@@ -7,7 +7,6 @@ flows: the jet coefficient of t1^a t2^b is (V1^a V2^b F)(p) / (a! b!).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -82,8 +81,7 @@ class FoliationContext:
 
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
-    derivatives are memoized per (F, a, b); the memo is a thread-safe
-    cache (lock around insert, lock-free reads of immutable values).
+    derivatives are memoized per (F, a, b).
     """
 
     def __init__(self, v1: VectorField, v2: VectorField, point: Sequence):
@@ -105,7 +103,6 @@ class FoliationContext:
                 "base point is singular: V1(p) and V2(p) are linearly dependent")
         self.commutation_verified = True
         self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def _independent_at_point(self) -> bool:
         a = self.v1.evaluate(self.point)
@@ -129,8 +126,7 @@ class FoliationContext:
             value = self.v1.apply(self.iterated_derivative(f, a - 1, b))
         else:
             value = self.v2.apply(self.iterated_derivative(f, a, b - 1))
-        with self._lock:
-            self._memo.setdefault(key, value)
+        self._memo[key] = value
         return value
 
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:
@@ -173,7 +169,3 @@ class FoliationContext:
         """Initial truncation order heuristic; consumers re-certify, so this
         only affects how often regeneration kicks in."""
         return 2 * (max(f.total_degree(), 0) + max(g.total_degree(), 0)) + DEFAULT_EXTRA_ORDER
-
-
-def poisson_bracket(ctx: FoliationContext, f: Polynomial, g: Polynomial) -> Polynomial:
-    return ctx.poisson(f, g)

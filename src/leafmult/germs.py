@@ -39,16 +39,10 @@ from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
 
-@dataclass(frozen=True)
-class NPConfig:
-    """Direction and budget knobs for branch decomposition."""
-
-    fiber: str = "auto"          # "t2" | "t1" | "auto"
-    max_order: int = 160
-    shear_candidates: tuple = (0, 1, -1, 2, -2, 3, -3, 4, -4)
-
-
-DEFAULT_NP = NPConfig()
+# branch decomposition gives up above this jet order
+MAX_NP_ORDER = 160
+# shears t1 -> t1 + mu*t2 tried in turn, without and then with a swap
+SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +56,6 @@ class Frame:
 
     swap: bool = False
     shear: Fraction = Fraction(0)
-
-    def is_identity(self) -> bool:
-        return not self.swap and self.shear == 0
 
     def push(self, jet: Jet2) -> Jet2:
         out = jet.swap_variables() if self.swap else jet
@@ -84,14 +75,13 @@ class Frame:
         return p
 
 
-def choose_frame(jet: Jet2, config: NPConfig = DEFAULT_NP) -> Frame:
+def choose_frame(jet: Jet2) -> Frame:
     """A frame in which the germ is regular in t2 (its lowest form does not
     vanish in the (0,1) direction)."""
     ord_ = jet.vanishing_order()
     if ord_ is None:
         raise DomainError("cannot frame the zero germ")
     low = {k: c for k, c in jet.coeffs.items() if k[0] + k[1] == ord_}
-    swap_first = config.fiber == "t1"
 
     def regular_with(swap: bool, shear: Fraction) -> bool:
         # lowest form evaluated at (shear, 1) in the (possibly swapped) frame
@@ -102,11 +92,8 @@ def choose_frame(jet: Jet2, config: NPConfig = DEFAULT_NP) -> Frame:
             total += c * (shear ** a)
         return total != 0
 
-    orders = [True, False] if swap_first else [False, True]
-    if config.fiber == "t2":
-        orders = [False]
-    for swap in orders:
-        for mu in config.shear_candidates:
+    for swap in (False, True):
+        for mu in SHEAR_CANDIDATES:
             if regular_with(swap, Fraction(mu)):
                 return Frame(swap=swap, shear=Fraction(mu))
     raise InconclusiveError("no shear candidate makes the germ regular in t2")
@@ -128,16 +115,6 @@ def jet_to_ypoly(jet: Jet2) -> YPoly:
     return YPoly.make(QQ, cols)
 
 
-def ypoly_to_polynomial(w: YPoly, x_cap: Optional[int] = None) -> Polynomial:
-    terms = {}
-    for j, c in enumerate(w.coeffs):
-        for e, v in c.coeffs:
-            if x_cap is not None and e >= x_cap:
-                continue
-            terms[(e, j)] = v
-    return Polynomial(LEAF_RING, terms)
-
-
 # ---------------------------------------------------------------------------
 # jet inversion and germ division
 # ---------------------------------------------------------------------------
@@ -148,7 +125,7 @@ def jet_inverse(j: Jet2, order: Optional[int] = None) -> Jet2:
     if not j.is_unit():
         raise DomainError("jet inverse requires a unit (nonzero value at the origin)")
     order = j.order if order is None else order
-    work = j.regenerate(order) if j.can_regenerate() else j.truncate(order)
+    work = j.at_order(order)
     inv0 = Jet2.constant(Fraction(1) / work.value_at_origin(), order)
     two = Jet2.constant(2, order)
     r = inv0
@@ -159,7 +136,7 @@ def jet_inverse(j: Jet2, order: Optional[int] = None) -> Jet2:
     prod = None
     if j.producer is not None:
         prod = cached_producer(lambda n: jet_inverse(j, n))
-    return Jet2(order, r.coeffs, prod)
+    return Jet2(order, r.poly, prod)
 
 
 def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]:
@@ -171,9 +148,7 @@ def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]
     if b.is_unit():
         return (a.truncate(order) * jet_inverse(b, order)).truncate(order)
     pa, pb = a.as_exact_polynomial(), b.as_exact_polynomial()
-    aw = a.regenerate(order) if a.can_regenerate() else a.truncate(order)
-    bw = b.regenerate(order) if b.can_regenerate() else b.truncate(order)
-    rem, u, quots = mora_divide(aw.to_polynomial(), [bw.to_polynomial()])
+    rem, u, quots = mora_divide(a.at_order(order).poly, [b.at_order(order).poly])
     if not rem.is_zero() and rem.total_degree() >= 0:
         low = min(sum(m) for m in rem.terms)
         if low <= order:
@@ -197,7 +172,7 @@ def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]
                 raise InconclusiveError("divisibility lost at higher order")
             return out
         prod = cached_producer(produce)
-    return Jet2(order, result.coeffs, prod)
+    return Jet2(order, result.poly, prod)
 
 
 def germ_divides(a: Jet2, b: Jet2, order: Optional[int] = None) -> bool:
@@ -270,14 +245,6 @@ class PuiseuxBranchSet:
     def max_multiplicity(self) -> int:
         return max((c.multiplicity for c in self.cycles), default=0)
 
-    def reduced_product(self, order: int) -> Jet2:
-        """Product of the distinct cycle factors, one each."""
-        out = Jet2.constant(1, order)
-        for c in self.cycles:
-            out = out * c.factor.regenerate(order) if c.factor.can_regenerate() \
-                else out * c.factor.truncate(order)
-        return out
-
     def describe(self) -> dict:
         return {
             "mu": self.mu,
@@ -310,7 +277,7 @@ def _sympy_local_factors(p: Polynomial):
 
 
 def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
-                                source: Jet2, config: NPConfig) -> list:
+                                source: Jet2) -> list:
     """Expand a y-squarefree, y-regular piece into cycles (multiplicity 1)."""
     # cap the working precision: ramification cannot exceed the y-degree,
     # so this suffices to recover factors at x_prec and keeps exact
@@ -323,9 +290,9 @@ def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
         W = factor_from_param(bp, want)
         if W is None:
             raise RegenerationRequest(2 * x_prec + 8)
-        factor_frame = Polynomial(LEAF_RING, dict(W.terms))
+        factor_frame = Polynomial(LEAF_RING, W.terms)
         factor_orig = frame.pull_polynomial(factor_frame)
-        jet = _cycle_factor_jet(source, frame, factor_orig, want, config)
+        jet = _cycle_factor_jet(source, frame, factor_orig, want)
         cycles.append(BranchCycle(
             factor=jet,
             multiplicity=1,
@@ -340,19 +307,17 @@ def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
 
 
 def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
-                      x_prec: int, config: NPConfig) -> Jet2:
+                      x_prec: int) -> Jet2:
     """Jet of a cycle factor with a producer that recomputes the whole
     decomposition at higher order and matches this cycle by truncation."""
     base_order = factor_orig.total_degree() + x_prec
     stored = Jet2.from_polynomial(factor_orig, base_order)
     if source.producer is None:
-        return Jet2(base_order, dict(factor_orig.terms), None)
-
-    key_now = normalize_leading(factor_orig)
+        return Jet2(base_order, factor_orig)
 
     def produce(n: int) -> Jet2:
         bs = germ_cycles(source.regenerate(max(2 * n + 4, source.order)),
-                         config=config, min_factor_prec=n + 1)
+                         min_factor_prec=n + 1)
         matches = [c for c in bs.cycles
                    if normalize_leading(c.factor.truncate(stored.order).to_polynomial())
                    == normalize_leading(stored.to_polynomial())]
@@ -360,7 +325,7 @@ def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
             raise InconclusiveError("cycle could not be re-identified at higher order")
         return matches[0].factor.truncate(n)
 
-    return Jet2(base_order, dict(factor_orig.terms), cached_producer(produce))
+    return Jet2(base_order, factor_orig, cached_producer(produce))
 
 
 def weierstrass_jet(f: Jet2) -> tuple:
@@ -441,7 +406,7 @@ def simplify_local_generator(j: Jet2) -> Jet2:
         if j.producer is not None:
             prod = cached_producer(
                 lambda n: simplify_local_generator(j.regenerate(n + mu)).truncate(n))
-            return Jet2(W.order, W.coeffs, prod)
+            return Jet2(W.order, W.poly, prod)
         return W
 
     if j.coefficient(0, mu):
@@ -482,17 +447,15 @@ def _ypoly_yun(w: YPoly) -> list:
     return [(p, m) for p, m in out if p.degree() > 0]
 
 
-def germ_cycles(f: Jet2, config: NPConfig = DEFAULT_NP,
-                min_factor_prec: int = 4) -> PuiseuxBranchSet:
+def germ_cycles(f: Jet2, min_factor_prec: int = 4) -> PuiseuxBranchSet:
     """Branch decomposition of a nonzero germ vanishing at the origin."""
     if f.is_zero():
         raise DomainError("cannot decompose the zero germ")
     order = f.order
     last_error = None
-    while order <= config.max_order:
+    while order <= MAX_NP_ORDER:
         try:
-            work = f.regenerate(order) if f.can_regenerate() else f.truncate(order)
-            return _germ_cycles_once(f, work, config, min_factor_prec)
+            return _germ_cycles_once(f, f.at_order(order), min_factor_prec)
         except RegenerationRequest as e:
             if not f.can_regenerate():
                 raise InconclusiveError(
@@ -503,8 +466,7 @@ def germ_cycles(f: Jet2, config: NPConfig = DEFAULT_NP,
                               stage="puiseux", partial=last_error)
 
 
-def _germ_cycles_once(source: Jet2, work: Jet2, config: NPConfig,
-                      min_factor_prec: int) -> PuiseuxBranchSet:
+def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int) -> PuiseuxBranchSet:
     mu = work.vanishing_order()
     if mu is None:
         raise RegenerationRequest(2 * work.order + 4)
@@ -516,14 +478,14 @@ def _germ_cycles_once(source: Jet2, work: Jet2, config: NPConfig,
         cycles = []
         for fp, mult in local:
             sub = Jet2.from_polynomial(fp, work.order)
-            frame = choose_frame(sub, config)
+            frame = choose_frame(sub)
             w = jet_to_ypoly(frame.push(sub).truncate(
                 max(work.order, fp.total_degree() + min_factor_prec)))
             # factor precision is decoupled from the jet order: cycle jets
             # carry producers, so deeper truncations are regenerated on
             # demand instead of being paid for up front
             x_prec = max(min_factor_prec, fp.total_degree() + 4, 8)
-            sub_cycles = _cycles_of_squarefree_ypoly(w, frame, x_prec, sub, config)
+            sub_cycles = _cycles_of_squarefree_ypoly(w, frame, x_prec, sub)
             if len(sub_cycles) == 1:
                 # a single cycle of an irreducible polynomial is the
                 # polynomial itself: keep it exact
@@ -536,7 +498,7 @@ def _germ_cycles_once(source: Jet2, work: Jet2, config: NPConfig,
         return PuiseuxBranchSet(cycles, mu, work.order, Frame(), source)
     # transcendental path: prepare first so the y-degree is the vanishing
     # order rather than the jet order
-    frame = choose_frame(work, config)
+    frame = choose_frame(work)
     framed = frame.push(work)
     wjet, _unit = weierstrass_jet(framed)
     w = jet_to_ypoly(wjet)
@@ -544,7 +506,7 @@ def _germ_cycles_once(source: Jet2, work: Jet2, config: NPConfig,
     cycles = []
     for piece, mult in pieces:
         piece_cycles = _cycles_of_squarefree_ypoly(
-            piece, frame, max(min_factor_prec, work.order // 2), source, config)
+            piece, frame, max(min_factor_prec, work.order // 2), source)
         for c in piece_cycles:
             c.multiplicity = mult
         cycles.extend(piece_cycles)
@@ -556,10 +518,10 @@ def _germ_cycles_once(source: Jet2, work: Jet2, config: NPConfig,
     return PuiseuxBranchSet(cycles, mu, work.order, frame, source)
 
 
-def newton_puiseux(f: Jet2, config: NPConfig = DEFAULT_NP) -> PuiseuxBranchSet:
+def newton_puiseux(f: Jet2) -> PuiseuxBranchSet:
     """Public entry: full branch decomposition with verification that the
     cycles reproduce the germ."""
-    bs = germ_cycles(f, config)
+    bs = germ_cycles(f)
     verify_reconstruction(bs)
     return bs
 
@@ -570,11 +532,8 @@ def verify_reconstruction(bs: PuiseuxBranchSet, order: Optional[int] = None):
     order = order or max(4, bs.certified_order // 2)
     prod = Jet2.constant(1, order)
     for c in bs.cycles:
-        fac = c.factor.regenerate(order) if c.factor.can_regenerate() \
-            else c.factor.truncate(order)
-        prod = prod * fac ** c.multiplicity
-    src = bs.source.regenerate(order) if bs.source.can_regenerate() \
-        else bs.source.truncate(order)
+        prod = prod * c.factor.at_order(order) ** c.multiplicity
+    src = bs.source.at_order(order)
     if prod.is_unit():
         if not src.is_unit() and bs.cycles:
             raise CertificateError("unit reconstruction for a vanishing germ")
@@ -590,19 +549,9 @@ def verify_reconstruction(bs: PuiseuxBranchSet, order: Optional[int] = None):
 
 
 def _truncations(jets: Sequence[Jet2], order: int) -> list:
-    """Truncations at exactly the requested order; a jet stored below it
-    with no producer cannot honestly provide one."""
-    out = []
-    for j in jets:
-        if j.order >= order:
-            jj = j.truncate(order)
-        elif j.can_regenerate():
-            jj = j.regenerate(order)
-        else:
-            raise InconclusiveError(
-                f"jet stored at order {j.order} cannot reach order {order}")
-        out.append(jj.to_polynomial())
-    return out
+    """Truncations at exactly the requested order; regenerate raises
+    InconclusiveError for a jet stored below it with no producer."""
+    return [j.regenerate(order).poly for j in jets]
 
 
 def local_multiplicity(f: Jet2, g: Jet2, max_order: int = 96,
@@ -650,8 +599,8 @@ def local_multiplicity(f: Jet2, g: Jet2, max_order: int = 96,
 def _common_cycles(f: Jet2, g: Jet2, order: int) -> list:
     """Cycles shared by two germs, as (cycle_f, cycle_g) pairs."""
     try:
-        bf = germ_cycles(f.regenerate(order) if f.can_regenerate() else f.truncate(order))
-        bg = germ_cycles(g.regenerate(order) if g.can_regenerate() else g.truncate(order))
+        bf = germ_cycles(f.at_order(order))
+        bg = germ_cycles(g.at_order(order))
     except (InconclusiveError, BudgetExceededError):
         return []
     out = []
@@ -713,7 +662,7 @@ class GermSplit:
         }
 
 
-def split_common(fL: Jet2, gL: Jet2, config: NPConfig = DEFAULT_NP) -> GermSplit:
+def split_common(fL: Jet2, gL: Jet2) -> GermSplit:
     """Split two germs against their common local branches."""
     if fL.is_zero() or gL.is_zero():
         raise DomainError("split requires nonzero germs")
@@ -721,8 +670,8 @@ def split_common(fL: Jet2, gL: Jet2, config: NPConfig = DEFAULT_NP) -> GermSplit
     pf, pg = fL.as_exact_polynomial(), gL.as_exact_polynomial()
     if pf is not None and pg is not None:
         return _split_exact(fL, gL, pf, pg, order)
-    bf = germ_cycles(fL, config)
-    bg = germ_cycles(gL, config)
+    bf = germ_cycles(fL)
+    bg = germ_cycles(gL)
     matched = []
     for cf in bf.cycles:
         for cg in bg.cycles:
@@ -732,12 +681,8 @@ def split_common(fL: Jet2, gL: Jet2, config: NPConfig = DEFAULT_NP) -> GermSplit
     h_f = Jet2.constant(1, order)
     h_g = Jet2.constant(1, order)
     for cf, cg in matched:
-        ff = cf.factor.regenerate(order) if cf.factor.can_regenerate() \
-            else cf.factor.truncate(order)
-        gg = cg.factor.regenerate(order) if cg.factor.can_regenerate() \
-            else cg.factor.truncate(order)
-        h_f = h_f * ff ** cf.multiplicity
-        h_g = h_g * gg ** cg.multiplicity
+        h_f = h_f * cf.factor.at_order(order) ** cf.multiplicity
+        h_g = h_g * cg.factor.at_order(order) ** cg.multiplicity
     f = germ_divide(fL, h_f, order)
     g = germ_divide(gL, h_g, order)
     if f is None or g is None:
@@ -792,14 +737,14 @@ class FactorMultiplicities:
         }
 
 
-def factor_multiplicities(h: Jet2, config: NPConfig = DEFAULT_NP) -> FactorMultiplicities:
+def factor_multiplicities(h: Jet2) -> FactorMultiplicities:
     """Minimal/maximal factor multiplicities, the reduced form, and branch
     counts of a germ vanishing at the origin."""
     if h.is_zero():
         raise DomainError("factor data of the zero germ")
     if h.vanishing_order() == 0:
         raise DomainError("factor data requires a germ vanishing at the origin")
-    bs = newton_puiseux(h, config)
+    bs = newton_puiseux(h)
     if not bs.cycles:
         raise CertificateError("vanishing germ produced no cycles")  # pragma: no cover
     k = bs.min_multiplicity()
@@ -807,8 +752,6 @@ def factor_multiplicities(h: Jet2, config: NPConfig = DEFAULT_NP) -> FactorMulti
     order = bs.certified_order
     reduced = Jet2.constant(1, order)
     for c in bs.cycles:
-        fac = c.factor.regenerate(order) if c.factor.can_regenerate() \
-            else c.factor.truncate(order)
-        reduced = reduced * fac
+        reduced = reduced * c.factor.at_order(order)
     count = bs.total_branches_with_multiplicity()
     return FactorMultiplicities(k, K, reduced, count, bs.mu, bs)

@@ -33,9 +33,8 @@ from .poly import (
 class MonomialOrder:
     """A monomial order on a ring of fixed size.
 
-    kinds: "degrevlex" and "lex" (global), "elim" (block order, the first
-    `block` variables in comparison order are eliminated), "local"
-    (negative degrevlex; 1 is the largest monomial).
+    kinds: "degrevlex" and "lex" (global), "local" (negative degrevlex;
+    1 is the largest monomial).
 
     `permutation`, when given, lists ring indices in comparison order
     (first entry compares first / is the biggest variable).
@@ -43,16 +42,13 @@ class MonomialOrder:
 
     kind: str = "degrevlex"
     permutation: Optional[tuple] = None
-    block: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex", "elim", "local"):
+        if self.kind not in ("degrevlex", "lex", "local"):
             raise DomainError(f"unknown order kind {self.kind!r}")
-        if self.kind == "elim" and self.block is None:
-            raise DomainError("elimination order needs a block split index")
 
     def is_global(self) -> bool:
-        return self.kind in ("degrevlex", "lex", "elim")
+        return self.kind in ("degrevlex", "lex")
 
     def _arranged(self, mono: Monomial) -> tuple:
         if self.permutation is None:
@@ -66,11 +62,6 @@ class MonomialOrder:
             return (sum(e), tuple(-x for x in reversed(e)))
         if self.kind == "lex":
             return e
-        if self.kind == "elim":
-            b = self.block
-            hi, lo = e[:b], e[b:]
-            return ((sum(hi), tuple(-x for x in reversed(hi))),
-                    (sum(lo), tuple(-x for x in reversed(lo))))
         # local: lower total degree is larger
         return (-sum(e), tuple(-x for x in reversed(e)))
 
@@ -81,13 +72,6 @@ class MonomialOrder:
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 LOCAL = MonomialOrder("local")
-
-
-def elimination_order(ring_size: int, eliminate: Sequence[int]) -> MonomialOrder:
-    """Block order eliminating the given variable indices."""
-    eliminate = tuple(eliminate)
-    rest = tuple(i for i in range(ring_size) if i not in eliminate)
-    return MonomialOrder("elim", permutation=eliminate + rest, block=len(eliminate))
 
 
 def leading_term(p: Polynomial, order: MonomialOrder):
@@ -158,9 +142,6 @@ class IdealPresentation:
 
     def extended(self, extra) -> "IdealPresentation":
         return IdealPresentation(self.ring, self.generators + tuple(extra))
-
-    def vanishes_at(self, point) -> bool:
-        return all(g.evaluate(point) == 0 for g in self.generators)
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
@@ -270,6 +251,8 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         if hit is not None:
             return hit
         budget = Budget()
+    # every spend below is one S-pair or one reduction step of this basis
+    used_before = budget.used
     G: list[Polynomial] = []
     lm: list[Monomial] = []
     P: set = set()
@@ -306,7 +289,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         Gred.append(monic(r, order))
     Gred.sort(key=order_key, reverse=True)
     stats = GroebnerStats(pairs_considered=pairs_considered,
-                          reductions=budget.used,
+                          reductions=budget.used - used_before - pairs_considered,
                           max_degree=max(max_degree, ideal.max_degree()))
     gb = GroebnerBasis(order=order, basis=tuple(Gred), reduced=True, stats=stats)
     _GB_CACHE[cache_key] = gb

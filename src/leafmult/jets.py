@@ -1,18 +1,20 @@
 """Truncated bivariate power series in leaf coordinates (t1, t2).
 
-A Jet2 stores exact coefficients up to a total order, plus an optional
-producer: a pure function that re-emits the same germ truncated to any
-higher order.  Arithmetic composes producers, so every derived jet can be
-regenerated on demand; that is what stabilization loops rely on.
+A Jet2 is a Polynomial in LEAF_RING truncated to a total order, plus an
+optional producer: a pure function that re-emits the same germ truncated
+to any higher order.  All arithmetic runs on the Polynomial kernel;
+operations compose producers, so every derived jet can be regenerated on
+demand, which is what stabilization loops rely on.
 
 Jets that are exact polynomials (terminating series) carry the polynomial
-on their producer; arithmetic preserves the tag, and germ-level code uses
-it to take truncation-free paths.
+on their producer; arithmetic on two such jets stays exact and keeps the
+tag, and germ-level code uses it to take truncation-free paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InconclusiveError
@@ -43,32 +45,31 @@ def _poly_producer(p: Polynomial):
 
 
 class Jet2:
-    __slots__ = ("order", "coeffs", "producer")
+    """(order, poly, producer): poly is a Polynomial in LEAF_RING with no
+    term of total degree above order."""
 
-    def __init__(self, order: int, coeffs: Mapping, producer: Optional[Callable] = None):
+    __slots__ = ("order", "poly", "producer")
+
+    def __init__(self, order: int, coeffs: Mapping | Polynomial,
+                 producer: Optional[Callable] = None):
         if order < 0:
             raise DomainError("jet order must be >= 0")
-        clean = {}
-        for (a, b), c in coeffs.items():
-            if a < 0 or b < 0:
-                raise DomainError("negative exponent in jet")
-            if a + b > order:
-                continue
-            c = Fraction(c)
-            if c:
-                clean[(a, b)] = c
+        if isinstance(coeffs, Polynomial):
+            if coeffs.ring != LEAF_RING:
+                raise DomainError(f"jet polynomial must live in {LEAF_RING}")
+            poly = coeffs
+        else:
+            poly = Polynomial(LEAF_RING, coeffs)
         self.order = order
-        self.coeffs = clean
+        self.poly = poly.truncated(order)
         self.producer = producer
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_polynomial(p: Polynomial, order: int) -> "Jet2":
-        """Exact jet of a two-variable polynomial; regenerable to any order."""
-        if len(p.ring) != 2:
-            raise DomainError("from_polynomial expects a two-variable polynomial")
-        return Jet2(order, dict(p.terms), producer=_poly_producer(p))
+        """Exact jet of a polynomial in t1, t2; regenerable to any order."""
+        return Jet2(order, p, producer=_poly_producer(p))
 
     @staticmethod
     def zero(order: int) -> "Jet2":
@@ -84,8 +85,13 @@ class Jet2:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping:
+        """Read-only view of the truncation's terms."""
+        return MappingProxyType(self.poly.terms)
+
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self.coeffs.get((a, b), Fraction(0))
+        return self.poly.terms.get((a, b), Fraction(0))
 
     def value_at_origin(self) -> Fraction:
         return self.coefficient(0, 0)
@@ -96,34 +102,34 @@ class Jet2:
         p = self.as_exact_polynomial()
         if p is not None:
             return p.is_zero()
-        return not self.coeffs
+        return self.poly.is_zero()
 
     def is_zero_up_to(self, order: int) -> bool:
-        return all(a + b > order for (a, b) in self.coeffs)
+        return all(a + b > order for (a, b) in self.poly.terms)
 
     def is_unit(self) -> bool:
         return bool(self.coefficient(0, 0))
 
     def vanishing_order(self):
         """Least total degree with a nonzero coefficient; None for the zero jet."""
-        if not self.coeffs:
+        if self.poly.is_zero():
             return None
-        return min(a + b for (a, b) in self.coeffs)
+        return min(a + b for (a, b) in self.poly.terms)
 
     def as_exact_polynomial(self) -> Optional[Polynomial]:
         """The underlying polynomial when this jet is a terminating series."""
         return getattr(self.producer, "exact_polynomial", None)
 
-    def to_polynomial(self, ring=LEAF_RING) -> Polynomial:
+    def to_polynomial(self) -> Polynomial:
         """The truncation as a polynomial (forgets the producer)."""
-        return Polynomial(ring, dict(self.coeffs))
+        return self.poly
 
     # -- regeneration -----------------------------------------------------
 
     def truncate(self, order: int) -> "Jet2":
         if order >= self.order:
             return self
-        return Jet2(order, self.coeffs, self.producer)
+        return Jet2(order, self.poly, self.producer)
 
     def regenerate(self, order: int) -> "Jet2":
         if order <= self.order:
@@ -139,88 +145,60 @@ class Jet2:
     def can_regenerate(self) -> bool:
         return self.producer is not None
 
+    def at_order(self, order: int) -> "Jet2":
+        """Regenerated to order when a producer allows; otherwise the stored
+        truncation, which may stop below order."""
+        return self.regenerate(order) if self.producer is not None else self.truncate(order)
+
     # -- arithmetic ---------------------------------------------------------
+    #
+    # op(a, b, max_degree) and op(p, max_degree) are Polynomial operations
+    # that return no term above max_degree; max_degree None means exact.
 
-    def _exact_with(self, other: "Jet2"):
-        pa = self.as_exact_polynomial()
-        pb = other.as_exact_polynomial()
-        if pa is not None and pb is not None:
-            return pa, pb
-        return None
-
-    def _combine_producer(self, other: "Jet2", op):
-        if self.producer is None or other.producer is None:
-            return None
-        a, b = self, other
-
-        def produce(n: int) -> Jet2:
-            return op(a.regenerate(n), b.regenerate(n))
-
-        return cached_producer(produce)
-
-    def __add__(self, other):
+    def _binary(self, other, op) -> "Jet2":
+        """op at the smaller order of the two operands."""
         if isinstance(other, (int, Fraction)):
             other = Jet2.constant(other, self.order)
         if not isinstance(other, Jet2):
             return NotImplemented
         order = min(self.order, other.order)
-        exact = self._exact_with(other)
-        if exact is not None:
-            return Jet2.from_polynomial(exact[0] + exact[1], order)
-        acc = dict(self.truncate(order).coeffs)
-        for k, c in other.coeffs.items():
-            if k[0] + k[1] > order:
-                continue
-            s = acc.get(k, Fraction(0)) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        return Jet2(order, acc, self._combine_producer(other, lambda x, y: x + y))
+        pa, pb = self.as_exact_polynomial(), other.as_exact_polynomial()
+        if pa is not None and pb is not None:
+            return Jet2.from_polynomial(op(pa, pb, None), order)
+        prod = None
+        if self.producer is not None and other.producer is not None:
+            a, b = self, other
+            prod = cached_producer(lambda n: a.regenerate(n)._binary(b.regenerate(n), op))
+        return Jet2(order, op(self.poly.truncated(order), other.poly.truncated(order), order),
+                    prod)
+
+    def _unary(self, op, drop: int = 0) -> "Jet2":
+        """op on one jet; the result order is `drop` below the input's."""
+        order = max(self.order - drop, 0)
+        p = self.as_exact_polynomial()
+        if p is not None:
+            return Jet2.from_polynomial(op(p, None), order)
+        prod = None
+        if self.producer is not None:
+            prod = cached_producer(lambda n: self.regenerate(n + drop)._unary(op, drop))
+        return Jet2(order, op(self.poly, order), prod)
+
+    def __add__(self, other):
+        return self._binary(other, lambda a, b, n: a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.as_exact_polynomial()
-        if p is not None:
-            return Jet2.from_polynomial(-p, self.order)
-        prod = None
-        if self.producer is not None:
-            prod = cached_producer(lambda n: -self.regenerate(n))
-        return Jet2(self.order, {k: -c for k, c in self.coeffs.items()}, prod)
+        return self._unary(lambda p, n: -p)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet2.constant(other, self.order)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self + (-other)
+        return self._binary(other, lambda a, b, n: a - b)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._binary(other, lambda a, b, n: b - a)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet2.constant(other, self.order)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        order = min(self.order, other.order)
-        exact = self._exact_with(other)
-        if exact is not None:
-            return Jet2.from_polynomial(exact[0] * exact[1], order)
-        acc: dict = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > order:
-                    continue
-                k = (a, b)
-                s = acc.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
-        return Jet2(order, acc, self._combine_producer(other, lambda x, y: x * y))
+        return self._binary(other, lambda a, b, n: a.mul(b, n))
 
     __rmul__ = __mul__
 
@@ -239,19 +217,7 @@ class Jet2:
         """d/dt_index; the order drops by one."""
         if index not in (0, 1):
             raise DomainError("jet variable index must be 0 or 1")
-        p = self.as_exact_polynomial()
-        if p is not None:
-            return Jet2.from_polynomial(p.derive(index), max(self.order - 1, 0))
-        acc = {}
-        for (a, b), c in self.coeffs.items():
-            e = a if index == 0 else b
-            if e:
-                k = (a - 1, b) if index == 0 else (a, b - 1)
-                acc[k] = c * e
-        prod = None
-        if self.producer is not None:
-            prod = cached_producer(lambda n: self.regenerate(n + 1).derivative(index))
-        return Jet2(max(self.order - 1, 0), acc, prod)
+        return self._unary(lambda p, n: p.derive(index), drop=1)
 
     def substitute_linear(self, matrix) -> "Jet2":
         """Exact linear change of leaf coordinates:
@@ -259,31 +225,8 @@ class Jet2:
         (m00, m01), (m10, m11) = matrix
         n1 = Polynomial(LEAF_RING, {(1, 0): Fraction(m00), (0, 1): Fraction(m01)})
         n2 = Polynomial(LEAF_RING, {(1, 0): Fraction(m10), (0, 1): Fraction(m11)})
-        p = self.as_exact_polynomial()
-        if p is not None:
-            return Jet2.from_polynomial(p.compose([n1, n2]), self.order)
-        acc: dict = {}
-        pow1: list[Polynomial] = [Polynomial.constant(LEAF_RING, 1)]
-        pow2: list[Polynomial] = [Polynomial.constant(LEAF_RING, 1)]
-        for (a, b), c in self.coeffs.items():
-            while len(pow1) <= a:
-                pow1.append(pow1[-1] * n1)
-            while len(pow2) <= b:
-                pow2.append(pow2[-1] * n2)
-            term = pow1[a] * pow2[b]
-            for m, k in term.terms.items():
-                if sum(m) > self.order:
-                    continue
-                key = (m[0], m[1])
-                s = acc.get(key, Fraction(0)) + c * k
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        prod = None
-        if self.producer is not None:
-            prod = cached_producer(lambda n: self.regenerate(n).substitute_linear(matrix))
-        return Jet2(self.order, acc, prod)
+        # a linear substitution keeps every term's total degree
+        return self._unary(lambda p, n: p.compose([n1, n2]))
 
     def swap_variables(self) -> "Jet2":
         return self.substitute_linear(((0, 1), (1, 0)))
@@ -293,22 +236,13 @@ class Jet2:
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, self.poly))
 
     def __str__(self):
-        return f"{self.to_polynomial()} + O({self.order + 1})"
+        return f"{self.poly} + O({self.order + 1})"
 
     def __repr__(self):
-        return f"Jet2(order={self.order}, {self.to_polynomial()!s})"
-
-
-def jet_arith(a: Jet2, b: Jet2, kind: str) -> Jet2:
-    """add | mul on jets; result order is the min of the input orders."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    raise DomainError(f"unknown jet operation {kind!r}")
+        return f"Jet2(order={self.order}, {self.poly!s})"

@@ -73,9 +73,6 @@ class NoetherianPair:
     nonisolated_certified: bool = False
     _local_basis: Optional[list] = dfield(default=None, repr=False, compare=False)
 
-    def leaf_jets(self, polys: Sequence[Polynomial]) -> list:
-        return [self.ctx.leaf_jet(p, self.cert_order) for p in polys]
-
     def point_excluded(self) -> bool:
         return any(g.evaluate(self.ctx.point) != 0 for g in self.ideal.generators)
 
@@ -87,9 +84,7 @@ class NoetherianPair:
             from .localbasis import standard_basis
             polys = []
             for j in self.local_gens:
-                s = simplify_local_generator(j)
-                s = s.regenerate(self.cert_order) if s.can_regenerate() \
-                    else s.truncate(self.cert_order)
+                s = simplify_local_generator(j).at_order(self.cert_order)
                 if not s.is_zero():
                     polys.append(s.to_polynomial())
             self._local_basis = standard_basis(polys) if polys else []
@@ -291,9 +286,7 @@ def _split_against_variety(pair: NoetherianPair, F: Polynomial):
     order = pair.cert_order
     h = Jet2.constant(1, order)
     for cyc in on_variety:
-        fac = cyc.factor.regenerate(order) if cyc.factor.can_regenerate() \
-            else cyc.factor.truncate(order)
-        h = h * fac ** cyc.multiplicity
+        h = h * cyc.factor.at_order(order) ** cyc.multiplicity
     f = germ_divide(fL, h, order)
     if f is None:
         raise RegenerationRequest(2 * order + 8)
@@ -325,9 +318,7 @@ def jacobian_extension(pair: NoetherianPair, F: Polynomial,
     order = pair.cert_order
     reduced = Jet2.constant(1, order)
     for c in cycles:
-        fac = c.factor.regenerate(order) if c.factor.can_regenerate() \
-            else c.factor.truncate(order)
-        reduced = reduced * fac
+        reduced = reduced * c.factor.at_order(order)
     # global side: all order-k iterated derivatives
     new_gens = []
     for a in range(k + 1):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import inf
+from operator import add
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError, RingMismatchError
 
@@ -36,6 +38,16 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def _add_into(acc: dict, terms: Mapping[Monomial, Fraction]) -> None:
+    """acc += terms in place, dropping the coefficients that cancel."""
+    for m, c in terms.items():
+        s = acc.get(m, 0) + c
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
 
 
 class Polynomial:
@@ -157,12 +169,7 @@ class Polynomial:
             return NotImplemented
         self._check_ring(other)
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+        _add_into(acc, other.terms)
         return self._raw(self.ring, acc)
 
     __radd__ = __add__
@@ -188,17 +195,7 @@ class Polynomial:
             return self._raw(self.ring, {m: k * c for m, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_ring(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return self._raw(self.ring, acc)
+        return self.mul(other)
 
     __rmul__ = __mul__
 
@@ -213,6 +210,35 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def mul(self, other: "Polynomial", max_degree: Optional[int] = None) -> "Polynomial":
+        """Product, without the terms of total degree above max_degree."""
+        self._check_ring(other)
+        right = [(m, c, sum(m)) for m, c in other.terms.items()]
+        acc: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            room = inf if max_degree is None else max_degree - sum(m1)
+            for m2, c2, d2 in right:
+                if d2 > room:
+                    continue
+                m = tuple(map(add, m1, m2))
+                prev = acc.get(m)
+                if prev is None:
+                    acc[m] = c1 * c2
+                else:
+                    s = prev + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        return self._raw(self.ring, acc)
+
+    def truncated(self, max_degree: int) -> "Polynomial":
+        """The terms of total degree at most max_degree."""
+        if self.total_degree() <= max_degree:
+            return self
+        return self._raw(self.ring, {m: c for m, c in self.terms.items()
+                                     if sum(m) <= max_degree})
 
     @classmethod
     def _raw(cls, ring, terms: dict) -> "Polynomial":
@@ -259,14 +285,17 @@ class Polynomial:
         if not targets:
             raise DomainError("empty ring")
         out_ring = targets[0].ring
-        result = Polynomial.zero(out_ring)
+        powers = [[Polynomial.constant(out_ring, 1)] for _ in targets]
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             term = Polynomial.constant(out_ring, c)
-            for t, e in zip(targets, m):
+            for t, e, pw in zip(targets, m, powers):
+                while len(pw) <= e:
+                    pw.append(pw[-1] * t)
                 if e:
-                    term = term * (t ** e)
-            result = result + term
-        return result
+                    term = term * pw[e]
+            _add_into(acc, term.terms)
+        return Polynomial._raw(out_ring, acc)
 
     def map_ring(self, new_ring: Sequence[str], var_map: Sequence[int]) -> "Polynomial":
         """Reinterpret in a larger ring: variable i becomes new_ring[var_map[i]]."""
@@ -462,15 +491,6 @@ def _as_univariate(p: Polynomial, index: int) -> dict[int, Polynomial]:
         rest = m[:index] + (0,) + m[index + 1:]
         coeffs.setdefault(e, {})[rest] = c
     return {e: Polynomial._raw(p.ring, t) for e, t in coeffs.items()}
-
-
-def _from_univariate(ring, index: int, coeffs: dict[int, Polynomial]) -> Polynomial:
-    acc = {}
-    for e, q in coeffs.items():
-        for m, c in q.terms.items():
-            nm = m[:index] + (e,) + m[index + 1:]
-            acc[nm] = c
-    return Polynomial._raw(tuple(ring), acc)
 
 
 def leading_coeff_in(p: Polynomial, index: int) -> Polynomial:

@@ -47,9 +47,6 @@ class BranchParam:
     def field_degree(self) -> int:
         return self.field.degree_over_q
 
-    def y_degree(self) -> int:
-        return self.ram * self.field_degree()
-
     def describe_field(self):
         return self.field.describe()
 

@@ -305,13 +305,6 @@ def up_derive(K, a):
     return _trim(K, [K.mul(c, K.coerce(i)) for i, c in enumerate(a)][1:])
 
 
-def up_eval(K, a, x):
-    acc = K.zero
-    for c in reversed(a):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
-
-
 def up_compose_shift(K, a, s):
     """a(x + s*gen) for Trager's shift; s rational, gen the extension element."""
     # horner in (x + s*alpha)
@@ -477,7 +470,7 @@ def _trager_squarefree(E: ExtField, f) -> list:
         rest = list(shifted)
         for h, _ in sub_factors:
             lifted = [E.coerce(c) for c in h]
-            g = up_gcd_ext(E, rest, lifted)
+            g = up_gcd(E, rest, lifted)
             if len(g) > 1:
                 out.append(g)
                 q, r = _poly_divmod(E, rest, g)
@@ -493,10 +486,6 @@ def _trager_squarefree(E: ExtField, f) -> list:
         if total == len(f) - 1:
             return out
     raise InconclusiveError("no squarefree norm shift found for Trager factorization")
-
-
-def up_gcd_ext(E, a, b):
-    return up_gcd(E, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +713,6 @@ class YPoly:
             for j in range(dw + 1):
                 rem[shift + j] = rem[shift + j] - c * w.coeffs[j]
         return YPoly.make(self.field, q), YPoly.make(self.field, rem[:dw])
-
-    def map_coeffs(self, fn) -> "YPoly":
-        return YPoly.make(self.field, [fn(c) for c in self.coeffs])
-
 
 def ypoly_gcd_monic(a: YPoly, b: YPoly, min_result_prec: int = 1) -> YPoly:
     """gcd in (Laurent series field)[y] by the Euclidean algorithm with

@@ -91,6 +91,18 @@ class TestGroebner:
         with pytest.raises(DomainError):
             groebner(ideal("x"), MonomialOrder("local"))
 
+    def test_stats_count_each_basis_on_a_shared_budget(self):
+        first = ideal("x^3-2*x*y", "x^2*y-2*y^2+x")
+        second = ideal("x^2+y^2", "x^2-y^2")
+        alone = groebner(second, DEGREVLEX, Budget()).stats
+        shared = Budget()
+        a = groebner(first, DEGREVLEX, shared).stats
+        b = groebner(second, DEGREVLEX, shared).stats
+        assert a.reductions > 0 and b.reductions > 0
+        assert b.reductions == alone.reductions
+        assert a.reductions + a.pairs_considered + b.reductions + b.pairs_considered \
+            == shared.used
+
 
 class TestNormalForm:
     def test_examples(self):

@@ -131,6 +131,20 @@ class TestRingAxioms:
         for i in range(2):
             assert (a * b).derive(i) == a * b.derive(i) + b * a.derive(i)
 
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, st.integers(0, 7))
+    def test_truncated_product(self, a, b, n):
+        low = {m: c for m, c in (a * b).terms.items() if sum(m) <= n}
+        assert a.mul(b, n) == Polynomial(RING, low) == (a * b).truncated(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys, polys, polys)
+    def test_compose_is_termwise_substitution(self, p, q1, q2):
+        expected = Polynomial.zero(RING)
+        for (e1, e2), c in p.terms.items():
+            expected = expected + c * q1 ** e1 * q2 ** e2
+        assert p.compose([q1, q2]) == expected
+
 
 class TestGcd:
     def test_examples(self):
