@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisError
 from .jets import Jet2, cached_producer
+from .localbasis import standard_basis
 from .poly import Polynomial
 
 DEFAULT_EXTRA_ORDER = 4
@@ -81,7 +82,8 @@ class FoliationContext:
 
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
-    derivatives are memoized per (F, a, b).
+    derivatives are memoized per (F, a, b), and budget-free local standard
+    bases per generator tuple.
     """
 
     def __init__(self, v1: VectorField, v2: VectorField, point: Sequence):
@@ -103,6 +105,7 @@ class FoliationContext:
                 "base point is singular: V1(p) and V2(p) are linearly dependent")
         self.commutation_verified = True
         self._memo: dict = {}
+        self._bases: dict = {}
 
     def _independent_at_point(self) -> bool:
         a = self.v1.evaluate(self.point)
@@ -128,6 +131,15 @@ class FoliationContext:
             value = self.v2.apply(self.iterated_derivative(f, a, b - 1))
         self._memo[key] = value
         return value
+
+    def local_basis(self, polys: tuple) -> tuple:
+        """Local standard basis of polys (leaf polynomials) under the
+        default budget, memoized; the pairs of one pipeline share local
+        generators."""
+        basis = self._bases.get(polys)
+        if basis is None:
+            basis = self._bases[polys] = tuple(standard_basis(polys))
+        return basis
 
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:
         """Jet of F restricted to the leaf through p, in flow coordinates.

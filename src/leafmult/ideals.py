@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Optional, Sequence
+from operator import neg
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
 from .poly import (
@@ -26,6 +27,7 @@ from .poly import (
     monomial_mul,
     normalize_leading,
     squarefree_part,
+    _sub_mul_into,
 )
 
 
@@ -38,35 +40,42 @@ class MonomialOrder:
 
     `permutation`, when given, lists ring indices in comparison order
     (first entry compares first / is the biggest variable).
+
+    `key(mono)` is the sort key: bigger key = bigger monomial.
     """
 
     kind: str = "degrevlex"
     permutation: Optional[tuple] = None
+    key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex", "local"):
             raise DomainError(f"unknown order kind {self.kind!r}")
+        object.__setattr__(self, "key", _sort_key(self.kind, self.permutation))
 
     def is_global(self) -> bool:
         return self.kind in ("degrevlex", "lex")
 
-    def _arranged(self, mono: Monomial) -> tuple:
-        if self.permutation is None:
-            return tuple(mono)
-        return tuple(mono[i] for i in self.permutation)
-
-    def key(self, mono: Monomial):
-        """Sort key: bigger key = bigger monomial."""
-        e = self._arranged(mono)
-        if self.kind == "degrevlex":
-            return (sum(e), tuple(-x for x in reversed(e)))
-        if self.kind == "lex":
-            return e
-        # local: lower total degree is larger
-        return (-sum(e), tuple(-x for x in reversed(e)))
-
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
+
+
+def _sort_key(kind: str, permutation: Optional[tuple]):
+    """The key function of an order, specialized once per order: monomials
+    are compared (total degree, reversed negated exponents) for degrevlex,
+    with the degree negated for local, and by exponents for lex."""
+    if permutation is None:
+        if kind == "lex":
+            return tuple
+        if kind == "degrevlex":
+            return lambda m: (sum(m), tuple(map(neg, m[::-1])))
+        return lambda m: (-sum(m), tuple(map(neg, m[::-1])))
+    perm = tuple(permutation)
+    rev = perm[::-1]
+    if kind == "lex":
+        return lambda m: tuple([m[i] for i in perm])
+    sign = 1 if kind == "degrevlex" else -1
+    return lambda m: (sign * sum([m[i] for i in perm]), tuple([-m[i] for i in rev]))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -174,39 +183,38 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     asked).  Deterministic: the first reducer in basis order wins."""
     lead = [leading_term(g, order) for g in basis]
     quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
+    key = order.key
     r_terms = {}
-    work = f
-    while not work.is_zero():
-        m, c = leading_term(work, order)
-        hit = None
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=key)
         for i, (lm, lc) in enumerate(lead):
             if monomial_divides(lm, m):
-                hit = (i, lm, lc)
                 break
-        if hit is None:
-            r_terms[m] = c
-            work = work - Polynomial.monomial(f.ring, m, c)
         else:
-            i, lm, lc = hit
-            factor = Polynomial.monomial(f.ring, monomial_div(m, lm), c / lc)
-            work = work - factor * basis[i]
-            if with_quotients:
-                quots[i] = quots[i] + factor
-            if budget is not None:
-                budget.spend(1, "reduction")
-    rem = Polynomial(f.ring, r_terms)
+            r_terms[m] = work.pop(m)
+            continue
+        shift, q = monomial_div(m, lm), work[m] / lc
+        _sub_mul_into(work, shift, q, basis[i].terms)
+        if with_quotients:
+            quots[i] = quots[i] + Polynomial.monomial(f.ring, shift, q)
+        if budget is not None:
+            budget.spend(1, "reduction")
+    rem = Polynomial._raw(f.ring, r_terms)
     if with_quotients:
         return quots, rem
     return rem
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
+def _s_polynomial(f: Polynomial, mf: Monomial, cf, g: Polynomial, mg: Monomial,
+                  cg) -> Polynomial:
+    """x^(l-mf) f/cf - x^(l-mg) g/cg with l = lcm(mf, mg), from the leading
+    terms (mf, cf) of f and (mg, cg) of g."""
     l = monomial_lcm(mf, mg)
-    tf = Polynomial.monomial(f.ring, monomial_div(l, mf), Fraction(1) / cf)
-    tg = Polynomial.monomial(g.ring, monomial_div(l, mg), Fraction(1) / cg)
-    return tf * f - tg * g
+    shift = monomial_div(l, mf)
+    acc = {monomial_mul(shift, m): c / cf for m, c in f.terms.items()}
+    _sub_mul_into(acc, monomial_div(l, mg), Fraction(1) / cg, g.terms)
+    return Polynomial._raw(f.ring, acc)
 
 
 def _gm_update(G, P, lm, f, order):
@@ -269,25 +277,24 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         i, j = min(P, key=lambda p: (monomial_degree(monomial_lcm(lm[p[0]], lm[p[1]])),
                                      order.key(monomial_lcm(lm[p[0]], lm[p[1]])), p))
         P.remove((i, j))
-        s = s_polynomial(G[i], G[j], order)
+        s = _s_polynomial(G[i], lm[i], G[i].terms[lm[i]], G[j], lm[j], G[j].terms[lm[j]])
         r = reduce_poly(s, G, order, budget)
         if not r.is_zero():
             max_degree = max(max_degree, r.total_degree())
             G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
     # minimalize
-    order_key = lambda g: order.key(leading_monomial(g, order))
-    Gmin = []
-    for g in sorted(G, key=order_key):
-        lg = leading_monomial(g, order)
-        if all(not monomial_divides(leading_monomial(h, order), lg) for h in Gmin):
-            Gmin.append(g)
+    Gmin, lm_min = [], []
+    for i in sorted(range(len(G)), key=lambda i: order.key(lm[i])):
+        if all(not monomial_divides(h, lm[i]) for h in lm_min):
+            Gmin.append(G[i])
+            lm_min.append(lm[i])
     # interreduce tails
     Gred = []
     for i, g in enumerate(Gmin):
         others = Gmin[:i] + Gmin[i + 1:]
         r = reduce_poly(g, others, order, budget) if others else g
         Gred.append(monic(r, order))
-    Gred.sort(key=order_key, reverse=True)
+    Gred.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     stats = GroebnerStats(pairs_considered=pairs_considered,
                           reductions=budget.used - used_before - pairs_considered,
                           max_degree=max(max_degree, ideal.max_degree()))

@@ -9,12 +9,19 @@ the leaf is two-dimensional everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .ideals import Budget, MonomialOrder, leading_term, monic, staircase_count
+from .ideals import (
+    Budget,
+    MonomialOrder,
+    _s_polynomial,
+    leading_term,
+    monic,
+    staircase_count,
+)
 from .poly import (
     Monomial,
     Polynomial,
@@ -27,15 +34,35 @@ from .poly import (
 LOCAL_ORDER = MonomialOrder("local")
 
 
-def _ecart(p: Polynomial, order: MonomialOrder) -> int:
-    lm, _ = leading_term(p, order)
-    return p.total_degree() - monomial_degree(lm)
-
-
 def _struct_key(p: Polynomial):
     """Deterministic tie-break without stringifying coefficients (whose
     integers can be enormous on deep jets)."""
     return tuple(sorted(p.terms.items()))
+
+
+class _Lead:
+    """A pool polynomial with its leading term and its Mora selection key
+    (ecart, total degree, structural tie-break), computed once when it joins
+    the pool.  `cofactors` rides along for mora_divide."""
+
+    __slots__ = ("poly", "lm", "lc", "ecart", "key", "cofactors")
+
+    def __init__(self, poly: Polynomial, order: MonomialOrder, lead=None, cofactors=None):
+        lm, lc = lead or leading_term(poly, order)
+        degree = poly.total_degree()
+        self.poly, self.lm, self.lc = poly, lm, lc
+        self.ecart = degree - monomial_degree(lm)
+        self.key = (self.ecart, degree, _struct_key(poly))
+        self.cofactors = cofactors
+
+
+def _select(pool: list, lm: Monomial) -> Optional[_Lead]:
+    """The first pool entry of least key whose leading monomial divides lm."""
+    best = None
+    for e in pool:
+        if monomial_divides(e.lm, lm) and (best is None or e.key < best.key):
+            best = e
+    return best
 
 
 def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial],
@@ -45,18 +72,21 @@ def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial],
     ideal generated by gens (in the local ring).  Zero iff f is a member."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
-    h = f
-    pool = [g for g in gens if not g.is_zero()]
+    return _normal_form(f, [_Lead(g, order) for g in gens if not g.is_zero()],
+                        budget, order)
+
+
+def _normal_form(h: Polynomial, pool: list, budget: Budget,
+                 order: MonomialOrder) -> Polynomial:
+    """mora_normal_form on a pool of entries; appends to the pool."""
     while not h.is_zero():
         lm_h, lc_h = leading_term(h, order)
-        divisors = [g for g in pool if monomial_divides(leading_term(g, order)[0], lm_h)]
-        if not divisors:
+        g = _select(pool, lm_h)
+        if g is None:
             return h
-        g = min(divisors, key=lambda q: (_ecart(q, order), q.total_degree(), _struct_key(q)))
-        if _ecart(g, order) > _ecart(h, order):
-            pool.append(h)
-        lm_g, lc_g = leading_term(g, order)
-        h = h - Polynomial.monomial(h.ring, monomial_div(lm_h, lm_g), lc_h / lc_g) * g
+        if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
+            pool.append(_Lead(h, order, (lm_h, lc_h)))
+        h = h.sub_mul(monomial_div(lm_h, g.lm), lc_h / g.lc, g.poly)
         budget.spend(1, "mora")
     return h
 
@@ -75,26 +105,23 @@ def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
     one = Polynomial.constant(ring, 1)
     zero = Polynomial.zero(ring)
     divisors = list(divisors)
-    # pool entries: (poly, u, quotient list)
-    pool = [(g, zero, [one if i == j else zero for j in range(len(divisors))])
+    # cofactors of a pool entry: (u, quotient list)
+    pool = [_Lead(g, order, cofactors=(zero, [one if i == j else zero
+                                              for j in range(len(divisors))]))
             for i, g in enumerate(divisors) if not g.is_zero()]
     h, u_h, q_h = f, one, [zero] * len(divisors)
     while not h.is_zero():
         lm_h, lc_h = leading_term(h, order)
-        cands = [entry for entry in pool
-                 if monomial_divides(leading_term(entry[0], order)[0], lm_h)]
-        if not cands:
+        g = _select(pool, lm_h)
+        if g is None:
             break
-        g, u_g, q_g = min(cands, key=lambda ent: (_ecart(ent[0], order),
-                                                  ent[0].total_degree(),
-                                                  _struct_key(ent[0])))
-        if _ecart(g, order) > _ecart(h, order):
-            pool.append((h, u_h, list(q_h)))
-        lm_g, lc_g = leading_term(g, order)
-        mfac = Polynomial.monomial(ring, monomial_div(lm_h, lm_g), lc_h / lc_g)
-        h = h - mfac * g
-        u_h = u_h - mfac * u_g
-        q_h = [a - mfac * b for a, b in zip(q_h, q_g)]
+        if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
+            pool.append(_Lead(h, order, (lm_h, lc_h), (u_h, list(q_h))))
+        shift, c = monomial_div(lm_h, g.lm), lc_h / g.lc
+        u_g, q_g = g.cofactors
+        h = h.sub_mul(shift, c, g.poly)
+        u_h = u_h.sub_mul(shift, c, u_g)
+        q_h = [a.sub_mul(shift, c, b) for a, b in zip(q_h, q_g)]
         budget.spend(1, "mora divide")
     # u_h * f - sum(q_h * divisors) = remainder, with sign conventions below
     u = u_h
@@ -105,11 +132,12 @@ def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
 def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
                    order: MonomialOrder = LOCAL_ORDER) -> list:
     """Buchberger loop with Mora normal form; no pair criteria beyond
-    deduplication (the product criterion is unsafe for local orders)."""
+    deduplication (the product criterion is unsafe for local orders).
+    Pairs are taken in (lcm degree, (i, j)) order."""
     if budget is None:
         budget = Budget(cap=500_000, stage="standard basis")
     ring = None
-    G: list[Polynomial] = []
+    pool: list[_Lead] = []
     for g in gens:
         if g.is_zero():
             continue
@@ -117,37 +145,30 @@ def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
             ring = g.ring
             if len(ring) != 2:
                 raise DomainError("the local engine is specialized to two variables")
-        G.append(monic(g, order))
-    if not G:
-        return []
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+        pool.append(_Lead(monic(g, order), order))
+    pairs = [(monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
+             for i in range(len(pool)) for j in range(i + 1, len(pool))]
+    heapify(pairs)
     while pairs:
-        budget.spend(1, "standard basis", partial=list(G))
-        def lcm_of(p):
-            return monomial_lcm(leading_term(G[p[0]], order)[0],
-                                leading_term(G[p[1]], order)[0])
-        i, j = min(pairs, key=lambda p: (monomial_degree(lcm_of(p)), p))
-        pairs.remove((i, j))
-        lm_i, lc_i = leading_term(G[i], order)
-        lm_j, lc_j = leading_term(G[j], order)
-        l = monomial_lcm(lm_i, lm_j)
-        s = (Polynomial.monomial(ring, monomial_div(l, lm_i), Fraction(1) / lc_i) * G[i]
-             - Polynomial.monomial(ring, monomial_div(l, lm_j), Fraction(1) / lc_j) * G[j])
-        h = mora_normal_form(s, G, budget, order)
+        budget.spend(1, "standard basis", partial=[e.poly for e in pool])
+        _, (i, j) = heappop(pairs)
+        a, b = pool[i], pool[j]
+        s = _s_polynomial(a.poly, a.lm, a.lc, b.poly, b.lm, b.lc)
+        h = _normal_form(s, list(pool), budget, order)
         if not h.is_zero():
-            G.append(monic(h, order))
-            t = len(G) - 1
-            pairs |= {(k, t) for k in range(t)}
-    return _minimalize(G, order)
+            new = _Lead(monic(h, order), order)
+            for k, e in enumerate(pool):
+                heappush(pairs, (monomial_degree(monomial_lcm(e.lm, new.lm)), (k, len(pool))))
+            pool.append(new)
+    return _minimalize(pool, order)
 
 
-def _minimalize(G: list, order: MonomialOrder) -> list:
-    out: list[Polynomial] = []
-    for g in sorted(G, key=lambda q: order.key(leading_term(q, order)[0]), reverse=True):
-        lg = leading_term(g, order)[0]
-        if all(not monomial_divides(leading_term(h, order)[0], lg) for h in out):
-            out.append(g)
-    return out
+def _minimalize(pool: list, order: MonomialOrder) -> list:
+    out: list[_Lead] = []
+    for e in sorted(pool, key=lambda e: order.key(e.lm), reverse=True):
+        if all(not monomial_divides(o.lm, e.lm) for o in out):
+            out.append(e)
+    return [e.poly for e in out]
 
 
 def leading_staircase(basis: Sequence[Polynomial],
@@ -166,13 +187,7 @@ def local_quotient_dimension(gens: Sequence[Polynomial],
                              budget: Optional[Budget] = None):
     """dim of the local ring modulo the ideal of the (polynomial) germs;
     inf when the staircase is unbounded."""
-    basis = standard_basis(gens, budget)
-    if not basis:
-        return inf
-    lts = leading_staircase(basis)
-    if any(monomial_degree(m) == 0 for m in lts):
-        return 0
-    return staircase_count(lts, 2)
+    return staircase_at_order(gens, budget)[1]
 
 
 @dataclass(frozen=True)
@@ -196,6 +211,4 @@ def staircase_at_order(polys: Sequence[Polynomial], budget: Optional[Budget] = N
     if not basis:
         return (), inf
     lts = leading_staircase(basis)
-    if any(monomial_degree(m) == 0 for m in lts):
-        return lts, 0
     return lts, staircase_count(lts, 2)

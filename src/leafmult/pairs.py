@@ -71,23 +71,23 @@ class NoetherianPair:
     cert_order: int
     radical_exact: bool = False
     nonisolated_certified: bool = False
-    _local_basis: Optional[list] = dfield(default=None, repr=False, compare=False)
+    _local_basis: Optional[tuple] = dfield(default=None, repr=False, compare=False)
 
     def point_excluded(self) -> bool:
         return any(g.evaluate(self.ctx.point) != 0 for g in self.ideal.generators)
 
-    def local_basis(self) -> list:
-        """Standard basis of the local generators' truncations, cached; the
-        generators are first stripped of unit cofactors (same ideal)."""
+    def local_basis(self) -> tuple:
+        """Standard basis of the local generators' truncations, cached here
+        and shared through the context; the generators are first stripped
+        of unit cofactors (same ideal)."""
         if self._local_basis is None:
             from .germs import simplify_local_generator
-            from .localbasis import standard_basis
             polys = []
             for j in self.local_gens:
                 s = simplify_local_generator(j).at_order(self.cert_order)
                 if not s.is_zero():
                     polys.append(s.to_polynomial())
-            self._local_basis = standard_basis(polys) if polys else []
+            self._local_basis = self.ctx.local_basis(tuple(polys))
         return self._local_basis
 
     def local_member(self, jet: Jet2) -> bool:

@@ -50,6 +50,22 @@ def _add_into(acc: dict, terms: Mapping[Monomial, Fraction]) -> None:
             acc.pop(m, None)
 
 
+def _sub_mul_into(acc: dict, mono: Monomial, coeff, terms: Mapping[Monomial, Fraction]) -> None:
+    """acc -= coeff * x^mono * terms in place, dropping the coefficients that
+    cancel; one pass over terms."""
+    for m, c in terms.items():
+        m = tuple(map(add, mono, m))
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = -(coeff * c)
+        else:
+            s = prev - coeff * c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+
+
 class Polynomial:
     """A polynomial with exact rational coefficients.
 
@@ -231,6 +247,16 @@ class Polynomial:
                         acc[m] = s
                     else:
                         del acc[m]
+        return self._raw(self.ring, acc)
+
+    def sub_mul(self, mono: Monomial, coeff, other: "Polynomial") -> "Polynomial":
+        """self - coeff * x^mono * other, in one pass over other's terms;
+        coeff is an int or a Fraction."""
+        self._check_ring(other)
+        if not coeff:
+            return self
+        acc = dict(self.terms)
+        _sub_mul_into(acc, mono, coeff, other.terms)
         return self._raw(self.ring, acc)
 
     def truncated(self, max_degree: int) -> "Polynomial":

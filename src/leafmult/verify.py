@@ -227,12 +227,35 @@ class TraceCheck:
     detail: str = ""
 
 
+# Legitimate jacobian evidence has small K and mu (the pipeline searches up
+# to K*2^K exponents); the cap keeps a forged trace from asking for 2^huge.
+_MAX_EXPONENT = 4096
+
+
+def _jacobian_scale(ev: dict):
+    """The jacobian transfer factor re-derived from its evidence: min(n,
+    K*2^K) for a certified exponent n, else K*2^max(K, mu); None when the
+    evidence is malformed (multiplicities need 1 <= k <= K)."""
+    k, K, mu, n = ev.get("k"), ev.get("K"), ev.get("mu"), ev.get("certified_exponent")
+    if not all(isinstance(v, int) for v in (k, K, mu)) \
+            or not (1 <= k <= K <= _MAX_EXPONENT and 0 <= mu <= _MAX_EXPONENT):
+        return None
+    if n is None:
+        return K * 2 ** max(K, mu)
+    if not isinstance(n, int) or not 1 <= n <= _MAX_EXPONENT:
+        return None
+    return min(n, K * 2 ** K)
+
+
 def verify_trace(trace: dict) -> list:
     """Re-check every certificate recorded in a bound trace: membership of
     radical exponents, recomputed brackets, derivative sets, local
-    exponent memberships, and the final exclusion of the base point."""
+    exponent memberships, every transfer re-derived from its evidence, the
+    soundness of each step, the final exclusion of the base point, and the
+    bound against the direct value."""
     checks: list[TraceCheck] = []
     report = trace.get("report", trace)
+    excluded_status = report.get("final_status") == "point-excluded"
     manifest = trace.get("manifest") or {}
     ring = tuple(manifest["variables"])
     v1 = VectorField(ring, tuple(parse_polynomial(t, ring) for t in manifest["v1"]))
@@ -261,7 +284,11 @@ def verify_trace(trace: dict) -> list:
                     if not member(g, new):
                         ok, detail = False, f"lost generator {g}"
                         break
+            if ok and len(ev["exponents"]) != len(ev["generators"]):
+                ok, detail = False, "exponent count does not match the generators"
             M = ev["weight"]
+            if ok and M != sum(e - 1 for e in ev["exponents"]) + 1:
+                ok, detail = False, "weight does not match the exponents"
             if ok and step["transfer"] != {"scale": M * M, "offset": 0}:
                 ok, detail = False, "transfer does not match the exponent weight"
             checks.append(TraceCheck(idx, kind, ok, detail))
@@ -274,6 +301,8 @@ def verify_trace(trace: dict) -> list:
             bracket = ctx.poisson(Fp, Gp)
             if ok and str(bracket) != ev["bracket"]:
                 ok, detail = False, "bracket mismatch"
+            if ok and step["transfer"] != {"scale": 1, "offset": 1}:
+                ok, detail = False, "transfer is not m -> m + 1"
             checks.append(TraceCheck(idx, kind, ok, detail))
             if not bracket.is_zero():
                 current = current.extended([bracket])
@@ -289,6 +318,11 @@ def verify_trace(trace: dict) -> list:
                     expected.add(str(d))
             if ok and expected != set(ev["derivatives"]):
                 ok, detail = False, "derivative set mismatch"
+            scale = _jacobian_scale(ev)
+            if ok and scale is None:
+                ok, detail = False, "malformed exponent evidence"
+            if ok and step["transfer"] != {"scale": scale, "offset": 0}:
+                ok, detail = False, "transfer does not match the exponent evidence"
             n = ev.get("certified_exponent")
             if ok and n is not None:
                 from .germs import local_membership
@@ -304,7 +338,10 @@ def verify_trace(trace: dict) -> list:
                                         for t in ev["derivatives"]])
         else:
             checks.append(TraceCheck(idx, kind, False, f"unknown step kind {kind}"))
-    if report.get("final_status") == "point-excluded":
+        # the pipeline never reports point-excluded through an unsound step
+        if excluded_status and checks[-1].ok and step.get("sound") is not True:
+            checks[-1] = TraceCheck(idx, kind, False, "step is not marked sound")
+    if excluded_status:
         excluded = any(g.evaluate(ctx.point) != 0 for g in current.generators)
         checks.append(TraceCheck(len(checks), "final",
                                  excluded,
@@ -313,6 +350,12 @@ def verify_trace(trace: dict) -> list:
         m = 0
         for step in reversed(report["ledger"]["steps"]):
             m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
-        checks.append(TraceCheck(len(checks), "bound", m == bound,
-                                 "" if m == bound else f"recomputed {m} != {bound}"))
+        direct = report.get("direct_value")
+        if m != bound:
+            ok, detail = False, f"recomputed {m} != {bound}"
+        elif direct is not None and not bound >= direct:
+            ok, detail = False, f"bound {bound} is below the direct value {direct}"
+        else:
+            ok, detail = True, ""
+        checks.append(TraceCheck(len(checks), "bound", ok, detail))
     return checks

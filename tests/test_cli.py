@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from leafmult.cli import main
 from leafmult.manifest import ProblemManifest, load_trace
 
@@ -103,6 +105,63 @@ class TestVerify:
         trace.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", "--from-trace", str(trace)]) == 4
+
+
+def _forge(report, forgery):
+    """Apply one forgery to a bound report; the bound is recomputed from the
+    forged transfers, so only a re-derived transfer, the soundness flags or
+    the direct value can expose it."""
+    steps = report["ledger"]["steps"]
+    kinds = [s["kind"] for s in steps]
+    jacobian = steps[kinds.index("jacobian")]
+    poisson = steps[kinds.index("poisson")]
+    if forgery == "e1":
+        jacobian["transfer"]["scale"] = 0
+        poisson["transfer"]["offset"] = 0
+    elif forgery == "jacobian-scale":
+        jacobian["transfer"]["scale"] += 1
+    elif forgery == "jacobian-K":
+        jacobian["evidence"]["K"] = 0
+        jacobian["transfer"]["scale"] = 0
+    elif forgery == "poisson-scale":
+        poisson["transfer"]["scale"] = 2
+    elif forgery == "radical-weight":
+        steps[0]["evidence"]["weight"] = 1
+        steps[0]["transfer"]["scale"] = 1
+    elif forgery == "unsound-step":
+        steps[0]["sound"] = False
+    m = 0
+    for step in steps[::-1]:
+        m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
+    report["bound"] = m
+    if forgery == "direct-above-bound":
+        report["direct_value"] = m + 1
+    if forgery == "jacobian-K":
+        report["direct_value"] = None
+
+
+class TestVerifyForgedTransfers:
+    @pytest.mark.parametrize("forgery", ["e1", "jacobian-scale", "jacobian-K", "poisson-scale",
+                                         "radical-weight", "unsound-step",
+                                         "direct-above-bound"])
+    def test_rejected(self, tmp_path, capsys, forgery):
+        trace = tmp_path / "trace.json"
+        path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        lines = len(data["report"]["ledger"]["steps"]) + 2
+        capsys.readouterr()
+        assert main(["verify", "--from-trace", str(trace)]) == 0
+        assert capsys.readouterr().out.count("PASS") == lines
+        _forge(data["report"], forgery)
+        if forgery == "e1":
+            assert data["report"]["bound"] == 0 < data["report"]["direct_value"]
+        trace.write_text(json.dumps(data))
+        assert main(["verify", "--from-trace", str(trace)]) == 4
+        out = capsys.readouterr().out
+        # one line per step plus the final and bound lines, as before
+        assert len(out.splitlines()) == lines
+        assert out.count("FAIL") >= 1
 
 
 class TestAppendix:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafmult.errors import BudgetExceededError, DomainError
 from leafmult.ideals import (
@@ -17,6 +18,7 @@ from leafmult.ideals import (
     groebner,
     ideal_power,
     leading_monomial,
+    leading_term,
     leading_term_ideal,
     member,
     multiplicity_zero_dim,
@@ -25,7 +27,7 @@ from leafmult.ideals import (
     radical_membership,
     reduce_poly,
 )
-from leafmult.poly import Polynomial, parse_polynomial
+from leafmult.poly import Polynomial, monomial_div, monomial_divides, parse_polynomial
 
 RING = ("x", "y")
 
@@ -59,6 +61,75 @@ class TestOrders:
         # classic: x*z vs y^2 under degrevlex with x>y>z
         o = DEGREVLEX
         assert o.greater((0, 2, 0), (1, 0, 1))
+
+
+def _reference_key(order, mono):
+    """MonomialOrder.key as written before it was specialized per order."""
+    e = tuple(mono) if order.permutation is None else tuple(mono[i] for i in order.permutation)
+    if order.kind == "degrevlex":
+        return (sum(e), tuple(-x for x in reversed(e)))
+    if order.kind == "lex":
+        return e
+    return (-sum(e), tuple(-x for x in reversed(e)))
+
+
+class TestOrderKey:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["degrevlex", "lex", "local"]), st.data())
+    def test_key_matches_reference(self, kind, data):
+        n = data.draw(st.integers(1, 4))
+        perm = data.draw(st.none() | st.permutations(range(n)).map(tuple))
+        order = MonomialOrder(kind, perm)
+        monos = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n),
+                                   min_size=1, max_size=6))
+        for m in monos:
+            assert order.key(m) == _reference_key(order, m)
+        # the key function is not part of the order's identity
+        assert order == MonomialOrder(kind, perm)
+        assert hash(order) == hash(MonomialOrder(kind, perm))
+
+
+def _reference_reduce_poly(f, basis, order, budget):
+    """reduce_poly as written before the reduction step was fused."""
+    lead = [leading_term(g, order) for g in basis]
+    quots = [Polynomial.zero(f.ring) for _ in basis]
+    r_terms = {}
+    work = f
+    while not work.is_zero():
+        m, c = leading_term(work, order)
+        hit = None
+        for i, (lm, lc) in enumerate(lead):
+            if monomial_divides(lm, m):
+                hit = (i, lm, lc)
+                break
+        if hit is None:
+            r_terms[m] = c
+            work = work - Polynomial.monomial(f.ring, m, c)
+        else:
+            i, lm, lc = hit
+            factor = Polynomial.monomial(f.ring, monomial_div(m, lm), c / lc)
+            work = work - factor * basis[i]
+            quots[i] = quots[i] + factor
+            budget.spend(1, "reduction")
+    return quots, Polynomial(f.ring, r_terms)
+
+
+global_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                               max_size=4).map(lambda d: Polynomial(RING, d))
+
+
+class TestReducePolyMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(global_polys, st.lists(global_polys.filter(bool), min_size=1, max_size=3),
+           st.sampled_from([DEGREVLEX, LEX]))
+    def test_same_quotients_remainder_and_steps(self, f, basis, order):
+        got_budget, ref_budget = Budget(), Budget()
+        got = reduce_poly(f, basis, order, got_budget, with_quotients=True)
+        ref = _reference_reduce_poly(f, basis, order, ref_budget)
+        assert got == ref
+        assert list(got[1].terms) == list(ref[1].terms)
+        assert got_budget.used == ref_budget.used
 
 
 class TestGroebner:

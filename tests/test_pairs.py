@@ -7,6 +7,7 @@ from leafmult.ideals import IdealPresentation
 from leafmult.jets import Jet2
 from leafmult.pairs import (
     BoundLedger,
+    NoetherianPair,
     find_transverse_pair,
     isolated_locus_reduction,
     jacobian_extension,
@@ -316,3 +317,29 @@ class TestChainInvariants:
                 assert member(g, after.ideal), (str(g), str(after.ideal))
             for jet in before.local_gens:
                 assert local_membership(jet, after.local_gens, before.cert_order)
+
+
+class TestLocalBasisMemo:
+    def test_shared_within_a_context_only(self, monkeypatch):
+        import leafmult.foliation as foliation
+        computed = []
+        real = foliation.standard_basis
+
+        def counting(polys):
+            computed.append(polys)
+            return real(polys)
+
+        monkeypatch.setattr(foliation, "standard_basis", counting)
+        gens = (J("t1-t2^2"), J("t1-2*t2^2"))
+        ctx = flat3()
+        a = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens, ctx, 14)
+        b = NoetherianPair(ideal("x-y^2", "x-2*y^2", "x^2"), gens, ctx, 14)
+        basis = a.local_basis()
+        assert b.local_basis() is basis
+        assert len(computed) == 1
+        # immutable, so no pair can corrupt the basis it shares
+        assert isinstance(basis, tuple)
+        fresh = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens, flat3(), 14)
+        assert fresh.local_basis() == basis
+        assert fresh.local_basis() is not basis
+        assert len(computed) == 2

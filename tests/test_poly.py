@@ -137,6 +137,16 @@ class TestRingAxioms:
         low = {m: c for m, c in (a * b).terms.items() if sum(m) <= n}
         assert a.mul(b, n) == Polynomial(RING, low) == (a * b).truncated(n)
 
+    @settings(max_examples=80, deadline=None)
+    @given(polys, polys, monos, coeffs)
+    def test_sub_mul_is_the_four_object_chain(self, f, g, a, c):
+        expected = f - Polynomial.monomial(RING, a, c) * g
+        got = f.sub_mul(a, c, g)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+        # terms that cancel are dropped, not kept as zero coefficients
+        assert (f + Polynomial.monomial(RING, a, c) * g).sub_mul(a, c, g).terms == f.terms
+
     @settings(max_examples=40, deadline=None)
     @given(polys, polys, polys)
     def test_compose_is_termwise_substitution(self, p, q1, q2):
