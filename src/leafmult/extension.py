@@ -22,7 +22,6 @@ from .ideals import IdealPresentation, member
 from .jets import Jet2
 from .pairs import (
     NoetherianPair,
-    PipelineOptions,
     _split_against_variety,
     find_transverse_pair,
     make_pair,
@@ -96,8 +95,7 @@ class ExtensionWitness:
 
 
 def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationContext,
-                      order: int = 16,
-                      options: PipelineOptions = PipelineOptions()) -> ExtensionWitness:
+                      order: int = 16) -> ExtensionWitness:
     """Build H = product of the branch products over all monodromic subsets
     of the variety-supported factor of F's restriction, and check both
     certificates.  Hypotheses (membership and non-isolatedness) are
@@ -110,7 +108,7 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
     if all(j.is_zero() for j in restrictions):
         raise HypothesisError("the variety trace is the whole leaf")
     pair = make_pair(ideal, restrictions, ctx, cert_order=order)
-    if find_transverse_pair(pair, options) is not None:
+    if find_transverse_pair(pair) is not None:
         raise HypothesisError(
             "isolated intersections detected: the witness hypotheses fail")
     pair.nonisolated_certified = True

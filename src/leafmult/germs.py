@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import inf
 from typing import Optional, Sequence
 
-import sympy
-
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -34,7 +32,7 @@ from .localbasis import (
     staircase_at_order,
     standard_basis,
 )
-from .poly import Polynomial, normalize_leading
+from .poly import Polynomial, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
@@ -253,26 +251,17 @@ class PuiseuxBranchSet:
         }
 
 
-def _sympy_local_factors(p: Polynomial):
+def _local_factors(p: Polynomial):
     """(unit_part, [(irreducible local factor, mult)]); local factors vanish
     at the origin, the unit part does not."""
-    t1, t2 = sympy.symbols("t1 t2")
-    expr = sympy.Integer(0)
-    for (a, b), c in p.terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * t1**a * t2**b
-    const, factors = sympy.factor_list(sympy.Poly(expr, t1, t2, domain="QQ"))
-    unit = Polynomial.constant(LEAF_RING, Fraction(const.p, const.q))
+    content, factors = factor(p)
+    unit = Polynomial.constant(LEAF_RING, content)
     local = []
-    for f, mult in factors:
-        terms = {}
-        pd = sympy.Poly(f, t1, t2, domain="QQ")
-        for mono, c in zip(pd.monoms(), pd.coeffs()):
-            terms[tuple(mono)] = Fraction(c.p, c.q)
-        fp = Polynomial(LEAF_RING, terms)
+    for fp, mult in factors:
         if fp.constant_value() == 0:
-            local.append((fp, int(mult)))
+            local.append((fp, mult))
         else:
-            unit = unit * fp ** int(mult)
+            unit = unit * fp ** mult
     return unit, local
 
 
@@ -333,58 +322,47 @@ def weierstrass_jet(f: Jet2) -> tuple:
     monic in t2 of degree equal to the vanishing order and U a unit.
 
     Computed slice by slice in the t1-grading (linear Hensel lifting of the
-    coprime splitting f(0, y) = y^mu * unit); everything stays over Q.
-    Since U is a unit, the truncation of W at the jet order is exactly
-    determined by the truncation of f."""
-    from .series import _poly_divmod, _poly_mul, _poly_sub, _trim, up_ext_gcd
+    coprime splitting f(0, t2) = t2^mu * u0); everything stays over Q.
+    Slice k is a Polynomial in t2 alone, so working modulo t2^mu is
+    truncation at total degree mu - 1, and only its t2-degrees up to
+    order - k are determined by the truncation of f.  Since U is a unit,
+    the truncation of W at the jet order is exactly determined by the
+    truncation of f."""
     order = f.order
     mu = f.vanishing_order()
     if mu is None:
         raise DomainError("cannot prepare the zero germ")
-    # x-slices: slice k = list of y-coefficients of the x^k part
-    slices: list[list] = [[] for _ in range(order + 1)]
+    slices: list[dict] = [{} for _ in range(order + 1)]
     for (a, b), c in f.coeffs.items():
-        col = slices[a]
-        while len(col) <= b:
-            col.append(Fraction(0))
-        col[b] = c
-    f0 = _trim(QQ, slices[0])
-    if len(f0) < mu + 1 or any(f0[:mu]) or not f0[mu]:
+        slices[a][(0, b)] = c
+    if (0, mu) not in slices[0]:
         raise DomainError("germ is not regular in t2 at its vanishing order")
-    y_mu = [Fraction(0)] * mu + [Fraction(1)]
-    u0 = f0[mu:]
-    _, s, t = up_ext_gcd(QQ, y_mu, u0)
-    W = {0: y_mu}
+    u0 = Polynomial(LEAF_RING, {(0, b - mu): c for (_, b), c in slices[0].items()})
+    # t * u0 = 1 mod t2^mu, the Bezout cofactor of the splitting
+    t = jet_inverse(Jet2(mu - 1, u0)).poly if mu else Polynomial.zero(LEAF_RING)
+    W = {0: Polynomial.monomial(LEAF_RING, (0, mu))}
     U = {0: u0}
     for k in range(1, order + 1):
-        rhs = _trim(QQ, slices[k])
+        top = order - k
+        rhs = Polynomial(LEAF_RING, slices[k])
         for a in range(1, k):
-            wa = W.get(a)
-            ub = U.get(k - a)
-            if wa and ub:
-                rhs = _poly_sub(QQ, rhs, _poly_mul(QQ, wa, ub))
-        if not rhs:
-            continue
-        # solve W_k*u0 + U_k*y^mu = rhs with deg W_k < mu
-        wk = _poly_divmod(QQ, _poly_mul(QQ, t, rhs), y_mu)[1]
-        num = _poly_sub(QQ, rhs, _poly_mul(QQ, wk, u0))
-        uk, rem = _poly_divmod(QQ, num, y_mu)
-        if rem:
+            if a in W and k - a in U:
+                rhs = rhs - W[a].mul(U[k - a], top)
+        # solve W_k*u0 + U_k*t2^mu = rhs with deg W_k < mu
+        wk = t.mul(rhs, mu - 1)
+        num = rhs - wk.mul(u0, top)
+        if num.truncated(mu - 1):
             raise CertificateError("Weierstrass slice failed to divide")  # pragma: no cover
         if wk:
             W[k] = wk
-        if uk:
-            U[k] = uk
+        if num:
+            U[k] = Polynomial(LEAF_RING, {(0, b - mu): c for (_, b), c in num.terms.items()})
 
     def to_jet(slice_map, jet_order):
-        coeffs = {}
-        for a, col in slice_map.items():
-            for b, c in enumerate(col):
-                if c and a + b <= jet_order:
-                    coeffs[(a, b)] = c
-        return Jet2(jet_order, coeffs)
+        return Jet2(jet_order, {(a, b): c for a, p in slice_map.items()
+                                for (_, b), c in sorted(p.terms.items())})
 
-    # the top-mu y-band of each U slice lies beyond what the truncation of
+    # the top-mu t2-band of each U slice lies beyond what the truncation of
     # f determines, so U is only certified to order - mu
     return to_jet(W, order), to_jet(U, max(order - mu, 0))
 
@@ -474,7 +452,7 @@ def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int) -> Puiseux
     if mu == 0:
         return PuiseuxBranchSet([], 0, work.order, Frame(), source)
     if exact is not None:
-        unit, local = _sympy_local_factors(exact)
+        unit, local = _local_factors(exact)
         cycles = []
         for fp, mult in local:
             sub = Jet2.from_polynomial(fp, work.order)
@@ -692,8 +670,8 @@ def split_common(fL: Jet2, gL: Jet2) -> GermSplit:
 
 def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
                  order: int) -> GermSplit:
-    _, lf = _sympy_local_factors(pf)
-    _, lg = _sympy_local_factors(pg)
+    _, lf = _local_factors(pf)
+    _, lg = _local_factors(pg)
     gdict = {normalize_leading(p): m for p, m in lg}
     h_f_poly = Polynomial.constant(LEAF_RING, 1)
     h_g_poly = Polynomial.constant(LEAF_RING, 1)

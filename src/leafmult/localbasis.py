@@ -47,8 +47,8 @@ class _Lead:
 
     __slots__ = ("poly", "lm", "lc", "ecart", "key", "cofactors")
 
-    def __init__(self, poly: Polynomial, order: MonomialOrder, lead=None, cofactors=None):
-        lm, lc = lead or leading_term(poly, order)
+    def __init__(self, poly: Polynomial, lead=None, cofactors=None):
+        lm, lc = lead or leading_term(poly, LOCAL_ORDER)
         degree = poly.total_degree()
         self.poly, self.lm, self.lc = poly, lm, lc
         self.ecart = degree - monomial_degree(lm)
@@ -66,34 +66,30 @@ def _select(pool: list, lm: Monomial) -> Optional[_Lead]:
 
 
 def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial],
-                     budget: Optional[Budget] = None,
-                     order: MonomialOrder = LOCAL_ORDER) -> Polynomial:
+                     budget: Optional[Budget] = None) -> Polynomial:
     """Mora's weak normal form: for some unit u, u*f - result lies in the
     ideal generated by gens (in the local ring).  Zero iff f is a member."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
-    return _normal_form(f, [_Lead(g, order) for g in gens if not g.is_zero()],
-                        budget, order)
+    return _normal_form(f, [_Lead(g) for g in gens if not g.is_zero()], budget)
 
 
-def _normal_form(h: Polynomial, pool: list, budget: Budget,
-                 order: MonomialOrder) -> Polynomial:
+def _normal_form(h: Polynomial, pool: list, budget: Budget) -> Polynomial:
     """mora_normal_form on a pool of entries; appends to the pool."""
     while not h.is_zero():
-        lm_h, lc_h = leading_term(h, order)
+        lm_h, lc_h = leading_term(h, LOCAL_ORDER)
         g = _select(pool, lm_h)
         if g is None:
             return h
         if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
-            pool.append(_Lead(h, order, (lm_h, lc_h)))
+            pool.append(_Lead(h, (lm_h, lc_h)))
         h = h.sub_mul(monomial_div(lm_h, g.lm), lc_h / g.lc, g.poly)
         budget.spend(1, "mora")
     return h
 
 
 def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
-                budget: Optional[Budget] = None,
-                order: MonomialOrder = LOCAL_ORDER):
+                budget: Optional[Budget] = None):
     """Mora reduction with cofactor tracking.
 
     Returns (remainder, u, quotients) with u*f = sum(quotients[i]*divisors[i])
@@ -106,17 +102,17 @@ def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
     zero = Polynomial.zero(ring)
     divisors = list(divisors)
     # cofactors of a pool entry: (u, quotient list)
-    pool = [_Lead(g, order, cofactors=(zero, [one if i == j else zero
-                                              for j in range(len(divisors))]))
+    pool = [_Lead(g, cofactors=(zero, [one if i == j else zero
+                                       for j in range(len(divisors))]))
             for i, g in enumerate(divisors) if not g.is_zero()]
     h, u_h, q_h = f, one, [zero] * len(divisors)
     while not h.is_zero():
-        lm_h, lc_h = leading_term(h, order)
+        lm_h, lc_h = leading_term(h, LOCAL_ORDER)
         g = _select(pool, lm_h)
         if g is None:
             break
         if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
-            pool.append(_Lead(h, order, (lm_h, lc_h), (u_h, list(q_h))))
+            pool.append(_Lead(h, (lm_h, lc_h), (u_h, list(q_h))))
         shift, c = monomial_div(lm_h, g.lm), lc_h / g.lc
         u_g, q_g = g.cofactors
         h = h.sub_mul(shift, c, g.poly)
@@ -129,8 +125,7 @@ def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
     return h, u, quots
 
 
-def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
-                   order: MonomialOrder = LOCAL_ORDER) -> list:
+def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None) -> list:
     """Buchberger loop with Mora normal form; no pair criteria beyond
     deduplication (the product criterion is unsafe for local orders).
     Pairs are taken in (lcm degree, (i, j)) order."""
@@ -145,7 +140,7 @@ def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
             ring = g.ring
             if len(ring) != 2:
                 raise DomainError("the local engine is specialized to two variables")
-        pool.append(_Lead(monic(g, order), order))
+        pool.append(_Lead(monic(g, LOCAL_ORDER)))
     pairs = [(monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
              for i in range(len(pool)) for j in range(i + 1, len(pool))]
     heapify(pairs)
@@ -154,27 +149,26 @@ def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
         s = _s_polynomial(a.poly, a.lm, a.lc, b.poly, b.lm, b.lc)
-        h = _normal_form(s, list(pool), budget, order)
+        h = _normal_form(s, list(pool), budget)
         if not h.is_zero():
-            new = _Lead(monic(h, order), order)
+            new = _Lead(monic(h, LOCAL_ORDER))
             for k, e in enumerate(pool):
                 heappush(pairs, (monomial_degree(monomial_lcm(e.lm, new.lm)), (k, len(pool))))
             pool.append(new)
-    return _minimalize(pool, order)
+    return _minimalize(pool)
 
 
-def _minimalize(pool: list, order: MonomialOrder) -> list:
+def _minimalize(pool: list) -> list:
     out: list[_Lead] = []
-    for e in sorted(pool, key=lambda e: order.key(e.lm), reverse=True):
+    for e in sorted(pool, key=lambda e: LOCAL_ORDER.key(e.lm), reverse=True):
         if all(not monomial_divides(o.lm, e.lm) for o in out):
             out.append(e)
     return [e.poly for e in out]
 
 
-def leading_staircase(basis: Sequence[Polynomial],
-                      order: MonomialOrder = LOCAL_ORDER) -> tuple:
+def leading_staircase(basis: Sequence[Polynomial]) -> tuple:
     """Minimal generators of the leading-term ideal of a standard basis."""
-    monos = sorted({leading_term(g, order)[0] for g in basis},
+    monos = sorted({leading_term(g, LOCAL_ORDER)[0] for g in basis},
                    key=lambda m: (monomial_degree(m), m))
     minimal = []
     for m in monos:

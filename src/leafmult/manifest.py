@@ -43,6 +43,8 @@ class ProblemManifest:
 
     @staticmethod
     def from_dict(data: dict) -> "ProblemManifest":
+        if not isinstance(data, dict):
+            raise ParseError("a manifest is a JSON object")
         try:
             variables = tuple(data["variables"])
             if not variables:
@@ -100,8 +102,6 @@ class ProblemManifest:
         return PipelineOptions(
             seed=seed if seed is not None else opts.get("seed", 0),
             jet_order=jet_order if jet_order is not None else opts.get("jet_order"),
-            transverse_retries=opts.get("transverse_retries", 12),
-            exponent_cap=opts.get("exponent_cap", 64),
         )
 
 
@@ -120,6 +120,8 @@ def load_trace(path) -> dict:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(f"cannot read trace {path}: {e}")
+    if not isinstance(data, dict):
+        raise ParseError(f"trace {path} is not a JSON object")
     if data.get("trace_version") != TRACE_VERSION:
         raise ParseError(f"unsupported trace version {data.get('trace_version')!r}")
     return data

@@ -47,13 +47,18 @@ from .jets import Jet2
 from .poly import Polynomial
 
 
+# random combinations tried before concluding there is no transverse pair
+TRANSVERSE_RETRIES = 12
+# largest radical-membership exponent searched for
+EXPONENT_CAP = 64
+# doublings of the jet order before the pipeline gives up
+REGENERATION_RETRIES = 4
+
+
 @dataclass(frozen=True)
 class PipelineOptions:
     seed: int = 0
     jet_order: Optional[int] = None
-    transverse_retries: int = 12
-    exponent_cap: int = 64
-    regeneration_retries: int = 4
 
     def rng_for(self, stage: str, salt: int) -> random.Random:
         # string seeding hashes stably across processes, unlike tuple hash
@@ -208,15 +213,14 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def radical_extension(pair: NoetherianPair, options: PipelineOptions = PipelineOptions(),
-                      budget: Optional[Budget] = None):
+def radical_extension(pair: NoetherianPair, budget: Optional[Budget] = None):
     """Radical of the global side; the local side gains the new generators'
     restrictions.  Transfer: m -> M^2 m with M = sum(e_i - 1) + 1 over the
     certified exponents (two leaf variables).
 
     Returns (new_pair, step) with step None when nothing changed and the
     transfer is the identity."""
-    J, cert, status = attempt_radical(pair.ideal, budget, options.exponent_cap)
+    J, cert, status = attempt_radical(pair.ideal, budget, EXPONENT_CAP)
     M = cert.max_weight()
     changed = set(J.generators) != set(pair.ideal.generators)
     if not changed and M == 1:
@@ -294,7 +298,6 @@ def _split_against_variety(pair: NoetherianPair, F: Polynomial):
 
 
 def jacobian_extension(pair: NoetherianPair, F: Polynomial,
-                       options: PipelineOptions = PipelineOptions(),
                        budget: Optional[Budget] = None):
     """Adjoin all order-k iterated flow derivatives of F globally and the
     reduced common factor locally; k is the minimal multiplicity of a
@@ -399,7 +402,7 @@ def find_transverse_pair(pair: NoetherianPair,
     if not gens:
         raise DomainError("transverse search needs a nonzero ideal")
     rng = options.rng_for("transverse", salt)
-    for _ in range(options.transverse_retries):
+    for _ in range(TRANSVERSE_RETRIES):
         a = [Fraction(rng.randint(-3, 3)) for _ in gens]
         b = [Fraction(rng.randint(-3, 3)) for _ in gens]
         F = sum((c * g for c, g in zip(a, gens)), Polynomial.zero(pair.ideal.ring))
@@ -426,7 +429,7 @@ def isolated_locus_reduction(pair: NoetherianPair,
     cap = 2 * len(pair.ideal.ring)
     state = pair
     for it in range(cap):
-        state, rstep = radical_extension(state, options, budget)
+        state, rstep = radical_extension(state, budget)
         if rstep is not None:
             steps.append(rstep)
         if state.ideal.is_zero_ideal():
@@ -455,7 +458,7 @@ def nonisolated_bound(F: Polynomial, G: Polynomial, ctx: FoliationContext,
     t0 = time.monotonic()
     order = options.jet_order or ctx.default_jet_order(F, G)
     last_exc = None
-    for attempt in range(options.regeneration_retries):
+    for attempt in range(REGENERATION_RETRIES):
         try:
             return _nonisolated_bound_once(F, G, ctx, order, options, budget, t0)
         except RegenerationRequest as e:
@@ -516,7 +519,7 @@ def _nonisolated_bound_once(F, G, ctx, order, options, budget, t0) -> BoundRepor
         if jround == branch_budget:
             status = "exhausted-budget"
             break
-        state, jstep = jacobian_extension(state, F, options, budget)
+        state, jstep = jacobian_extension(state, F, budget)
         ledger.steps.append(jstep)
         trace["rounds"].append({"round": jround, "stage": "jacobian",
                                 "step": jstep.describe(),

@@ -13,6 +13,8 @@ from math import inf
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
+import sympy
+
 from .errors import DomainError, ParseError, RingMismatchError
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
@@ -658,3 +660,18 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if g.is_constant():
         return normalize_leading(p)
     return normalize_leading(exact_divide(p, g))
+
+
+def factor(p: Polynomial) -> tuple:
+    """(content, [(factor, multiplicity)]): p = content * prod(factor **
+    multiplicity), factors irreducible over Q, primitive with integer
+    coefficients, in sympy's factor_list order.  The package's one use of
+    sympy."""
+    gens = [sympy.Symbol(name) for name in p.ring]
+    rep = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+    content, factors = sympy.factor_list(sympy.Poly.from_dict(rep, *gens, domain="QQ"))
+    out = []
+    for f, mult in factors:
+        terms = {tuple(m): Fraction(c.p, c.q) for m, c in f.terms()}
+        out.append((Polynomial._raw(p.ring, terms), int(mult)))
+    return Fraction(content.p, content.q), out

@@ -6,7 +6,7 @@ Three layers live here:
   purely algebraically (coefficient vectors modulo a minimal polynomial;
   nothing is ever evaluated numerically);
 * univariate polynomial helpers over any such field, including Trager's
-  norm-based factorization (the rational base case is delegated to sympy);
+  norm-based factorization (the rational base case is ``poly.factor``);
 * truncated (Laurent) series in one variable over a field, and polynomials
   in a second variable with such series as coefficients, with explicit
   precision bookkeeping.
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .errors import DomainError, InconclusiveError, RegenerationRequest
+from .poly import Polynomial, factor
 
 
 # ---------------------------------------------------------------------------
@@ -91,46 +90,45 @@ QQ = QQ()
 
 
 class ExtField:
-    """Simple extension sub(alpha) with alpha a root of an irreducible monic
-    minimal polynomial over sub.  Elements are coefficient tuples over sub,
+    """Simple extension base(alpha) with alpha a root of an irreducible monic
+    minimal polynomial over base.  Elements are coefficient tuples over base,
     length < degree.  Purely symbolic: no embedding is ever chosen."""
 
-    def __init__(self, sub, minpoly: Sequence, name: str = "a"):
+    def __init__(self, base, minpoly: Sequence, name: str = "a"):
         minpoly = list(minpoly)
         if len(minpoly) < 3:
             raise DomainError("extension degree must be at least 2")
         lead = minpoly[-1]
-        inv_lead = sub.inv(lead)
-        self.sub = sub
-        self.minpoly = [sub.mul(c, inv_lead) for c in minpoly]
+        inv_lead = base.inv(lead)
+        self.base = base
+        self.minpoly = [base.mul(c, inv_lead) for c in minpoly]
         self.deg = len(minpoly) - 1
         self.name = name
-        self.degree_over_q = self.deg * sub.degree_over_q
-        self.zero = (sub.zero,) * self.deg
-        self.one = tuple([sub.one] + [sub.zero] * (self.deg - 1))
-        self.gen = tuple([sub.zero, sub.one] + [sub.zero] * (self.deg - 2))
+        self.degree_over_q = self.deg * base.degree_over_q
+        self.zero = (base.zero,) * self.deg
+        self.one = tuple([base.one] + [base.zero] * (self.deg - 1))
+        self.gen = tuple([base.zero, base.one] + [base.zero] * (self.deg - 2))
 
     def coerce(self, x):
         if is_element(self, x):
             return x
-        if is_element(self.sub, x):
+        if is_element(self.base, x):
             c = x
         else:
-            c = self.sub.coerce(x)
-        return tuple([c] + [self.sub.zero] * (self.deg - 1))
+            c = self.base.coerce(x)
+        return tuple([c] + [self.base.zero] * (self.deg - 1))
 
     def add(self, a, b):
-        return tuple(self.sub.add(x, y) for x, y in zip(a, b))
+        return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
-    def sub_(self, a, b):
-        return tuple(field_sub(self.sub, x, y) for x, y in zip(a, b))
+    def sub(self, a, b):
+        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
-    # keep the protocol name "sub" for the operation via __getattr__-free alias
     def neg(self, a):
-        return tuple(self.sub.neg(x) for x in a)
+        return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        K = self.sub
+        K = self.base
         n = self.deg
         prod = [K.zero] * (2 * n - 1)
         for i, x in enumerate(a):
@@ -147,57 +145,44 @@ class ExtField:
                 continue
             prod[k] = K.zero
             for j in range(self.deg):
-                prod[k - self.deg + j] = field_sub(K, prod[k - self.deg + j],
-                                                   K.mul(c, self.minpoly[j]))
+                prod[k - self.deg + j] = K.sub(prod[k - self.deg + j],
+                                               K.mul(c, self.minpoly[j]))
         return tuple(prod[:n])
 
     def is_zero(self, a):
-        return all(self.sub.is_zero(x) for x in a)
+        return all(self.base.is_zero(x) for x in a)
 
     def inv(self, a):
-        """Extended Euclid against the minimal polynomial."""
+        """The Bezout cofactor of a against the minimal polynomial."""
         if self.is_zero(a):
             raise DomainError("division by zero in extension field")
-        K = self.sub
-        r0 = list(self.minpoly)
-        r1 = list(a)
-        t0 = [K.zero]
-        t1 = [K.one]
-        while True:
-            r1 = _trim(K, r1)
-            if len(r1) == 1 and not K.is_zero(r1[0]):
-                c = K.inv(r1[0])
-                out = [K.mul(c, t) for t in t1]
-                out += [K.zero] * (self.deg - len(out))
-                return tuple(out[:self.deg])
-            if not r1:
-                raise DomainError("minimal polynomial is not irreducible")  # pragma: no cover
-            q, r = _poly_divmod(K, r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(K, t0, _poly_mul(K, q, t1))
+        g, _, t = up_ext_gcd(self.base, self.minpoly, a)
+        if len(g) != 1:
+            raise DomainError("minimal polynomial is not irreducible")  # pragma: no cover
+        return tuple(t + [self.base.zero] * (self.deg - len(t)))
 
     def flatten(self, a):
         out = []
         for x in a:
-            out.extend(self.sub.flatten(x))
+            out.extend(self.base.flatten(x))
         return out
 
     def unflatten(self, vec):
-        step = self.sub.degree_over_q
-        return tuple(self.sub.unflatten(vec[i * step:(i + 1) * step])
+        step = self.base.degree_over_q
+        return tuple(self.base.unflatten(vec[i * step:(i + 1) * step])
                      for i in range(self.deg))
 
     def describe(self):
-        chain = self.sub.describe()
-        chain.append("[" + ", ".join(self.sub.to_str(c) for c in self.minpoly) + "]")
+        chain = self.base.describe()
+        chain.append("[" + ", ".join(self.base.to_str(c) for c in self.minpoly) + "]")
         return chain
 
     def to_str(self, a):
         parts = []
         for i, c in enumerate(a):
-            if self.sub.is_zero(c):
+            if self.base.is_zero(c):
                 continue
-            s = self.sub.to_str(c)
+            s = self.base.to_str(c)
             parts.append(s if i == 0 else f"({s})*{self.name}^{i}")
         return " + ".join(parts) if parts else "0"
 
@@ -207,14 +192,7 @@ def is_element(field, x) -> bool:
     if field is QQ:
         return isinstance(x, Fraction)
     return (isinstance(x, tuple) and len(x) == field.deg
-            and all(is_element(field.sub, c) for c in x))
-
-
-def field_sub(K, a, b):
-    """Subtraction for either field flavor."""
-    if K is QQ:
-        return a - b
-    return K.sub_(a, b)
+            and all(is_element(field.base, c) for c in x))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +213,7 @@ def _poly_sub(K, a, b):
     for i in range(n):
         x = a[i] if i < len(a) else K.zero
         y = b[i] if i < len(b) else K.zero
-        out.append(field_sub(K, x, y))
+        out.append(K.sub(x, y))
     return _trim(K, out)
 
 
@@ -264,7 +242,7 @@ def _poly_divmod(K, a, b):
         c = K.mul(a[-1], inv_lead)
         q[shift] = K.add(q[shift], c)
         for i, y in enumerate(b):
-            a[shift + i] = field_sub(K, a[shift + i], K.mul(c, y))
+            a[shift + i] = K.sub(a[shift + i], K.mul(c, y))
     return _trim(K, q), _trim(K, a)
 
 
@@ -363,11 +341,11 @@ def _sylvester_det(K, rows):
 
 
 def _norm_to_subfield(E: ExtField, f):
-    """Norm of f in E[x] down to sub[x] via a Sylvester resultant in the
+    """Norm of f in E[x] down to base[x] via a Sylvester resultant in the
     extension generator."""
-    K = E.sub
+    K = E.base
     d = E.deg
-    # rewrite f = sum_j f_j(x) * gen^j with f_j in sub[x]
+    # rewrite f = sum_j f_j(x) * gen^j with f_j in base[x]
     by_gen: list[list] = [[] for _ in range(d)]
     for i, c in enumerate(f):
         for j in range(d):
@@ -378,12 +356,12 @@ def _norm_to_subfield(E: ExtField, f):
             col[i] = comp
     by_gen = [_trim(K, col) for col in by_gen]
     deg_gen = max((j for j in range(d) if by_gen[j]), default=0)
-    # minimal polynomial as polynomial in the generator with sub coefficients
+    # minimal polynomial as polynomial in the generator with base coefficients
     mp = list(E.minpoly)  # full monic list, degree E.deg
     n1 = len(mp) - 1      # degree in generator of minpoly
     n2 = deg_gen          # degree in generator of f
     if n2 == 0:
-        # f has sub coefficients: norm is f^deg
+        # f has base coefficients: norm is f^deg
         out = [K.one]
         for _ in range(E.deg):
             out = _poly_mul(K, out, by_gen[0])
@@ -404,35 +382,21 @@ def _norm_to_subfield(E: ExtField, f):
     return _sylvester_det(K, rows)
 
 
-_SYMPY_X = sympy.Symbol("_upx")
-
-
-def _qq_to_sympy(a):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(a)],
-                      _SYMPY_X, domain="QQ")
-
-
-def _sympy_to_qq(p):
-    cs = p.all_coeffs()
-    return _trim(QQ, [Fraction(c.p, c.q) for c in reversed(cs)])
-
-
 def up_factor(K, a) -> list:
     """Irreducible monic factors with multiplicities over the field K.
 
-    Rational base case via sympy; extensions by Trager's norm method."""
+    Rational base case by poly.factor; extensions by Trager's norm method."""
     a = _trim(K, a)
     if len(a) <= 1:
         raise DomainError("factorization of a constant")
     if len(a) == 2:
         return [(up_monic(K, a), 1)]
     if K is QQ:
-        _, factors = _qq_to_sympy(a).factor_list()
+        _, factors = factor(Polynomial(("x",), {(i,): c for i, c in enumerate(a)}))
         out = []
         for f, mult in factors:
-            cs = _sympy_to_qq(f)
-            if len(cs) > 1:
-                out.append((up_monic(QQ, cs), int(mult)))
+            dense = [f.terms.get((i,), QQ.zero) for i in range(f.total_degree() + 1)]
+            out.append((up_monic(QQ, dense), mult))
         out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
         return out
     # Trager over a proper extension
@@ -459,16 +423,16 @@ def _trager_squarefree(E: ExtField, f) -> list:
         norm = _norm_to_subfield(E, shifted)
         if not norm:
             continue
-        norm = up_monic(E.sub, norm)
-        d = up_derive(E.sub, norm)
+        norm = up_monic(E.base, norm)
+        d = up_derive(E.base, norm)
         if not d:
             continue
-        if len(up_gcd(E.sub, norm, d)) != 1:
+        if len(up_gcd(E.base, norm, d)) != 1:
             continue  # norm not squarefree; try another shift
-        sub_factors = up_factor(E.sub, norm)
+        base_factors = up_factor(E.base, norm)
         out = []
         rest = list(shifted)
-        for h, _ in sub_factors:
+        for h, _ in base_factors:
             lifted = [E.coerce(c) for c in h]
             g = up_gcd(E, rest, lifted)
             if len(g) > 1:
@@ -507,7 +471,7 @@ class XSeries:
         for e, c in (items.items() if isinstance(items, dict) else items):
             if e >= prec:
                 continue
-            c = field.coerce(c) if not _is_elem(field, c) else c
+            c = field.coerce(c) if not is_element(field, c) else c
             if field.is_zero(c):
                 continue
             if e in acc:
@@ -580,7 +544,7 @@ class XSeries:
 
     def scale(self, c) -> "XSeries":
         K = self.field
-        c = K.coerce(c) if not _is_elem(K, c) else c
+        c = K.coerce(c) if not is_element(K, c) else c
         return XSeries.make(K, {e: K.mul(v, c) for e, v in self.coeffs}, self.prec)
 
     def inverse(self) -> "XSeries":
@@ -608,10 +572,6 @@ class XSeries:
         K = self.field
         parts = [f"{K.to_str(c)}*s^{e}" for e, c in self.coeffs]
         return (" + ".join(parts) if parts else "0") + f" + O(s^{self.prec})"
-
-
-def _is_elem(field, x):
-    return is_element(field, x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import inf
 
 from .errors import ParseError
-from .foliation import FoliationContext, VectorField
 from .ideals import (
     DEGREVLEX,
     LEX,
@@ -29,6 +28,7 @@ from .ideals import (
 )
 from .jets import Jet2
 from .localbasis import local_quotient_dimension
+from .manifest import ProblemManifest
 from .poly import Polynomial, monomial_divides, parse_polynomial
 
 T = ("t1", "t2")
@@ -247,26 +247,68 @@ def _jacobian_scale(ev: dict):
     return min(n, K * 2 ** K)
 
 
+def _typed(value, shape) -> bool:
+    """value has the JSON shape: a type or a tuple of types (an int is never
+    a bool), a range of ints, [shape] for a list, or a dict of required keys
+    and their shapes."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(
+            key in value and _typed(value[key], inner) for key, inner in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_typed(v, shape[0]) for v in value)
+    if isinstance(shape, range):
+        return _typed(value, int) and value in shape
+    return isinstance(value, shape) and not isinstance(value, bool)
+
+
+# What each step kind's check reads, with its shape; exponents are capped so
+# a forged trace cannot ask for g^huge.  The other evidence keys (radical
+# status, worst-case factor, basis, removed branches) are informational.
+_EXPONENT = range(1, _MAX_EXPONENT + 1)
+_STEP = {"transfer": {"scale": int, "offset": int}, "degrees": {"before": int, "after": int}}
+_EVIDENCE = {
+    "radical": {"generators": [str], "exponents": [_EXPONENT], "weight": int},
+    "poisson": {"F": str, "G": str, "bracket": str},
+    "jacobian": {"F": str, "k": _EXPONENT, "K": int, "mu": int,
+                 "certified_exponent": (int, type(None)), "derivatives": [str],
+                 "reduced_factor": str, "local_generators": [str], "local_order": int},
+}
+_TRACE = {"manifest": dict, "report": {"inputs": {"F": str, "G": str}, "ledger": {"steps": list}}}
+
+
 def verify_trace(trace: dict) -> list:
     """Re-check every certificate recorded in a bound trace: membership of
     radical exponents, recomputed brackets, derivative sets, local
     exponent memberships, every transfer re-derived from its evidence, the
     soundness of each step, the final exclusion of the base point, and the
-    bound against the direct value."""
+    bound against the direct value.
+
+    A trace without its manifest, report, inputs or ledger raises
+    ParseError; a step with a missing or ill-typed field fails its own
+    check."""
     checks: list[TraceCheck] = []
-    report = trace.get("report", trace)
-    excluded_status = report.get("final_status") == "point-excluded"
-    manifest = trace.get("manifest") or {}
-    ring = tuple(manifest["variables"])
-    v1 = VectorField(ring, tuple(parse_polynomial(t, ring) for t in manifest["v1"]))
-    v2 = VectorField(ring, tuple(parse_polynomial(t, ring) for t in manifest["v2"]))
-    ctx = FoliationContext(v1, v2, [Fraction(x) for x in manifest["point"]])
+    if not _typed(trace, _TRACE):
+        raise ParseError("a trace needs its manifest, and a report with the inputs F and G "
+                         "and the ledger steps")
+    manifest = ProblemManifest.from_dict(trace["manifest"])
+    report = trace["report"]
     inputs = report["inputs"]
+    steps = report["ledger"]["steps"]
+    excluded_status = report.get("final_status") == "point-excluded"
+    ring = manifest.variables
+    ctx = manifest.context()
     F = parse_polynomial(inputs["F"], ring)
     G = parse_polynomial(inputs["G"], ring)
     current = IdealPresentation(ring, (F, G))
-    for idx, step in enumerate(report["ledger"]["steps"]):
-        kind = step["kind"]
+    malformed = False
+    for idx, step in enumerate(steps):
+        kind = step.get("kind") if isinstance(step, dict) else None
+        shape = dict(_STEP, evidence=_EVIDENCE[kind]) if kind in _EVIDENCE else None
+        if shape is None or not _typed(step, shape):
+            detail = "missing or ill-typed step field" if shape else f"unknown step kind {kind}"
+            checks.append(TraceCheck(idx, str(kind), False, detail))
+            malformed = True
+            continue
         ev = step["evidence"]
         if kind == "radical":
             new = IdealPresentation(ring, tuple(parse_polynomial(t, ring)
@@ -336,8 +378,6 @@ def verify_trace(trace: dict) -> list:
             checks.append(TraceCheck(idx, kind, ok, detail))
             current = current.extended([parse_polynomial(t, ring)
                                         for t in ev["derivatives"]])
-        else:
-            checks.append(TraceCheck(idx, kind, False, f"unknown step kind {kind}"))
         # the pipeline never reports point-excluded through an unsound step
         if excluded_status and checks[-1].ok and step.get("sound") is not True:
             checks[-1] = TraceCheck(idx, kind, False, "step is not marked sound")
@@ -347,12 +387,16 @@ def verify_trace(trace: dict) -> list:
                                  excluded,
                                  "" if excluded else "point not excluded by final ideal"))
         bound = report.get("bound")
-        m = 0
-        for step in reversed(report["ledger"]["steps"]):
-            m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
+        m = None
+        if not malformed:
+            m = 0
+            for step in reversed(steps):
+                m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
         direct = report.get("direct_value")
         if m != bound:
             ok, detail = False, f"recomputed {m} != {bound}"
+        elif not _typed(direct, (int, type(None))):
+            ok, detail = False, f"malformed direct value {direct!r}"
         elif direct is not None and not bound >= direct:
             ok, detail = False, f"bound {bound} is below the direct value {direct}"
         else:

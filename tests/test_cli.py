@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -162,6 +163,92 @@ class TestVerifyForgedTransfers:
         # one line per step plus the final and bound lines, as before
         assert len(out.splitlines()) == lines
         assert out.count("FAIL") >= 1
+
+
+# evidence keys nothing re-checks: deleting one leaves the trace valid
+INFORMATIONAL = {"status", "worst_case_factor", "basis", "removed_branches"}
+# sections verify reads before any step: deleting one is a parse error
+SECTIONS = [("trace_version",), ("manifest",), ("report",), ("report", "inputs"),
+            ("report", "ledger"), ("manifest", "variables"), ("manifest", "v1"),
+            ("manifest", "v2"), ("manifest", "point"), ("report", "inputs", "F"),
+            ("report", "inputs", "G"), ("report", "ledger", "steps")]
+
+
+def _step_key_paths(steps):
+    """Every key of every ledger step, and every key one level below it."""
+    for i, step in enumerate(steps):
+        for key, value in step.items():
+            yield ("report", "ledger", "steps", i, key)
+            if isinstance(value, dict):
+                for inner in value:
+                    yield ("report", "ledger", "steps", i, key, inner)
+
+
+def _without(data, path):
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+class TestVerifyMalformedTrace:
+    def test_every_deleted_key_exits_cleanly(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        steps = data["report"]["ledger"]["steps"]
+        assert [s["kind"] for s in steps] == ["radical", "jacobian", "radical", "poisson",
+                                             "radical"]
+        codes, expected = {}, {}
+        for key_path in SECTIONS + list(_step_key_paths(steps)):
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps(_without(data, key_path)))
+            codes[key_path] = main(["verify", "--from-trace", str(broken)])
+            if key_path in SECTIONS:
+                expected[key_path] = 1
+            elif key_path[-1] in INFORMATIONAL:
+                expected[key_path] = 0
+            else:
+                expected[key_path] = codes[key_path] if codes[key_path] in (1, 4) else "1 or 4"
+        capsys.readouterr()
+        assert codes == expected
+        assert len(codes) == len(SECTIONS) + 72
+
+    def test_ill_typed_fields_fail_their_step(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        lines = len(data["report"]["ledger"]["steps"]) + 2
+
+        def evidence(i, **fields):
+            return lambda r: r["ledger"]["steps"][i]["evidence"].update(fields)
+
+        for forge in (evidence(1, k="1"), evidence(1, k=True), evidence(1, local_order="16"),
+                      evidence(1, local_generators="t1"), evidence(0, exponents=[10 ** 9]),
+                      lambda r: r["ledger"]["steps"][3]["transfer"].update(offset=None),
+                      lambda r: r["ledger"]["steps"].__setitem__(2, "radical"),
+                      lambda r: r.update(direct_value="2")):
+            broken = copy.deepcopy(data)
+            forge(broken["report"])
+            trace.write_text(json.dumps(broken))
+            capsys.readouterr()
+            assert main(["verify", "--from-trace", str(trace)]) == 4
+            assert len(capsys.readouterr().out.splitlines()) == lines
+
+    def test_parse_errors(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text("[1, 2]")
+        assert main(["verify", "--from-trace", str(trace)]) == 1
+        path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        data["report"]["ledger"]["steps"][3]["evidence"]["F"] = "x**"
+        trace.write_text(json.dumps(data))
+        assert main(["verify", "--from-trace", str(trace)]) == 1
 
 
 class TestAppendix:
