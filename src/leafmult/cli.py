@@ -21,7 +21,7 @@ from .errors import (
     InconclusiveError,
     ParseError,
 )
-from .extension import construct_witness
+from .extension import WITNESS_JET_ORDER, construct_witness
 from .foliation import check_commute, VectorField
 from .manifest import ProblemManifest, load_trace, write_trace
 from .pairs import nonisolated_bound
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     appendix = sub.add_parser("appendix", help="construct and check the on-leaf witness")
     appendix.add_argument("--manifest", required=True)
-    appendix.add_argument("--jet-order", type=int, default=16)
+    appendix.add_argument("--jet-order", type=int, default=None)
     appendix.add_argument("--trace", default=None)
 
     return parser
@@ -143,12 +143,14 @@ def cmd_appendix(args) -> int:
     if manifest.f is None or not manifest.ideal_generators:
         raise ParseError("appendix requires f and a nonempty ideal in the manifest")
     ctx = manifest.context()
-    witness = construct_witness(manifest.f, manifest.ideal(), ctx,
-                                order=args.jet_order)
+    order = args.jet_order if args.jet_order is not None \
+        else manifest.options.get("jet_order", WITNESS_JET_ORDER)
+    witness = construct_witness(manifest.f, manifest.ideal(), ctx, order=order)
     data = witness.describe()
-    if args.trace:
-        write_trace(args.trace, manifest, data)
-        print(f"trace written to {args.trace}")
+    trace_path = args.trace or manifest.options.get("trace")
+    if trace_path:
+        write_trace(trace_path, manifest, data)
+        print(f"trace written to {trace_path}")
     print(f"witness H = {data['H']}")
     print(f"mu = {data['mu']}, subsets = {data['subset_count']} <= {2 ** data['mu']}")
     print(f"divisibility checked: {data['divisibility_checked']}")

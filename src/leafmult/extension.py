@@ -28,6 +28,9 @@ from .pairs import (
 )
 from .poly import Polynomial
 
+# leaf-jet order of the witness construction unless the caller sets one
+WITNESS_JET_ORDER = 16
+
 
 @dataclass(frozen=True)
 class MonodromicSubset:
@@ -95,7 +98,7 @@ class ExtensionWitness:
 
 
 def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationContext,
-                      order: int = 16) -> ExtensionWitness:
+                      order: int = WITNESS_JET_ORDER) -> ExtensionWitness:
     """Build H = product of the branch products over all monodromic subsets
     of the variety-supported factor of F's restriction, and check both
     certificates.  Hypotheses (membership and non-isolatedness) are

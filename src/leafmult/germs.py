@@ -39,6 +39,8 @@ from .series import QQ, XSeries, YPoly
 
 # branch decomposition gives up above this jet order
 MAX_NP_ORDER = 160
+# local_multiplicity doubles the truncation order up to this cap
+MAX_STABILIZATION_ORDER = 96
 # shears t1 -> t1 + mu*t2 tried in turn, without and then with a swap
 SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 
@@ -532,8 +534,7 @@ def _truncations(jets: Sequence[Jet2], order: int) -> list:
     return [j.regenerate(order).poly for j in jets]
 
 
-def local_multiplicity(f: Jet2, g: Jet2, max_order: int = 96,
-                       budget: Optional[Budget] = None):
+def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
     """(value, certificate) for dim of the local ring modulo <f, g>.
 
     Infinite only with a branch-matching certificate (a common branch
@@ -554,7 +555,7 @@ def local_multiplicity(f: Jet2, g: Jet2, max_order: int = 96,
         if not d.is_constant() and d.constant_value() == 0:
             return inf, f"common factor {d}"
     order = max(f.order, g.order, 6)
-    while order <= max_order:
+    while order <= MAX_STABILIZATION_ORDER:
         try:
             p1, p2 = _truncations([f, g], order - 1)
             q1, q2 = _truncations([f, g], order)

@@ -82,6 +82,9 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 LOCAL = MonomialOrder("local")
 
+# largest radical-membership exponent searched for
+EXPONENT_CAP = 64
+
 
 def leading_term(p: Polynomial, order: MonomialOrder):
     """(monomial, coefficient) of the largest term."""
@@ -438,7 +441,7 @@ def eliminant(ideal: IdealPresentation, var: int,
     return min(candidates, key=lambda g: g.degree_in(var))
 
 
-def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation, cap: int = 64,
+def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation, cap: int = EXPONENT_CAP,
                              order: MonomialOrder = DEGREVLEX,
                              budget: Optional[Budget] = None) -> Optional[int]:
     """Least e <= cap with g^e in I, found by doubling then binary refine;
@@ -516,8 +519,7 @@ def _is_certified_radical(J: IdealPresentation, budget) -> bool:
     return False
 
 
-def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None,
-                    exponent_cap: int = 64):
+def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     """Best-effort radical: returns (J, certificate, status).
 
     Always I ⊆ J ⊆ rad(I), both inclusions certified (membership for the
@@ -561,7 +563,7 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None,
                 continue
             if normal_form(c, gbJ, budget).is_zero():
                 continue
-            e = nullstellensatz_exponent(c, ideal, exponent_cap, budget=budget)
+            e = nullstellensatz_exponent(c, ideal, budget=budget)
             if e is None:
                 continue
             exponents[c] = e
@@ -578,10 +580,10 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None,
     for g in J.generators:
         e = exponents.get(g)
         if e is None:
-            e = nullstellensatz_exponent(g, ideal, exponent_cap, budget=budget)
+            e = nullstellensatz_exponent(g, ideal, budget=budget)
         if e is None:
             capped = True
-            e = exponent_cap
+            e = EXPONENT_CAP
         cert_exps.append(e)
     # sanity: I ⊆ J
     gbJ = groebner(J, DEGREVLEX, budget)

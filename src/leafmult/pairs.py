@@ -49,8 +49,6 @@ from .poly import Polynomial
 
 # random combinations tried before concluding there is no transverse pair
 TRANSVERSE_RETRIES = 12
-# largest radical-membership exponent searched for
-EXPONENT_CAP = 64
 # doublings of the jet order before the pipeline gives up
 REGENERATION_RETRIES = 4
 
@@ -220,7 +218,7 @@ def radical_extension(pair: NoetherianPair, budget: Optional[Budget] = None):
 
     Returns (new_pair, step) with step None when nothing changed and the
     transfer is the identity."""
-    J, cert, status = attempt_radical(pair.ideal, budget, EXPONENT_CAP)
+    J, cert, status = attempt_radical(pair.ideal, budget)
     M = cert.max_weight()
     changed = set(J.generators) != set(pair.ideal.generators)
     if not changed and M == 1:

@@ -13,8 +13,6 @@ from math import inf
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy
-
 from .errors import DomainError, ParseError, RingMismatchError
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
@@ -662,11 +660,28 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return normalize_leading(exact_divide(p, g))
 
 
+def _factor_linear(p: Polynomial) -> tuple:
+    """factor() of a nonzero p of total degree <= 1, as sympy returns it:
+    the content carries the sign of the lex-leading coefficient and makes
+    the one factor primitive with integer coefficients."""
+    if p.is_constant():
+        return p.constant_value(), []
+    content = _int_content(p)
+    if p.terms[max(p.terms)] < 0:
+        content = -content
+    return content, [(p * (1 / content), 1)]
+
+
 def factor(p: Polynomial) -> tuple:
     """(content, [(factor, multiplicity)]): p = content * prod(factor **
     multiplicity), factors irreducible over Q, primitive with integer
     coefficients, in sympy's factor_list order.  The package's one use of
-    sympy."""
+    sympy, imported on the first polynomial of total degree >= 2 so that
+    commands which factor nothing else start without it."""
+    if 0 <= p.total_degree() <= 1:
+        return _factor_linear(p)
+    import sympy
+
     gens = [sympy.Symbol(name) for name in p.ring]
     rep = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
     content, factors = sympy.factor_list(sympy.Poly.from_dict(rep, *gens, domain="QQ"))

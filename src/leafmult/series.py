@@ -674,7 +674,7 @@ class YPoly:
                 rem[shift + j] = rem[shift + j] - c * w.coeffs[j]
         return YPoly.make(self.field, q), YPoly.make(self.field, rem[:dw])
 
-def ypoly_gcd_monic(a: YPoly, b: YPoly, min_result_prec: int = 1) -> YPoly:
+def ypoly_gcd_monic(a: YPoly, b: YPoly) -> YPoly:
     """gcd in (Laurent series field)[y] by the Euclidean algorithm with
     leading-coefficient inversion; result monic in y.
 
@@ -685,7 +685,7 @@ def ypoly_gcd_monic(a: YPoly, b: YPoly, min_result_prec: int = 1) -> YPoly:
         f, g = g, f
     while not g.is_zero_known():
         lead = g.coeffs[-1]
-        if lead.prec - max(lead.ord_known(), 0) < min_result_prec:
+        if lead.prec <= max(lead.ord_known(), 0):  # too little precision to invert the lead
             raise RegenerationRequest(2 * max(lead.prec, 1) + 4)
         gm = g.scale_series(lead.inverse())
         _, r = f.divmod_monic(gm)

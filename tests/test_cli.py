@@ -1,10 +1,14 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from leafmult.cli import main
+from leafmult.extension import WITNESS_JET_ORDER
 from leafmult.manifest import ProblemManifest, load_trace
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 FLAT = {
     "variables": ["x", "y", "z"],
@@ -261,6 +265,32 @@ class TestAppendix:
     def test_hypothesis_failure(self, tmp_path):
         path = write_manifest(tmp_path, f="x", ideal=["x", "y"])
         assert main(["appendix", "--manifest", path]) == 2
+
+    def test_manifest_options(self, tmp_path, capsys):
+        # the manifest's trace and jet_order apply as they do for bound;
+        # --trace and --jet-order override them
+        trace = tmp_path / "witness.json"
+        path = write_manifest(tmp_path, f="x*(x-y^2)", ideal=["x"],
+                              options={"trace": str(trace), "jet_order": 12})
+        assert main(["appendix", "--manifest", path]) == 0
+        assert f"trace written to {trace}" in capsys.readouterr().out
+        assert load_trace(trace)["report"]["certificate_order"] == 12
+        other = tmp_path / "other.json"
+        assert main(["appendix", "--manifest", path, "--jet-order", "10",
+                     "--trace", str(other)]) == 0
+        assert load_trace(other)["report"]["certificate_order"] == 10
+        plain = write_manifest(tmp_path, "plain.json", f="x*(x-y^2)", ideal=["x"])
+        assert main(["appendix", "--manifest", plain, "--trace", str(other)]) == 0
+        assert load_trace(other)["report"]["certificate_order"] == WITNESS_JET_ORDER == 16
+
+    @pytest.mark.parametrize("name,lines", [
+        ("appendix-cusp", ["witness H = t1^3 - t2^2", "mu = 2, subsets = 1 <= 4"]),
+        ("appendix-double-sheet", ["witness H = t1^3", "mu = 2, subsets = 2 <= 4"]),
+    ])
+    def test_shipped_manifests(self, name, lines, capsys):
+        assert main(["appendix", "--manifest", str(MANIFESTS / f"{name}.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == lines + [
+            "divisibility checked: True", "vanishing checked: True"]
 
 
 class TestManifestRoundTrip:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leafmult.errors import CertificateError, DomainError
 from leafmult.germs import _local_factors, weierstrass_jet
@@ -244,3 +244,48 @@ class TestFactorMatchesReference:
         for f, _ in factors:
             assert f.total_degree() >= 1
             assert all(c.denominator == 1 for c in f.terms.values())
+
+
+def _ref_factor_list(p: Polynomial) -> tuple:
+    """sympy.factor_list on p, called directly."""
+    gens = [sympy.Symbol(name) for name in p.ring]
+    expr = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, e in zip(gens, mono):
+            term *= g**e
+        expr += term
+    content, factors = sympy.factor_list(sympy.Poly(expr, *gens, domain="QQ"))
+    return Fraction(content.p, content.q), [
+        ({tuple(m): Fraction(c.p, c.q) for m, c in f.terms()}, int(mult))
+        for f, mult in factors]
+
+
+@st.composite
+def degree_at_most_one(draw):
+    """A nonzero polynomial of total degree <= 1 in 1-3 variables; any
+    coefficient may be zero or negative, so constants and negative leading
+    coefficients are drawn too."""
+    ring = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    wide = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    monos = [(0,) * len(ring)] + [tuple(int(i == j) for j in range(len(ring)))
+                                  for i in range(len(ring))]
+    terms = {m: draw(wide) for m in monos}
+    p = Polynomial(ring, terms)
+    assume(not p.is_zero())
+    return p
+
+
+class TestLinearFactorMatchesSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(degree_at_most_one())
+    @example(P("-3/4*t1 + 2/3*t2 - 5"))
+    @example(P("t2 - t1"))
+    @example(P("-2/3"))
+    @example(P("6*z - 1/2", ("x", "y", "z")))
+    def test_same_content_and_factors(self, p):
+        content, factors = factor(p)
+        ref_content, ref_factors = _ref_factor_list(p)
+        # same content; same factors, multiplicities and order
+        assert content == ref_content
+        assert [(dict(f.terms), m) for f, m in factors] == ref_factors
