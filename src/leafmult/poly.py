@@ -7,6 +7,7 @@ coefficients.  All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from math import inf
@@ -660,26 +661,110 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return normalize_leading(exact_divide(p, g))
 
 
-def _factor_linear(p: Polynomial) -> tuple:
-    """factor() of a nonzero p of total degree <= 1, as sympy returns it:
-    the content carries the sign of the lex-leading coefficient and makes
-    the one factor primitive with integer coefficients."""
-    if p.is_constant():
-        return p.constant_value(), []
-    content = _int_content(p)
-    if p.terms[max(p.terms)] < 0:
-        content = -content
-    return content, [(p * (1 / content), 1)]
+# -- factorization with certificates -----------------------------------------
+#
+# Splitting off the monomial content and then the content in one variable
+# leaves pieces that are often irreducible by one of two certificates: degree
+# 1 in a variable in which the piece is primitive, or two terms whose exponent
+# difference is a primitive vector (the Newton polytope is a segment of
+# lattice length 1, so by Ostrowski's theorem any factorization has a monomial
+# factor, and the piece has none).  A piece without a certificate sends the
+# whole polynomial to sympy.  No gcd with a derivative is tried: on the
+# polynomials the pipeline factors it certifies few more of them and costs
+# more than sympy does.
+
+
+def _split_pair(a: Polynomial, b: Polynomial) -> Optional[list]:
+    fa = _split_certified(a)
+    if fa is None:
+        return None
+    fb = _split_certified(b)
+    return None if fb is None else fa + fb
+
+
+def _split_certified(q: Polynomial) -> Optional[list]:
+    """Irreducible factors of q, each up to a constant and repeated by its
+    multiplicity, for q with no monomial factor; None when a piece has no
+    certificate."""
+    if q.is_constant():
+        return []
+    used = sorted(q.variables_used())
+    for i in used:
+        if q.degree_in(i) == 1:
+            c = _content_of_piece(q, i)
+            return [q] if c.is_constant() else _split_pair(c, exact_divide(q, c))
+    if len(q.terms) == 2:
+        a, b = q.terms
+        if math.gcd(*(x - y for x, y in zip(a, b))) == 1:
+            return [q]
+    for i in used:
+        c = _content_of_piece(q, i)
+        if not c.is_constant():
+            return _split_pair(c, exact_divide(q, c))
+    return None
+
+
+def _content_of_piece(q: Polynomial, index: int) -> Polynomial:
+    """Content of q in variable `index`, for q with no monomial factor.  A
+    coefficient with one term has only monomial divisors, and a monomial
+    content would divide q, so the content is 1 then and no gcd is taken."""
+    if any(len(c.terms) == 1 for c in _as_univariate(q, index).values()):
+        return Polynomial.constant(q.ring, 1)
+    return _content_wrt(q, index)
+
+
+def _dense(terms: Mapping[Monomial, Fraction], n: int) -> list:
+    """sympy's dense recursive representation of a polynomial in n variables
+    (first variable outermost, leading coefficient first), by which sympy
+    orders the factors it returns."""
+    if not terms:
+        zero = []
+        for _ in range(n - 1):
+            zero = [zero]
+        return zero
+    if n == 1:
+        return [terms.get((e,), 0) for e in range(max(terms)[0], -1, -1)]
+    rows: dict[int, dict] = {}
+    for m, c in terms.items():
+        rows.setdefault(m[0], {})[m[1:]] = c
+    return [_dense(rows.get(e, {}), n - 1) for e in range(max(rows), -1, -1)]
+
+
+def _factor_certified(p: Polynomial) -> Optional[tuple]:
+    """factor() of a nonzero p, as sympy returns it, when every irreducible
+    factor has a certificate; None otherwise."""
+    ring = p.ring
+    low = tuple(min(e) for e in zip(*p.terms))
+    pieces = _split_certified(
+        Polynomial._raw(ring, {monomial_div(m, low): c for m, c in p.terms.items()}))
+    if pieces is None:
+        return None
+    mults = {Polynomial.variable(ring, i): e for i, e in enumerate(low) if e}
+    for f in pieces:
+        # primitive with integer coefficients and a positive lex-leading
+        # coefficient, as sympy returns its factors
+        content = _int_content(f)
+        f = f * (1 / (-content if f.terms[max(f.terms)] < 0 else content))
+        mults[f] = mults.get(f, 0) + 1
+    factors = sorted(mults.items(), key=lambda fm: (
+        fm[0].degree_in(0) + 1, fm[1], _dense(fm[0].terms, len(ring))))
+    content = p.terms[max(p.terms)]
+    for f, mult in factors:
+        content /= f.terms[max(f.terms)] ** mult
+    return content, factors
 
 
 def factor(p: Polynomial) -> tuple:
     """(content, [(factor, multiplicity)]): p = content * prod(factor **
     multiplicity), factors irreducible over Q, primitive with integer
     coefficients, in sympy's factor_list order.  The package's one use of
-    sympy, imported on the first polynomial of total degree >= 2 so that
-    commands which factor nothing else start without it."""
-    if 0 <= p.total_degree() <= 1:
-        return _factor_linear(p)
+    sympy, imported only for a polynomial with a factor that has no
+    certificate of irreducibility, so that commands which factor nothing
+    harder start without it."""
+    if not p.is_zero():
+        certified = _factor_certified(p)
+        if certified is not None:
+            return certified
     import sympy
 
     gens = [sympy.Symbol(name) for name in p.ring]

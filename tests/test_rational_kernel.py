@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from leafmult.errors import CertificateError, DomainError
 from leafmult.germs import _local_factors, weierstrass_jet
 from leafmult.jets import LEAF_RING, Jet2
-from leafmult.poly import Polynomial, factor, parse_polynomial
+from leafmult.poly import Polynomial, _factor_certified, factor, parse_polynomial
 from leafmult.series import (
     QQ,
     _poly_divmod,
@@ -289,3 +289,54 @@ class TestLinearFactorMatchesSympy:
         # same content; same factors, multiplicities and order
         assert content == ref_content
         assert [(dict(f.terms), m) for f, m in factors] == ref_factors
+
+
+
+@st.composite
+def products_of_small_factors(draw):
+    """c * f1^k1 * ... * fn^kn in 1-3 variables, each fi of 1-3 terms with
+    exponents <= 2: repeated, monomial, binomial and content factors are
+    all drawn, and so are products that only sympy can split."""
+    ring = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    mono = st.tuples(*[st.integers(0, 2)] * len(ring))
+    p = Polynomial.constant(ring, draw(coeff))
+    for _ in range(draw(st.integers(1, 4))):
+        f = Polynomial(ring, draw(st.dictionaries(mono, coeff, min_size=1, max_size=3)))
+        p = p * f ** draw(st.integers(1, 3))
+    assume(p.total_degree() >= 2 and len(p.terms) <= 40)
+    return p
+
+
+class TestCertifiedFactorMatchesSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(products_of_small_factors())
+    @example(P("t1^2 - t1*t2^2"))
+    @example(P("-t1^4 + t1^3 + t1*t2^2 - t2^2"))
+    @example(P("-2*x*y^2*z + 4*x^2*z^3", ("x", "y", "z")))
+    @example(P("x^6 - 2*x^3 + 1", ("x",)))
+    def test_same_content_and_factors(self, p):
+        content, factors = factor(p)
+        ref_content, ref_factors = _ref_factor_list(p)
+        assert content == ref_content
+        assert [(dict(f.terms), m) for f, m in factors] == ref_factors
+
+    @pytest.mark.parametrize("text", [
+        # what bound and appendix factor on the shipped manifests
+        "t1^2 - t1*t2^2", "t1^2 - 2*t1*t2^2", "t1^3 - t1^2*t2^2",
+        "t1^3 - t2^2", "-t1^4 + t1^3 + t1*t2^2 - t2^2",
+    ])
+    def test_certificate_covers_shipped_manifests(self, text):
+        p = P(text)
+        content, factors = _factor_certified(p)
+        ref_content, ref_factors = _ref_factor_list(p)
+        assert content == ref_content
+        assert [(dict(f.terms), m) for f, m in factors] == ref_factors
+
+    @pytest.mark.parametrize("text", [
+        "t1^2 + t2^2",            # binomial of lattice length 2
+        "t1^2 - t2^2",            # reducible, but with no certified split
+        "t1^2 - 2*t1*t2^2 + t2^4",  # a square: no content in any variable
+    ])
+    def test_no_certificate_goes_to_sympy(self, text):
+        assert _factor_certified(P(text)) is None
