@@ -83,7 +83,7 @@ class FoliationContext:
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
     derivatives are memoized per (F, a, b), and budget-free local standard
-    bases per generator tuple.
+    bases per generator set and truncation order.
     """
 
     def __init__(self, v1: VectorField, v2: VectorField, point: Sequence):
@@ -132,13 +132,18 @@ class FoliationContext:
         self._memo[key] = value
         return value
 
-    def local_basis(self, polys: tuple) -> tuple:
-        """Local standard basis of polys (leaf polynomials) under the
-        default budget, memoized; the pairs of one pipeline share local
-        generators."""
-        basis = self._bases.get(polys)
+    def local_basis(self, polys: tuple, order: int) -> tuple:
+        """Local standard basis of polys (leaf polynomials) modulo
+        m^{order+1} under the default budget, memoized; the pairs of one
+        pipeline share local generators.  Any standard basis gives the same
+        truncated membership decisions, so the memo is keyed by the set of
+        generators, and the basis is computed from them in a canonical
+        order."""
+        gens = tuple(sorted(set(polys), key=lambda p: sorted(p.terms.items())))
+        key = (gens, order)
+        basis = self._bases.get(key)
         if basis is None:
-            basis = self._bases[polys] = tuple(standard_basis(polys))
+            basis = self._bases[key] = tuple(standard_basis(gens, max_degree=order))
         return basis
 
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:

@@ -605,12 +605,11 @@ def local_membership(f: Jet2, gens: Sequence[Jet2], order: Optional[int] = None,
         if not j.can_regenerate():
             order = min(order, j.order)
     polys = _truncations(live, order)
-    basis = standard_basis(polys, budget)
+    basis = standard_basis(polys, budget, max_degree=order)
     target = _truncations([f], order)[0]
     if target.is_zero():
         return True
-    rem = mora_normal_form(target, basis, budget)
-    return rem.is_zero() or min(sum(m) for m in rem.terms) > order
+    return mora_normal_form(target, basis, budget, max_degree=order).is_zero()
 
 
 # ---------------------------------------------------------------------------

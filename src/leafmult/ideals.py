@@ -441,16 +441,15 @@ def eliminant(ideal: IdealPresentation, var: int,
     return min(candidates, key=lambda g: g.degree_in(var))
 
 
-def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation, cap: int = EXPONENT_CAP,
-                             order: MonomialOrder = DEGREVLEX,
+def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
                              budget: Optional[Budget] = None) -> Optional[int]:
-    """Least e <= cap with g^e in I, found by doubling then binary refine;
-    None if no power up to cap is a member."""
+    """Least e <= EXPONENT_CAP with g^e in I, found by doubling then binary
+    refine; None if no power up to the cap is a member."""
     if g.is_zero():
         return 1
     if ideal.is_zero_ideal():
         return None
-    gb = groebner(ideal, order, budget)
+    gb = groebner(ideal, DEGREVLEX, budget)
 
     reduced = {1: normal_form(g, gb, budget)}
 
@@ -463,7 +462,7 @@ def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation, cap: int =
         return r
 
     e = 1
-    while e <= cap:
+    while e <= EXPONENT_CAP:
         if power_nf(e).is_zero():
             break
         e *= 2

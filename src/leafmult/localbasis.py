@@ -4,6 +4,25 @@ Leading terms are taken under the local order (1 largest, then lower total
 degree first), so the staircase of leading monomials counts the dimension
 of the local quotient ring.  The engine is specialized to two variables:
 the leaf is two-dimensional everywhere in this package.
+
+Highest corner.  `standard_basis` and `mora_normal_form` take an optional
+max_degree=N and then compute in Q[t1,t2]/m^{N+1}: they drop the terms of
+total degree above N from the input, from every S-polynomial and from every
+reduction step, which is reduction by the monomials of degree N+1
+(Singular's highest corner; Greuel and Pfister, *A Singular Introduction to
+Commutative Algebra*, 1.6-1.7).  Mora's ecart rule and the pool of appended
+reducers stay: without them a reduction climbs degree by degree up to N.
+
+Why this decides the same local memberships.  The local order is
+degree-compatible, so the leading monomial of a series with a term of
+degree <= N lies among its terms of least degree, and the leading ideal of
+I + m^{N+1} is L(I) + m^{N+1}.  The truncated weak normal form r of f has
+no term above N, and u*f - r lies in I + m^{N+1} for a unit u.  If r is
+nonzero, its leading monomial has degree <= N and lies outside L(I), so r,
+and with it f, lies outside I + m^{N+1}.  Hence r = 0 exactly when f lies
+in I + m^{N+1}, the question that the untruncated remainder answers when it
+is asked whether it lies in m^{N+1}.  Any standard basis of I + m^{N'+1}
+with N' >= N gives the same decision at N.
 """
 
 from __future__ import annotations
@@ -45,12 +64,12 @@ class _Lead:
     (ecart, total degree, structural tie-break), computed once when it joins
     the pool.  `cofactors` rides along for mora_divide."""
 
-    __slots__ = ("poly", "lm", "lc", "ecart", "key", "cofactors")
+    __slots__ = ("poly", "lm", "lc", "degree", "ecart", "key", "cofactors")
 
     def __init__(self, poly: Polynomial, lead=None, cofactors=None):
         lm, lc = lead or leading_term(poly, LOCAL_ORDER)
         degree = poly.total_degree()
-        self.poly, self.lm, self.lc = poly, lm, lc
+        self.poly, self.lm, self.lc, self.degree = poly, lm, lc, degree
         self.ecart = degree - monomial_degree(lm)
         self.key = (self.ecart, degree, _struct_key(poly))
         self.cofactors = cofactors
@@ -66,16 +85,26 @@ def _select(pool: list, lm: Monomial) -> Optional[_Lead]:
 
 
 def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial],
-                     budget: Optional[Budget] = None) -> Polynomial:
+                     budget: Optional[Budget] = None,
+                     max_degree: Optional[int] = None) -> Polynomial:
     """Mora's weak normal form: for some unit u, u*f - result lies in the
-    ideal generated by gens (in the local ring).  Zero iff f is a member."""
+    ideal generated by gens (in the local ring).  Zero iff f is a member
+    when gens is a standard basis.  With max_degree=N the ideal is
+    <gens> + m^{N+1} (highest corner, see the module docstring), and the
+    result has no term of degree above N."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
-    return _normal_form(f, [_Lead(g) for g in gens if not g.is_zero()], budget)
+    if max_degree is not None:
+        f = f.truncated(max_degree)
+        gens = [g.truncated(max_degree) for g in gens]
+    return _normal_form(f, [_Lead(g) for g in gens if not g.is_zero()], budget,
+                        max_degree)
 
 
-def _normal_form(h: Polynomial, pool: list, budget: Budget) -> Polynomial:
-    """mora_normal_form on a pool of entries; appends to the pool."""
+def _normal_form(h: Polynomial, pool: list, budget: Budget,
+                 max_degree: Optional[int] = None) -> Polynomial:
+    """mora_normal_form on a pool of entries, h already truncated at
+    max_degree; appends to the pool."""
     while not h.is_zero():
         lm_h, lc_h = leading_term(h, LOCAL_ORDER)
         g = _select(pool, lm_h)
@@ -83,7 +112,12 @@ def _normal_form(h: Polynomial, pool: list, budget: Budget) -> Polynomial:
             return h
         if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
             pool.append(_Lead(h, (lm_h, lc_h)))
-        h = h.sub_mul(monomial_div(lm_h, g.lm), lc_h / g.lc, g.poly)
+        shift = monomial_div(lm_h, g.lm)
+        # a product that stays within the corner needs no per-term test
+        cap = max_degree
+        if cap is not None and monomial_degree(shift) + g.degree <= cap:
+            cap = None
+        h = h.sub_mul(shift, lc_h / g.lc, g.poly, cap)
         budget.spend(1, "mora")
     return h
 
@@ -125,15 +159,22 @@ def mora_divide(f: Polynomial, divisors: Sequence[Polynomial],
     return h, u, quots
 
 
-def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None) -> list:
+def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None,
+                   max_degree: Optional[int] = None) -> list:
     """Buchberger loop with Mora normal form; no pair criteria beyond
     deduplication (the product criterion is unsafe for local orders).
-    Pairs are taken in (lcm degree, (i, j)) order."""
+    Pairs are taken in (lcm degree, (i, j)) order.
+
+    With max_degree=N the result, together with the monomials of degree
+    N+1, is a standard basis of <gens> + m^{N+1} (module docstring), and a
+    basis holding a unit is returned as [1]."""
     if budget is None:
         budget = Budget(cap=500_000, stage="standard basis")
     ring = None
     pool: list[_Lead] = []
     for g in gens:
+        if max_degree is not None:
+            g = g.truncated(max_degree)
         if g.is_zero():
             continue
         if ring is None:
@@ -141,6 +182,10 @@ def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None) 
             if len(ring) != 2:
                 raise DomainError("the local engine is specialized to two variables")
         pool.append(_Lead(monic(g, LOCAL_ORDER)))
+    # S-polynomials and their reductions lie in m, so only an input unit
+    # makes the ideal the whole ring
+    if max_degree is not None and any(not any(e.lm) for e in pool):
+        return [Polynomial.constant(ring, 1)]
     pairs = [(monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
              for i in range(len(pool)) for j in range(i + 1, len(pool))]
     heapify(pairs)
@@ -149,7 +194,9 @@ def standard_basis(gens: Sequence[Polynomial], budget: Optional[Budget] = None) 
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
         s = _s_polynomial(a.poly, a.lm, a.lc, b.poly, b.lm, b.lc)
-        h = _normal_form(s, list(pool), budget)
+        if max_degree is not None:
+            s = s.truncated(max_degree)
+        h = _normal_form(s, list(pool), budget, max_degree)
         if not h.is_zero():
             new = _Lead(monic(h, LOCAL_ORDER))
             for k, e in enumerate(pool):

@@ -80,9 +80,9 @@ class NoetherianPair:
         return any(g.evaluate(self.ctx.point) != 0 for g in self.ideal.generators)
 
     def local_basis(self) -> tuple:
-        """Standard basis of the local generators' truncations, cached here
-        and shared through the context; the generators are first stripped
-        of unit cofactors (same ideal)."""
+        """Standard basis of the local generators modulo m^{cert_order+1},
+        cached here and shared through the context; the generators are
+        first stripped of unit cofactors (same ideal)."""
         if self._local_basis is None:
             from .germs import simplify_local_generator
             polys = []
@@ -90,7 +90,7 @@ class NoetherianPair:
                 s = simplify_local_generator(j).at_order(self.cert_order)
                 if not s.is_zero():
                     polys.append(s.to_polynomial())
-            self._local_basis = self.ctx.local_basis(tuple(polys))
+            self._local_basis = self.ctx.local_basis(tuple(polys), self.cert_order)
         return self._local_basis
 
     def local_member(self, jet: Jet2) -> bool:
@@ -108,8 +108,7 @@ class NoetherianPair:
         target = work.to_polynomial()
         if target.is_zero():
             return True
-        rem = mora_normal_form(target, basis)
-        return rem.is_zero() or min(sum(m) for m in rem.terms) > effective
+        return mora_normal_form(target, basis, max_degree=effective).is_zero()
 
     def describe(self) -> dict:
         return {
@@ -480,7 +479,7 @@ def _nonisolated_bound_once(F, G, ctx, order, options, budget, t0) -> BoundRepor
         "rounds": [],
     }
     try:
-        direct, _cert = local_multiplicity(split.f, split.g)
+        direct, _cert = local_multiplicity(split.f, split.g, budget)
     except (InconclusiveError, BudgetExceededError):
         direct = None
     if direct is inf:

@@ -51,10 +51,16 @@ def _add_into(acc: dict, terms: Mapping[Monomial, Fraction]) -> None:
             acc.pop(m, None)
 
 
-def _sub_mul_into(acc: dict, mono: Monomial, coeff, terms: Mapping[Monomial, Fraction]) -> None:
+def _sub_mul_into(acc: dict, mono: Monomial, coeff, terms: Mapping[Monomial, Fraction],
+                  max_degree: Optional[int] = None) -> None:
     """acc -= coeff * x^mono * terms in place, dropping the coefficients that
-    cancel; one pass over terms."""
-    for m, c in terms.items():
+    cancel and the products of total degree above max_degree; one pass over
+    terms."""
+    items = terms.items()
+    if max_degree is not None:
+        room = max_degree - sum(mono)
+        items = [(m, c) for m, c in items if sum(m) <= room]
+    for m, c in items:
         m = tuple(map(add, mono, m))
         prev = acc.get(m)
         if prev is None:
@@ -250,14 +256,16 @@ class Polynomial:
                         del acc[m]
         return self._raw(self.ring, acc)
 
-    def sub_mul(self, mono: Monomial, coeff, other: "Polynomial") -> "Polynomial":
-        """self - coeff * x^mono * other, in one pass over other's terms;
-        coeff is an int or a Fraction."""
+    def sub_mul(self, mono: Monomial, coeff, other: "Polynomial",
+                max_degree: Optional[int] = None) -> "Polynomial":
+        """self - coeff * x^mono * other, in one pass over other's terms,
+        without the products of total degree above max_degree (self's own
+        terms are kept); coeff is an int or a Fraction."""
         self._check_ring(other)
         if not coeff:
             return self
         acc = dict(self.terms)
-        _sub_mul_into(acc, mono, coeff, other.terms)
+        _sub_mul_into(acc, mono, coeff, other.terms, max_degree)
         return self._raw(self.ring, acc)
 
     def truncated(self, max_degree: int) -> "Polynomial":

@@ -317,7 +317,7 @@ class TestNullstellensatzExponent:
         assert nullstellensatz_exponent(P("x"), ideal("x^7")) == 7
         assert nullstellensatz_exponent(P("x"), ideal("x")) == 1
         assert nullstellensatz_exponent(P("y"), ideal("x^2")) is None
-        assert nullstellensatz_exponent(P("x"), ideal("x^70"), cap=64) is None
+        assert nullstellensatz_exponent(P("x"), ideal("x^70")) is None
 
 
 class TestAttemptRadical:

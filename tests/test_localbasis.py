@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import inf
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leafmult.errors import BudgetExceededError
 from leafmult.ideals import Budget
@@ -260,3 +260,50 @@ class TestKernelMatchesReference:
     def test_standard_basis(self, gens, cap):
         got = _run(lambda g, b: standard_basis(g, b), gens, cap=cap)
         assert got == _run(_ref_standard_basis, gens, cap=cap)
+
+
+class TestHighestCorner:
+    """max_degree=N computes in Q[t1,t2]/m^{N+1}.  Its membership decisions
+    are those of the untruncated reference kernel above (output for output
+    the kernel with max_degree=None, see TestKernelMatchesReference),
+    followed by the check that decided local membership before: the
+    remainder is zero or has no term of degree <= N."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(local_polys, min_size=1, max_size=3),
+           st.lists(local_polys, min_size=3, max_size=3), local_polys, st.integers(0, 7))
+    @example([P("t2")], [P("0")] * 3, P("t1^3"), 3)  # a term exactly at the corner
+    # t1*t2 - t2*(t1 - t2^2) = t2^3 lies one degree beyond the corner
+    @example([P("t1 - t2^2")], [P("0")] * 3, P("t1*t2"), 2)
+    # non-homogeneous generators: the ecart rule appends reducers
+    @example([P("t1-t1^2+t2^3"), P("t2^2+t1^3")], [P("t2"), P("1+t1"), P("0")],
+             P("t1^2*t2^2"), 4)
+    def test_membership_matches_untruncated_kernel(self, gens, cofactors, extra, n):
+        target = extra
+        for c, g in zip(cofactors, gens):
+            target = target + c * g
+        budget = Budget(cap=100)
+        try:
+            rem = _ref_mora_normal_form(target, _ref_standard_basis(gens, budget), budget)
+        except BudgetExceededError:
+            assume(False)
+        expected = rem.is_zero() or min(sum(m) for m in rem.terms) > n
+        basis = standard_basis(gens, max_degree=n)
+        assert all(g.total_degree() <= n for g in basis)
+        got = mora_normal_form(target, basis, max_degree=n)
+        assert got.total_degree() <= n
+        assert got.is_zero() == expected
+
+    def test_unit_collapses_to_one(self):
+        gens = [P("t1^3"), P("1 - t1 + t2^2")]
+        assert standard_basis(gens, max_degree=5) == [P("1")]
+        assert standard_basis(gens) == [P("1 - t1 + t2^2")]
+        assert mora_normal_form(P("t1 + t2^5"), [P("1")], max_degree=5).is_zero()
+
+    def test_appended_reducers_stop_the_climb(self):
+        # t1 = (t1 - t1^2) * unit: the appended reducer t1 ends the reduction
+        # after two steps; without it the remainder climbs t1^2, t1^3, ...
+        # up to the corner
+        budget = Budget(cap=1000)
+        assert mora_normal_form(P("t1"), [P("t1-t1^2")], budget, max_degree=40).is_zero()
+        assert budget.used == 2

@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from leafmult.errors import HypothesisError
 from leafmult.foliation import FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
-from leafmult.ideals import IdealPresentation
+from leafmult.ideals import Budget, IdealPresentation
 from leafmult.jets import Jet2
 from leafmult.pairs import (
     BoundLedger,
@@ -285,6 +287,32 @@ class TestNonisolatedBound:
         assert rep.bound >= 2
         assert any(s.kind == "jacobian" for s in rep.ledger.steps)
 
+    def test_transcendental_parabolas_within_the_corner(self):
+        # local membership is decided modulo m^{N+1}; computed past the
+        # certified order N, one normal form of this case ran for minutes
+        ctx = exp_leaf()
+        start = time.monotonic()
+        rep = nonisolated_bound(P("(z-1)*(y-x^2)"), P("(z-1)*(y+x^2)"), ctx)
+        assert time.monotonic() - start < 30
+        assert rep.ledger.status == "point-excluded"
+        assert (rep.direct_value, rep.bound) == (2, 20)
+
+    def test_direct_value_is_charged_to_the_budget(self, monkeypatch):
+        import leafmult.pairs as pairs
+        calls = []
+        real = pairs.local_multiplicity
+
+        def recording(f, g, budget=None):
+            before = budget.used
+            out = real(f, g, budget)
+            calls.append((budget, budget.used - before))
+            return out
+
+        monkeypatch.setattr(pairs, "local_multiplicity", recording)
+        budget = Budget(cap=1_000_000)
+        nonisolated_bound(P("x*(x-y^2)"), P("x*(x-2*y^2)"), flat3(), budget=budget)
+        assert calls and all(b is budget and spent > 0 for b, spent in calls)
+
     def test_trace_structure(self):
         ctx = flat3()
         report = nonisolated_bound(P("x*(x-y^2)"), P("x*(x-2*y^2)"), ctx)
@@ -325,9 +353,9 @@ class TestLocalBasisMemo:
         computed = []
         real = foliation.standard_basis
 
-        def counting(polys):
+        def counting(polys, **kwargs):
             computed.append(polys)
-            return real(polys)
+            return real(polys, **kwargs)
 
         monkeypatch.setattr(foliation, "standard_basis", counting)
         gens = (J("t1-t2^2"), J("t1-2*t2^2"))
@@ -337,9 +365,17 @@ class TestLocalBasisMemo:
         basis = a.local_basis()
         assert b.local_basis() is basis
         assert len(computed) == 1
+        # the same generators in another order, or repeated, share the basis
+        permuted = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens[::-1] + gens[:1], ctx, 14)
+        assert permuted.local_basis() is basis
+        assert len(computed) == 1
+        # another truncation order is another ideal
+        lower = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens, ctx, 10)
+        assert lower.local_basis() is not basis
+        assert len(computed) == 2
         # immutable, so no pair can corrupt the basis it shares
         assert isinstance(basis, tuple)
         fresh = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens, flat3(), 14)
         assert fresh.local_basis() == basis
         assert fresh.local_basis() is not basis
-        assert len(computed) == 2
+        assert len(computed) == 3

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leafmult.errors import DomainError, ParseError, RingMismatchError
 from leafmult.poly import (
@@ -146,6 +146,14 @@ class TestRingAxioms:
         assert list(got.terms) == list(expected.terms)
         # terms that cancel are dropped, not kept as zero coefficients
         assert (f + Polynomial.monomial(RING, a, c) * g).sub_mul(a, c, g).terms == f.terms
+
+    @settings(max_examples=80, deadline=None)
+    @given(polys, polys, monos, coeffs, st.integers(0, 7))
+    @example(P("y^3"), P("1 + x + x^2"), (1, 0), Fraction(1), 2)  # x^3 goes, x^2 stays
+    def test_truncated_sub_mul(self, f, g, a, c, n):
+        # the products above n are dropped, f's own terms are kept
+        product = Polynomial.monomial(RING, a, c) * g
+        assert f.sub_mul(a, c, g, n) == f - product.truncated(n)
 
     @settings(max_examples=40, deadline=None)
     @given(polys, polys, polys)
