@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -319,54 +319,101 @@ def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
     return Jet2(base_order, factor_orig, cached_producer(produce))
 
 
+def _int_slice(coeffs: dict) -> tuple:
+    """(numerators by t2-degree, common denominator) of {t2-degree: Fraction},
+    the numerators sharing no factor with the denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = [0] * (max(coeffs, default=-1) + 1)
+    for b, c in coeffs.items():
+        nums[b] = c.numerator * (den // c.denominator)
+    return nums, den
+
+
+def _reduced(nums: list, den: int) -> Optional[tuple]:
+    """nums / den with the common factor taken out; None when zero."""
+    if not any(nums):
+        return None
+    g = gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
 def weierstrass_jet(f: Jet2) -> tuple:
     """Weierstrass preparation of a jet regular in t2: f = W * U with W
     monic in t2 of degree equal to the vanishing order and U a unit.
 
     Computed slice by slice in the t1-grading (linear Hensel lifting of the
     coprime splitting f(0, t2) = t2^mu * u0); everything stays over Q.
-    Slice k is a Polynomial in t2 alone, so working modulo t2^mu is
-    truncation at total degree mu - 1, and only its t2-degrees up to
-    order - k are determined by the truncation of f.  Since U is a unit,
-    the truncation of W at the jet order is exactly determined by the
-    truncation of f."""
+    Slice k is a polynomial in t2 alone, so working modulo t2^mu is
+    truncation at degree mu - 1, and only its t2-degrees up to order - k
+    are determined by the truncation of f.  Since U is a unit, the
+    truncation of W at the jet order is exactly determined by the
+    truncation of f.
+
+    A slice is held as integer numerators over one common denominator, so
+    the O(order^3) products of the lifting are integer operations; the
+    result is the same exact rational jet."""
     order = f.order
     mu = f.vanishing_order()
     if mu is None:
         raise DomainError("cannot prepare the zero germ")
     slices: list[dict] = [{} for _ in range(order + 1)]
     for (a, b), c in f.coeffs.items():
-        slices[a][(0, b)] = c
-    if (0, mu) not in slices[0]:
+        slices[a][b] = c
+    if mu not in slices[0]:
         raise DomainError("germ is not regular in t2 at its vanishing order")
-    u0 = Polynomial(LEAF_RING, {(0, b - mu): c for (_, b), c in slices[0].items()})
+    u0 = {b - mu: c for b, c in slices[0].items()}
+    u0n, u0d = _int_slice(u0)
     # t * u0 = 1 mod t2^mu, the Bezout cofactor of the splitting
-    t = jet_inverse(Jet2(mu - 1, u0)).poly if mu else Polynomial.zero(LEAF_RING)
-    W = {0: Polynomial.monomial(LEAF_RING, (0, mu))}
-    U = {0: u0}
+    t = jet_inverse(Jet2(mu - 1, {(0, b): c for b, c in u0.items()})).poly if mu else None
+    tn, td = _int_slice({b: c for (_, b), c in t.terms.items()}) if mu else ([], 1)
+    W: dict[int, tuple] = {}
+    U: dict[int, tuple] = {}
     for k in range(1, order + 1):
         top = order - k
-        rhs = Polynomial(LEAF_RING, slices[k])
-        for a in range(1, k):
-            if a in W and k - a in U:
-                rhs = rhs - W[a].mul(U[k - a], top)
-        # solve W_k*u0 + U_k*t2^mu = rhs with deg W_k < mu
-        wk = t.mul(rhs, mu - 1)
-        num = rhs - wk.mul(u0, top)
-        if num.truncated(mu - 1):
+        # rhs = (f_k - sum_a W_a * U_(k-a)) mod t2^(top+1), as acc / den
+        products = [(W[a], U[k - a]) for a in range(1, k) if a in W and k - a in U]
+        fn, fd = _int_slice(slices[k])
+        den = lcm(fd, *(wd * ud for (_, wd), (_, ud) in products))
+        acc = [0] * (top + 1)
+        scale = den // fd
+        for b, n in enumerate(fn):
+            acc[b] = n * scale
+        for (wn, wd), (un, ud) in products:
+            scale = den // (wd * ud)
+            for j, w in enumerate(wn[:top + 1]):
+                if w:
+                    c = w * scale
+                    for e, n in enumerate(un[:top + 1 - j], j):
+                        acc[e] -= c * n
+        # solve W_k*u0 + U_k*t2^mu = rhs with deg W_k < mu; degrees of W_k
+        # above top meet no later slice and lie beyond the jet order
+        wk = [0] * min(mu, top + 1)
+        for i, c in enumerate(tn):
+            for d in range(i, len(wk)):
+                wk[d] += c * acc[d - i]
+        num = [n * td * u0d for n in acc]
+        for i, w in enumerate(wk):
+            if w:
+                for e, n in enumerate(u0n[:top + 1 - i], i):
+                    num[e] -= w * n
+        if any(num[:mu]):
             raise CertificateError("Weierstrass slice failed to divide")  # pragma: no cover
+        wk = _reduced(wk, td * den)
+        uk = _reduced(num[mu:], td * u0d * den)
         if wk:
             W[k] = wk
-        if num:
-            U[k] = Polynomial(LEAF_RING, {(0, b - mu): c for (_, b), c in num.terms.items()})
+        if uk:
+            U[k] = uk
 
-    def to_jet(slice_map, jet_order):
-        return Jet2(jet_order, {(a, b): c for a, p in slice_map.items()
-                                for (_, b), c in sorted(p.terms.items())})
+    def to_jet(lead: dict, slice_map: dict, jet_order: int) -> Jet2:
+        coeffs = {(0, b): c for b, c in sorted(lead.items())}
+        for a, (nums, den) in slice_map.items():
+            coeffs.update(((a, b), Fraction(n, den)) for b, n in enumerate(nums) if n)
+        return Jet2(jet_order, coeffs)
 
     # the top-mu t2-band of each U slice lies beyond what the truncation of
     # f determines, so U is only certified to order - mu
-    return to_jet(W, order), to_jet(U, max(order - mu, 0))
+    return to_jet({mu: Fraction(1)}, W, order), to_jet(u0, U, max(order - mu, 0))
 
 
 def simplify_local_generator(j: Jet2) -> Jet2:

@@ -14,6 +14,7 @@ tag, and germ-level code uses it to take truncation-free paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -42,6 +43,45 @@ def _poly_producer(p: Polynomial):
 
     produce.exact_polynomial = p
     return produce
+
+
+def _linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
+    """p(m00*t1 + m01*t2, m10*t1 + m11*t2), one homogeneous component at a
+    time in integer arithmetic: with the entries over a common denominator
+    q, the term t1^a*t2^b becomes q^-(a+b) * (p0*t1 + p1*t2)^a * (p2*t1 + p3*t2)^b."""
+    entries = [Fraction(m) for m in (m00, m01, m10, m11)]
+    q = lcm(*(m.denominator for m in entries))
+    p0, p1, p2, p3 = (int(m * q) for m in entries)
+    rows: dict[tuple, list] = {}
+
+    def row(x: int, y: int, n: int) -> list:
+        """Nonzero (t2-degree, coefficient) of (x*t1 + y*t2)^n."""
+        key = (x, y, n)
+        if key not in rows:
+            rows[key] = [(i, c) for i in range(n + 1)
+                         if (c := comb(n, i) * x ** (n - i) * y ** i)]
+        return rows[key]
+
+    forms: dict[int, dict] = {}  # total degree -> {(a, b): coefficient}
+    for (a, b), c in p.terms.items():
+        forms.setdefault(a + b, {})[(a, b)] = c
+    terms = {}
+    for d in sorted(forms):
+        form = forms[d]
+        den = lcm(*(c.denominator for c in form.values()))
+        out = [0] * (d + 1)
+        for (a, b), c in form.items():
+            n = c.numerator * (den // c.denominator)
+            right = row(p2, p3, b)
+            for i, x in row(p0, p1, a):
+                nx = n * x
+                for j, y in right:
+                    out[i + j] += nx * y
+        den *= q ** d
+        for j, n in enumerate(out):
+            if n:
+                terms[(d - j, j)] = Fraction(n, den)
+    return Polynomial(LEAF_RING, terms)
 
 
 class Jet2:
@@ -223,10 +263,8 @@ class Jet2:
         """Exact linear change of leaf coordinates:
         new t1 = m00*t1 + m01*t2, new t2 = m10*t1 + m11*t2 substituted in."""
         (m00, m01), (m10, m11) = matrix
-        n1 = Polynomial(LEAF_RING, {(1, 0): Fraction(m00), (0, 1): Fraction(m01)})
-        n2 = Polynomial(LEAF_RING, {(1, 0): Fraction(m10), (0, 1): Fraction(m11)})
         # a linear substitution keeps every term's total degree
-        return self._unary(lambda p, n: p.compose([n1, n2]))
+        return self._unary(lambda p, n: _linear_substitution(p, m00, m01, m10, m11))
 
     def swap_variables(self) -> "Jet2":
         return self.substitute_linear(((0, 1), (1, 0)))
