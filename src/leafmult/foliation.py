@@ -13,7 +13,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisError
-from .jets import Jet2, cached_producer
+from .jets import LEAF_RING, Jet2, cached_producer
 from .localbasis import standard_basis
 from .poly import Polynomial
 
@@ -82,8 +82,9 @@ class FoliationContext:
 
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
-    derivatives are memoized per (F, a, b), and budget-free local standard
-    bases per generator set and truncation order.
+    derivatives are memoized per (F, a, b); the flow jets (the leaf jets of
+    the coordinate functions x_i) and their truncated powers per truncation
+    order; budget-free local standard bases per generator set and order.
     """
 
     def __init__(self, v1: VectorField, v2: VectorField, point: Sequence):
@@ -105,6 +106,8 @@ class FoliationContext:
                 "base point is singular: V1(p) and V2(p) are linearly dependent")
         self.commutation_verified = True
         self._memo: dict = {}
+        self._flows: dict = {}  # order -> (phi_i as Polynomial in LEAF_RING, ...)
+        self._powers: dict = {}  # (order, i, e) -> phi_i^e truncated at order
         self._bases: dict = {}
 
     def _independent_at_point(self) -> bool:
@@ -146,37 +149,99 @@ class FoliationContext:
             basis = self._bases[key] = tuple(standard_basis(gens, max_degree=order))
         return basis
 
+    def _flow_jets(self, order: int) -> tuple:
+        """phi_i: the leaf jet of the coordinate function x_i at order, as
+        polynomials in LEAF_RING, memoized per order.  Built row by row:
+        V2^b x_i, then V1 along the row, and a row (or the rows after it)
+        stops at the first derivative that vanishes identically, since every
+        later one is a derivative of it."""
+        flows = self._flows.get(order)
+        if flows is None:
+            flows = self._flows[order] = tuple(
+                self._coordinate_jet(i, order) for i in range(len(self.ring)))
+        return flows
+
+    def _coordinate_jet(self, index: int, order: int) -> Polynomial:
+        coeffs = {}
+        row = Polynomial.variable(self.ring, index)  # V2^b x_i
+        for b in range(order + 1):
+            if row.is_zero():
+                break
+            d = row  # V1^a V2^b x_i
+            for a in range(order + 1 - b):
+                v = d.evaluate(self.point)
+                if v:
+                    coeffs[(a, b)] = v / (factorial(a) * factorial(b))
+                if a == order - b:
+                    break
+                d = self.v1.apply(d)
+                if d.is_zero():
+                    break
+            if b < order:
+                row = self.v2.apply(row)
+        return Polynomial(LEAF_RING, coeffs)
+
+    def _flow_power(self, index: int, e: int, order: int) -> Polynomial:
+        """phi_index^e truncated at order, by square-and-multiply on memoized
+        halves; zero as soon as e * ord(phi_index) exceeds order, so the
+        exponent is never looped over."""
+        phi = self._flow_jets(order)[index]
+        if e == 1:
+            return phi
+        low = min((a + b for (a, b) in phi.terms), default=order + 1)
+        if low * e > order:
+            return Polynomial.zero(LEAF_RING)
+        key = (order, index, e)
+        power = self._powers.get(key)
+        if power is None:
+            half = self._flow_power(index, e // 2, order)
+            power = half.mul(half, order)
+            if e % 2:
+                power = power.mul(phi, order)
+            self._powers[key] = power
+        return power
+
+    def _compose_flow(self, f: Polynomial, order: int) -> Polynomial:
+        """F(phi) truncated at order: the coefficients of the leaf jet of F.
+        F o Phi_t(p) is the Lie series of F along the commuting flows, and
+        its truncation depends only on the truncations of the x_i o Phi_t."""
+        acc: dict = {}
+        for mono, c in f.terms.items():
+            term = Polynomial.constant(LEAF_RING, c)
+            for i, e in enumerate(mono):
+                if e and term:
+                    term = term.mul(self._flow_power(i, e, order), order)
+            for m, v in term.terms.items():
+                acc[m] = acc.get(m, 0) + v
+        return Polynomial(LEAF_RING, acc)
+
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:
         """Jet of F restricted to the leaf through p, in flow coordinates.
 
         When the Lie series terminates (all level-k derivatives vanish
         identically for some k <= order) the jet is tagged as an exact
         polynomial, which downstream germ code exploits.
+
+        The coefficients are those of F(phi) (`_compose_flow`).  When F(phi)
+        has a nonzero coefficient of total degree order, no level k <= order
+        vanishes identically: the level after one that does is made of its
+        V1 and V2 derivatives and vanishes too, up to level order.  Then the
+        series does not terminate within order.  Otherwise the levels of
+        iterated derivatives are built up to the first one that vanishes
+        identically, if any.
         """
         if f.ring != self.ring:
             raise DomainError("polynomial ring does not match context ring")
         if order < 0:
             raise DomainError("jet order must be >= 0")
-        coeffs = {}
-        terminated_at = None
-        for level in range(order + 1):
-            all_zero = True
-            for a in range(level + 1):
-                b = level - a
-                d = self.iterated_derivative(f, a, b)
-                if not d.is_zero():
-                    all_zero = False
-                    v = d.evaluate(self.point)
-                    if v:
-                        coeffs[(a, b)] = v / (factorial(a) * factorial(b))
-            if all_zero:
-                terminated_at = level
-                break
-        if terminated_at is not None:
-            return Jet2.from_polynomial(
-                Polynomial(("t1", "t2"), coeffs), order)
+        composed = self._compose_flow(f, order)
         producer = cached_producer(lambda n: self.leaf_jet(f, n))
-        return Jet2(order, coeffs, producer)
+        if not any(a + b == order for (a, b) in composed.terms):
+            for level in range(order + 1):
+                if all([self.iterated_derivative(f, a, level - a).is_zero()
+                        for a in range(level + 1)]):
+                    return Jet2.from_polynomial(composed, order)
+        return Jet2(order, composed, producer)
 
     def poisson(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Leafwise Poisson bracket V1(f) V2(g) - V2(f) V1(g)."""

@@ -548,25 +548,34 @@ class XSeries:
         return XSeries.make(K, {e: K.mul(v, c) for e, v in self.coeffs}, self.prec)
 
     def inverse(self) -> "XSeries":
-        """Inverse of a series with known nonzero lowest term."""
+        """Inverse of a series with known nonzero lowest term.
+
+        With u = s^-k * self = c0 + u_1 s + ..., the coefficients of u^-1
+        follow from the triangular recurrence r_0 = 1/c0,
+        r_n = -(1/c0) * sum_{1 <= i <= n} u_i r_{n-i} (von zur Gathen &
+        Gerhard, Modern Computer Algebra, 9.1); the inverse modulo s^prec
+        is unique, so this is the series Newton iteration converges to."""
         K = self.field
         if not self.coeffs:
             raise DomainError("inverse of a series with no known terms")
         k = self.coeffs[0][0]
-        unit = self.shift(-k)  # ord 0, prec self.prec - k
-        c0 = unit.coefficient(0)
-        inv0 = K.inv(c0)
-        prec = unit.prec
+        inv0 = K.inv(self.coeffs[0][1])
+        prec = self.prec - k  # the precision of u
         if prec <= 0:
             raise RegenerationRequest(self.prec + 2 * abs(k) + 1)
-        # iterative: r_{n+1} = r_n (2 - u r_n)
-        r = XSeries.const(K, inv0, prec)
-        two = XSeries.const(K, K.coerce(2), prec)
-        known = 1
-        while known < prec:
-            r = (r * (two - unit.truncate(prec) * r)).truncate(prec)
-            known *= 2
-        return r.shift(-k)
+        tail = [(e - k, c) for e, c in self.coeffs[1:]]  # u_i, i >= 1
+        r = [inv0]
+        for n in range(1, prec):
+            acc = K.zero
+            for i, c in tail:
+                if i > n:
+                    break
+                rn = r[n - i]
+                if not K.is_zero(rn):
+                    acc = K.add(acc, K.mul(c, rn))
+            r.append(K.neg(K.mul(inv0, acc)) if not K.is_zero(acc) else K.zero)
+        return XSeries(K, tuple((n - k, c) for n, c in enumerate(r) if not K.is_zero(c)),
+                       prec - k)
 
     def __str__(self):
         K = self.field

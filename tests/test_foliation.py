@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafmult.errors import HypothesisError
 from leafmult.foliation import (
@@ -11,6 +13,7 @@ from leafmult.foliation import (
     check_commute,
     lie_derivative,
 )
+from leafmult.jets import Jet2, cached_producer
 from leafmult.poly import Polynomial, parse_polynomial
 
 XY = ("x", "y")
@@ -179,3 +182,98 @@ class TestLeafJet:
         ctx = exp_leaf()
         jet = ctx.leaf_jet(parse_polynomial("z", XYZ), 3)
         assert jet.regenerate(8).coefficient(7, 0) == Fraction(1, factorial(7))
+
+
+def reference_leaf_jet(ctx, f, order):
+    """The iterated-derivative loop FoliationContext.leaf_jet ran before flow
+    jets were composed; kept as the reference it must agree with."""
+    coeffs = {}
+    terminated_at = None
+    for level in range(order + 1):
+        all_zero = True
+        for a in range(level + 1):
+            b = level - a
+            d = ctx.iterated_derivative(f, a, b)
+            if not d.is_zero():
+                all_zero = False
+                v = d.evaluate(ctx.point)
+                if v:
+                    coeffs[(a, b)] = v / (factorial(a) * factorial(b))
+        if all_zero:
+            terminated_at = level
+            break
+    if terminated_at is not None:
+        return Jet2.from_polynomial(
+            Polynomial(("t1", "t2"), coeffs), order)
+    producer = cached_producer(lambda n: reference_leaf_jet(ctx, f, n))
+    return Jet2(order, coeffs, producer)
+
+
+def twisted_leaf():
+    """V1 = d/dx + yz d/dz, V2 = d/dy + xz d/dz: the leaves are z = c*e^(xy)."""
+    return FoliationContext(vf(XYZ, "1", "0", "y*z"), vf(XYZ, "0", "1", "x*z"), (1, -1, 2))
+
+
+COMMUTING_PAIRS = {"flat": flat3, "exp": exp_leaf, "twisted": twisted_leaf}
+
+
+def assert_same_jet(jet, ref):
+    assert jet.order == ref.order
+    assert jet.poly == ref.poly
+    assert (jet.as_exact_polynomial() is None) == (ref.as_exact_polynomial() is None)
+    assert jet.as_exact_polynomial() == ref.as_exact_polynomial()
+
+
+class TestComposedLeafJets:
+    @pytest.mark.parametrize("leaf", sorted(COMMUTING_PAIRS))
+    @pytest.mark.parametrize("text, order", [
+        # e^t1 to order 6 on the exp leaf: the degree-6 coefficient cancels
+        ("z - 1 - x - 1/2*x^2 - 1/6*x^3 - 1/24*x^4 - 1/120*x^5 - 1/720*x^6", 6),
+        ("x^4*(z - 1)", 4),
+        ("x^5 - 3*x^2*y^3 + y", 5),  # degree exactly order
+        ("x^5 - 3*x^2*y^3 + y", 6),
+        ("x*z - y^2*z^2 + 1/3", 0),
+        ("x*z - y^2*z^2 + 1/3", 3),
+        ("z^3 - x*y", 7),
+    ])
+    def test_matches_reference(self, leaf, text, order):
+        ctx = COMMUTING_PAIRS[leaf]()
+        f = parse_polynomial(text, XYZ)
+        jet = ctx.leaf_jet(f, order)
+        assert_same_jet(jet, reference_leaf_jet(COMMUTING_PAIRS[leaf](), f, order))
+        if jet.can_regenerate():
+            ref = reference_leaf_jet(COMMUTING_PAIRS[leaf](), f, order + 3)
+            assert_same_jet(jet.regenerate(order + 3), ref)
+
+    def test_cancelled_top_coefficient_takes_the_fallback(self):
+        ctx = exp_leaf()
+        f = parse_polynomial("z - 1 - x - 1/2*x^2 - 1/6*x^3 - 1/24*x^4 - 1/120*x^5 - 1/720*x^6", XYZ)
+        jet = ctx.leaf_jet(f, 6)
+        assert jet.poly.is_zero() and jet.as_exact_polynomial() is None
+        assert jet.regenerate(7).coefficient(7, 0) == Fraction(1, factorial(7))
+        assert ctx._memo  # the iterated derivatives decided termination
+
+    def test_degree_order_polynomial_stays_a_producer_jet(self):
+        ctx = flat3()
+        f = parse_polynomial("x^5 - 3*x^2*y^3 + y", XYZ)
+        assert ctx.leaf_jet(f, 5).as_exact_polynomial() is None
+        assert not ctx._memo  # decided by the degree-5 coefficient alone
+        assert ctx.leaf_jet(f, 6).as_exact_polynomial() == parse_polynomial("t1^5 - 3*t1^2*t2^3 + t2", ("t1", "t2"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(COMMUTING_PAIRS)),
+           st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                           st.integers(-3, 3).filter(bool), max_size=4),
+           st.integers(0, 7))
+    def test_random_polynomials(self, leaf, terms, order):
+        f = Polynomial(XYZ, terms)
+        jet = COMMUTING_PAIRS[leaf]().leaf_jet(f, order)
+        assert_same_jet(jet, reference_leaf_jet(COMMUTING_PAIRS[leaf](), f, order))
+
+    @pytest.mark.parametrize("leaf", ["flat", "exp"])
+    def test_oversized_exponent(self, leaf):
+        f = parse_polynomial("x^99999999*z", XYZ)
+        start = time.perf_counter()
+        jet = COMMUTING_PAIRS[leaf]().leaf_jet(f, 8)
+        assert time.perf_counter() - start < 2.0
+        assert_same_jet(jet, reference_leaf_jet(COMMUTING_PAIRS[leaf](), f, 8))

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leafmult.errors import DomainError
+from leafmult.errors import DomainError, RegenerationRequest
 from leafmult.series import (
     QQ,
     ExtField,
@@ -108,3 +109,65 @@ class TestSolve:
         assert y.coefficient(1) == F(-1, 2)
         residual = g.eval_series(y)
         assert residual.is_zero_known()
+
+
+def newton_inverse(series):
+    """The Newton iteration r <- r (2 - u r) that XSeries.inverse ran before
+    the triangular recurrence; kept as the reference it must agree with."""
+    K = series.field
+    if not series.coeffs:
+        raise DomainError("inverse of a series with no known terms")
+    k = series.coeffs[0][0]
+    unit = series.shift(-k)  # ord 0, prec series.prec - k
+    c0 = unit.coefficient(0)
+    inv0 = K.inv(c0)
+    prec = unit.prec
+    if prec <= 0:
+        raise RegenerationRequest(series.prec + 2 * abs(k) + 1)
+    # iterative: r_{n+1} = r_n (2 - u r_n)
+    r = XSeries.const(K, inv0, prec)
+    two = XSeries.const(K, K.coerce(2), prec)
+    known = 1
+    while known < prec:
+        r = (r * (two - unit.truncate(prec) * r)).truncate(prec)
+        known *= 2
+    return r.shift(-k)
+
+
+SQRT2 = sqrt2_field()
+SQRT2_SQRT3 = ExtField(SQRT2, [SQRT2.coerce(F(-3)), SQRT2.zero, SQRT2.one], name="r3")
+small_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def laurent_series(draw, field):
+    """A series over field with lowest term at s^k, k in -3..5, known to
+    1..60 terms past it."""
+    d = field.degree_over_q
+    element = st.lists(small_rationals, min_size=d, max_size=d).map(field.unflatten)
+    k = draw(st.integers(-3, 5))
+    known = draw(st.integers(1, 60))
+    lead = draw(element.filter(lambda c: not field.is_zero(c)))
+    tail = draw(st.dictionaries(st.integers(k + 1, k + known), element, max_size=6))
+    return XSeries.make(field, {k: lead, **tail}, k + known)
+
+
+class TestInverseMatchesNewton:
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_series(QQ))
+    def test_rationals(self, s):
+        self.check(s)
+
+    @settings(max_examples=25, deadline=None)
+    @given(laurent_series(SQRT2_SQRT3))
+    def test_two_level_tower(self, s):
+        self.check(s)
+
+    @staticmethod
+    def check(s):
+        inv = s.inverse()
+        ref = newton_inverse(s)
+        assert inv.coeffs == ref.coeffs
+        assert inv.prec == ref.prec
+        k = s.ord_known()
+        assert s * inv == XSeries.const(s.field, 1, s.prec - k)
