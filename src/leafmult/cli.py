@@ -6,6 +6,9 @@ trace re-verification), appendix (on-leaf witness construction).
 
 Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 budget or
 partial result, 4 internal certificate failure.
+
+Each handler imports the layers it runs, so a cold command compiles only
+those.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ from .errors import (
     InconclusiveError,
     ParseError,
 )
-from .extension import WITNESS_JET_ORDER, construct_witness
-from .foliation import check_commute, VectorField
 from .manifest import ProblemManifest, load_trace, write_trace
-from .pairs import nonisolated_bound
-from .verify import run_all_suites, run_suite, verify_trace
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -66,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(args) -> int:
+    from .foliation import check_commute, VectorField
     manifest = ProblemManifest.load(args.manifest)
     v1 = VectorField(manifest.variables, manifest.v1)
     v2 = VectorField(manifest.variables, manifest.v2)
@@ -85,6 +85,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .ideals import Budget
+    from .pairs import nonisolated_bound
     manifest = ProblemManifest.load(args.manifest)
     if manifest.f is None or manifest.g is None:
         raise ParseError("bound requires polynomials f and g in the manifest")
@@ -93,7 +95,6 @@ def cmd_bound(args) -> int:
     budget = None
     cap = args.budget if args.budget is not None else manifest.options.get("budget")
     if cap is not None:
-        from .ideals import Budget
         budget = Budget(cap=int(cap))
     report = nonisolated_bound(manifest.f, manifest.g, ctx, options, budget)
     data = report.describe()
@@ -114,6 +115,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all_suites, run_suite, verify_trace
     if args.from_trace:
         trace = load_trace(args.from_trace)
         checks = verify_trace(trace)
@@ -139,6 +141,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    from .extension import WITNESS_JET_ORDER, construct_witness
     manifest = ProblemManifest.load(args.manifest)
     if manifest.f is None or not manifest.ideal_generators:
         raise ParseError("appendix requires f and a nonempty ideal in the manifest")

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisError
 from .jets import LEAF_RING, Jet2, cached_producer
-from .localbasis import standard_basis
 from .poly import Polynomial
 
 DEFAULT_EXTRA_ORDER = 4
@@ -146,6 +145,7 @@ class FoliationContext:
         key = (gens, order)
         basis = self._bases.get(key)
         if basis is None:
+            from .localbasis import standard_basis
             basis = self._bases[key] = tuple(standard_basis(gens, max_degree=order))
         return basis
 

@@ -25,12 +25,11 @@ from .errors import (
 )
 from .ideals import Budget
 from .jets import LEAF_RING, Jet2, cached_producer
-from .localbasis import (
+from .localbasis import (  # local_membership is re-exported
     StabilizationCertificate,
+    local_membership,
     mora_divide,
-    mora_normal_form,
     staircase_at_order,
-    standard_basis,
 )
 from .poly import Polynomial, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
@@ -636,27 +635,6 @@ def _common_cycles(f: Jet2, g: Jet2, order: int) -> list:
             if cf.key(k) == cg.key(k):
                 out.append((cf, cg))
     return out
-
-
-def local_membership(f: Jet2, gens: Sequence[Jet2], order: Optional[int] = None,
-                     budget: Optional[Budget] = None) -> bool:
-    """f in the local ideal generated by gens, certified up to the order."""
-    if f.is_zero():
-        return True
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return False
-    order = order or max([f.order] + [g.order for g in live])
-    # producer-less jets cap the certifiable order
-    for j in [f] + live:
-        if not j.can_regenerate():
-            order = min(order, j.order)
-    polys = _truncations(live, order)
-    basis = standard_basis(polys, budget, max_degree=order)
-    target = _truncations([f], order)[0]
-    if target.is_zero():
-        return True
-    return mora_normal_form(target, basis, budget, max_degree=order).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .ideals import (
     monic,
     staircase_count,
 )
+from .jets import Jet2
 from .poly import (
     Monomial,
     Polynomial,
@@ -229,6 +230,27 @@ def local_quotient_dimension(gens: Sequence[Polynomial],
     """dim of the local ring modulo the ideal of the (polynomial) germs;
     inf when the staircase is unbounded."""
     return staircase_at_order(gens, budget)[1]
+
+
+def local_membership(f: Jet2, gens: Sequence[Jet2], order: Optional[int] = None,
+                     budget: Optional[Budget] = None) -> bool:
+    """f in the local ideal generated by gens, certified up to the order."""
+    if f.is_zero():
+        return True
+    live = [g for g in gens if not g.is_zero()]
+    if not live:
+        return False
+    order = order or max([f.order] + [g.order for g in live])
+    # producer-less jets cap the certifiable order
+    for j in [f] + live:
+        if not j.can_regenerate():
+            order = min(order, j.order)
+    basis = standard_basis([g.regenerate(order).poly for g in live], budget,
+                           max_degree=order)
+    target = f.regenerate(order).poly
+    if target.is_zero():
+        return True
+    return mora_normal_form(target, basis, budget, max_degree=order).is_zero()
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from typing import Optional
 
 from .errors import ParseError
 from .foliation import FoliationContext, VectorField
-from .ideals import IdealPresentation
-from .pairs import PipelineOptions
 from .poly import Polynomial, parse_polynomial
 
 TRACE_VERSION = 1
@@ -95,9 +93,11 @@ class ProblemManifest:
         return FoliationContext(field1, field2, self.point)
 
     def ideal(self) -> IdealPresentation:
+        from .ideals import IdealPresentation
         return IdealPresentation(self.variables, self.ideal_generators)
 
     def pipeline_options(self, seed=None, jet_order=None) -> PipelineOptions:
+        from .pairs import PipelineOptions
         opts = self.options
         return PipelineOptions(
             seed=seed if seed is not None else opts.get("seed", 0),

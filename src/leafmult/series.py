@@ -554,15 +554,19 @@ class XSeries:
         follow from the triangular recurrence r_0 = 1/c0,
         r_n = -(1/c0) * sum_{1 <= i <= n} u_i r_{n-i} (von zur Gathen &
         Gerhard, Modern Computer Algebra, 9.1); the inverse modulo s^prec
-        is unique, so this is the series Newton iteration converges to."""
+        is unique, so this is the series Newton iteration converges to.
+
+        Every XSeries stores only exponents below prec (`make` drops the
+        rest, and arithmetic, `scale` and `inverse` go through it or keep
+        it), so the lowest stored exponent k is below prec and u is known
+        to at least one term; the inverse, with lowest exponent -k and
+        precision prec - 2k, keeps the invariant."""
         K = self.field
         if not self.coeffs:
             raise DomainError("inverse of a series with no known terms")
         k = self.coeffs[0][0]
         inv0 = K.inv(self.coeffs[0][1])
-        prec = self.prec - k  # the precision of u
-        if prec <= 0:
-            raise RegenerationRequest(self.prec + 2 * abs(k) + 1)
+        prec = self.prec - k  # the precision of u, at least 1
         tail = [(e - k, c) for e, c in self.coeffs[1:]]  # u_i, i >= 1
         r = [inv0]
         for n in range(1, prec):

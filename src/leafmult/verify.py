@@ -27,7 +27,7 @@ from .ideals import (
     normal_form,
 )
 from .jets import Jet2
-from .localbasis import local_quotient_dimension
+from .localbasis import local_membership, local_quotient_dimension
 from .manifest import ProblemManifest
 from .poly import Polynomial, monomial_divides, parse_polynomial
 
@@ -367,7 +367,6 @@ def verify_trace(trace: dict) -> list:
                 ok, detail = False, "transfer does not match the exponent evidence"
             n = ev.get("certified_exponent")
             if ok and n is not None:
-                from .germs import local_membership
                 order = ev["local_order"]
                 local = [Jet2.from_polynomial(parse_polynomial(t, T), order)
                          for t in ev["local_generators"]]

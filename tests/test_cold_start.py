@@ -1,7 +1,10 @@
 """Cold start: sympy loads only when a polynomial of total degree >= 2 must
 be factored and no factor has a certificate of irreducibility; no command
-on the shipped manifests needs it.  The commands run in a fresh
-interpreter, because other tests import sympy into this one."""
+on the shipped manifests needs it.  A command loads only the leafmult
+layers it runs: `import leafmult` loads none, and each command group runs
+in an interpreter of its own to show which ones it adds.  The commands run
+in fresh interpreters, because other tests import sympy and every layer
+into this one."""
 
 import json
 import os
@@ -19,29 +22,31 @@ NAMES = ("e1-tangent-parabolas", "exponential-leaf", "isolated-transversal",
 BOUND_NAMES = ("e1-tangent-parabolas", "exponential-leaf", "isolated-transversal")
 APPENDIX_NAMES = ("appendix-cusp", "appendix-double-sheet")
 
-# runs each step in turn and prints, per step, its exit codes and whether
-# sympy was loaded after it
+# runs each step in turn and prints, per step, its exit codes, whether
+# sympy was loaded after it and which leafmult submodules were
 PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return "sympy" in sys.modules
+    return "sympy" in sys.modules, sorted(
+        name.split(".", 1)[1] for name in sys.modules if name.startswith("leafmult."))
 
 steps = []
 import leafmult
-steps.append(("import leafmult", [], loaded()))
+steps.append(("import leafmult", [], *loaded()))
 import leafmult.cli
-steps.append(("import leafmult.cli", [], loaded()))
+steps.append(("import leafmult.cli", [], *loaded()))
 for label, argv_list in json.loads(sys.argv[1]):
     codes = []
     for argv in argv_list:
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(leafmult.cli.main(argv))
-    steps.append((label, codes, loaded()))
-# t1^2 + t2^2 has no certificate: shows that the probe sees sympy load
-from leafmult.poly import factor, parse_polynomial
-factor(parse_polynomial("t1^2 + t2^2", ("t1", "t2")))
-steps.append(("factor t1^2 + t2^2", [], loaded()))
+    steps.append((label, codes, *loaded()))
+if sys.argv[2:] == ["factor"]:
+    # t1^2 + t2^2 has no certificate: shows that the probe sees sympy load
+    from leafmult.poly import factor, parse_polynomial
+    factor(parse_polynomial("t1^2 + t2^2", ("t1", "t2")))
+    steps.append(("factor t1^2 + t2^2", [], *loaded()))
 print(json.dumps(steps))
 """
 
@@ -61,15 +66,54 @@ def _steps(tmp_path) -> list:
     ]
 
 
-@pytest.fixture(scope="module")
-def probe(tmp_path_factory) -> dict:
-    tmp_path = tmp_path_factory.mktemp("cold")
+def _run(steps, factor=False) -> list:
+    """The probe's steps, run in one fresh interpreter; with factor, then
+    the factorization that loads sympy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(_steps(tmp_path))],
+    extra = ["factor"] if factor else []
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps), *extra],
                          env=env, capture_output=True, text=True, timeout=300, check=True)
-    return {label: (codes, loaded) for label, codes, loaded in json.loads(out.stdout)}
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def cold_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cold")
+
+
+@pytest.fixture(scope="module")
+def probe(cold_dir) -> dict:
+    """Every step in turn, in one interpreter."""
+    return {label: (codes, loaded)
+            for label, codes, loaded, _ in _run(_steps(cold_dir), factor=True)}
+
+
+# each command group, run in a fresh interpreter of its own: the layers it
+# needs, and the layers it must not load
+GROUPS = {
+    "check": ("check on every manifest", {"manifest", "foliation"},
+              {"ideals", "localbasis", "germs", "series", "puiseux", "pairs",
+               "extension", "verify"}),
+    "bound": ("bound --trace on", {"pairs", "germs"}, {"extension", "verify"}),
+    "verify": ("verify --from-trace on", {"verify", "localbasis"},
+               {"germs", "series", "puiseux", "pairs", "extension"}),
+    "appendix": ("appendix on", {"extension"}, {"verify"}),
+}
+
+
+@pytest.fixture(scope="module")
+def layers(cold_dir, probe) -> dict:
+    """{group: leafmult submodules loaded after its last step}; the probe
+    fixture has written the traces that the verify group reads."""
+    steps = _steps(cold_dir)
+    out = {}
+    for group, (prefix, _, _) in GROUPS.items():
+        ran = _run([step for step in steps if step[0].startswith(prefix)])
+        assert all(code == 0 for _, codes, _, _ in ran for code in codes)
+        out[group] = set(ran[-1][3])
+    return out
 
 
 COLD = ["import leafmult", "import leafmult.cli", "check on every manifest",
@@ -88,3 +132,16 @@ def test_sympy_not_loaded(probe, label):
 def test_probe_detects_sympy(probe):
     codes, loaded = probe["factor t1^2 + t2^2"]
     assert loaded
+
+
+def test_import_loads_no_layer():
+    label, _, _, modules = _run([])[0]
+    assert label == "import leafmult"
+    assert modules == []
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_command_loads_only_its_layers(layers, group):
+    _, needed, forbidden = GROUPS[group]
+    assert needed <= layers[group]
+    assert not layers[group] & forbidden

@@ -349,15 +349,15 @@ class TestChainInvariants:
 
 class TestLocalBasisMemo:
     def test_shared_within_a_context_only(self, monkeypatch):
-        import leafmult.foliation as foliation
+        import leafmult.localbasis as localbasis
         computed = []
-        real = foliation.standard_basis
+        real = localbasis.standard_basis
 
         def counting(polys, **kwargs):
             computed.append(polys)
             return real(polys, **kwargs)
 
-        monkeypatch.setattr(foliation, "standard_basis", counting)
+        monkeypatch.setattr(localbasis, "standard_basis", counting)
         gens = (J("t1-t2^2"), J("t1-2*t2^2"))
         ctx = flat3()
         a = NoetherianPair(ideal("x-y^2", "x-2*y^2"), gens, ctx, 14)

@@ -171,3 +171,30 @@ class TestInverseMatchesNewton:
         assert inv.prec == ref.prec
         k = s.ord_known()
         assert s * inv == XSeries.const(s.field, 1, s.prec - k)
+
+
+def _series_ops(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda p: p[0] + p[1]),
+        st.tuples(children, children).map(lambda p: p[0] * p[1]),
+        st.tuples(children, small_rationals).map(lambda p: p[0].scale(p[1])),
+        children.filter(lambda s: s.coeffs).map(XSeries.inverse),
+    )
+
+
+series_expressions = st.recursive(
+    st.builds(lambda items, prec: XSeries.make(QQ, items, prec),
+              st.dictionaries(st.integers(-4, 12), small_rationals, max_size=5),
+              st.integers(-3, 12)),
+    _series_ops, max_leaves=8)
+
+
+class TestPrecisionInvariant:
+    """XSeries.inverse relies on it: every stored exponent, the lowest one
+    included, is below prec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_expressions)
+    def test_make_and_arithmetic_keep_exponents_below_prec(self, s):
+        assert all(e < s.prec for e, _ in s.coeffs)
+        assert [e for e, _ in s.coeffs] == sorted({e for e, _ in s.coeffs})
