@@ -14,8 +14,8 @@ _HOME = {name: module for module, names in {
               "RingMismatchError",
     "extension": "ExtensionWitness MonodromicSubset construct_witness enumerate_monodromic",
     "foliation": "CommutationReport FoliationContext VectorField check_commute lie_derivative",
-    "germs": "FactorMultiplicities GermSplit PuiseuxBranchSet factor_multiplicities "
-             "germ_divide local_multiplicity newton_puiseux split_common",
+    "germs": "GermSplit PuiseuxBranchSet germ_divide local_multiplicity newton_puiseux "
+             "split_common",
     "ideals": "Budget GroebnerBasis IdealPresentation MonomialOrder RadicalCertificate "
               "attempt_radical dimension groebner ideal_power leading_term_ideal "
               "multiplicity_zero_dim normal_form radical_membership",

@@ -17,15 +17,10 @@ from typing import Sequence
 
 from .errors import CertificateError, HypothesisError
 from .foliation import FoliationContext
-from .germs import germ_divides
+from .germs import branch_product, cycles_on, germ_cycles, germ_divides, split_on_variety
 from .ideals import IdealPresentation, member
 from .jets import Jet2
-from .pairs import (
-    NoetherianPair,
-    _split_against_variety,
-    find_transverse_pair,
-    make_pair,
-)
+from .pairs import find_transverse_pair, make_pair
 from .poly import Polynomial
 
 # leaf-jet order of the witness construction unless the caller sets one
@@ -56,16 +51,6 @@ def enumerate_monodromic(cycles: Sequence) -> list:
     for choices in itertools.product(*ranges):
         if any(choices):
             out.append(MonodromicSubset(tuple(choices)))
-    return out
-
-
-def construct_product(subset: MonodromicSubset, cycles: Sequence, order: int) -> Jet2:
-    """The monic product over the chosen branches, assembled from the
-    cycles' defining polynomials; coefficients stay rational."""
-    out = Jet2.constant(1, order)
-    for choice, cyc in zip(subset.choices, cycles):
-        if choice:
-            out = out * cyc.factor.at_order(order) ** choice
     return out
 
 
@@ -108,14 +93,14 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
     if ideal.is_zero_ideal():
         raise HypothesisError("witness construction needs a nonzero ideal")
     restrictions = [ctx.leaf_jet(g, order) for g in ideal.generators]
-    if all(j.is_zero() for j in restrictions):
+    nonzero = [j for j in restrictions if not j.is_zero()]
+    if not nonzero:
         raise HypothesisError("the variety trace is the whole leaf")
     pair = make_pair(ideal, restrictions, ctx, cert_order=order)
     if find_transverse_pair(pair) is not None:
         raise HypothesisError(
             "isolated intersections detected: the witness hypotheses fail")
-    pair.nonisolated_certified = True
-    h, f, cycles = _split_against_variety(pair, F)
+    h, f, cycles = split_on_variety(ctx.leaf_jet(F, order), restrictions, order)
     mu = h.vanishing_order()
     if mu is None or mu == 0:
         raise HypothesisError("the variety-supported factor does not vanish at p")
@@ -125,7 +110,7 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
             f"{len(subsets)} monodromic subsets exceed the 2^mu bound {2 ** mu}")
     H = Jet2.constant(1, order)
     for s in subsets:
-        H = H * construct_product(s, cycles, order)
+        H = H * branch_product(cycles, order, s.choices)
     witness = ExtensionWitness(H=H, subsets=subsets, mu=mu,
                                certificate_order=order, h=h, cycles=list(cycles))
     # certificate 1: H divides h^(2^mu) on the leaf
@@ -133,8 +118,9 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
     if not germ_divides(target, H, order):
         raise CertificateError("witness does not divide the required power")
     witness.divisibility_checked = True
-    # certificate 2: H vanishes on every branch of the variety trace
-    for cyc in _variety_trace_cycles(pair):
+    # certificate 2: H vanishes on every branch of the variety trace, the
+    # branches of the first nonzero restriction on which the others vanish
+    for cyc in cycles_on(germ_cycles(nonzero[0]).cycles, nonzero[1:]):
         if not germ_divides(H, cyc.factor):
             raise CertificateError(
                 f"witness does not vanish on the branch {cyc.factor.to_polynomial()}")
@@ -144,17 +130,3 @@ def construct_witness(F: Polynomial, ideal: IdealPresentation, ctx: FoliationCon
         raise CertificateError("witness order exceeds the subset-count bound")
     return witness
 
-
-def _variety_trace_cycles(pair: NoetherianPair) -> list:
-    """Branches of the common zero set of the generators' restrictions."""
-    from .germs import germ_cycles
-    jets = [pair.ctx.leaf_jet(g, pair.cert_order) for g in pair.ideal.generators]
-    nonzero = [j for j in jets if not j.is_zero()]
-    if not nonzero:
-        return []
-    base = germ_cycles(nonzero[0])
-    out = []
-    for cyc in base.cycles:
-        if all(germ_divides(j, cyc.factor) for j in nonzero[1:]):
-            out.append(cyc)
-    return out

@@ -1,6 +1,7 @@
 """Local analytic geometry on the leaf: branch decomposition of germs,
-common-factor splitting, germ division, and local intersection
-multiplicity with stabilization certificates.
+branch products and splits (the branches two germs share, the branches on
+a variety trace), germ division, and local intersection multiplicity with
+stabilization certificates.
 
 Germs arrive as jets.  Exact-polynomial jets take exact paths (polynomial
 factorization over Q, exact division); genuinely transcendental jets go
@@ -20,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     DomainError,
+    HypothesisError,
     InconclusiveError,
     RegenerationRequest,
 )
@@ -36,7 +38,7 @@ from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
 
-# branch decomposition gives up above this jet order
+# branch decomposition regenerates a jet to no higher order than this
 MAX_NP_ORDER = 160
 # local_multiplicity doubles the truncation order up to this cap
 MAX_STABILIZATION_ORDER = 96
@@ -235,21 +237,32 @@ class PuiseuxBranchSet:
     frame: Frame
     source: Jet2
 
-    def total_branches_with_multiplicity(self) -> int:
-        return sum(c.multiplicity * c.branch_count() for c in self.cycles)
-
-    def min_multiplicity(self) -> int:
-        return min((c.multiplicity for c in self.cycles), default=0)
-
-    def max_multiplicity(self) -> int:
-        return max((c.multiplicity for c in self.cycles), default=0)
-
     def describe(self) -> dict:
         return {
             "mu": self.mu,
             "certified_order": self.certified_order,
             "cycles": [c.describe() for c in self.cycles],
         }
+
+
+def branch_product(cycles: Sequence[BranchCycle], order: int,
+                   exponents: Optional[Sequence[int]] = None) -> Jet2:
+    """Product of the cycle factors at order, each raised to its
+    multiplicity or to the given exponent; exponent 0 skips the cycle."""
+    if exponents is None:
+        exponents = [c.multiplicity for c in cycles]
+    out = Jet2.constant(1, order)
+    for cyc, e in zip(cycles, exponents):
+        if e:
+            out = out * cyc.factor.at_order(order) ** e
+    return out
+
+
+def cycles_on(cycles: Sequence[BranchCycle], jets: Sequence[Jet2]) -> list:
+    """The cycles on which every jet vanishes (the factor divides it); a
+    zero jet vanishes on all of them and is not divided."""
+    nonzero = [j for j in jets if not j.is_zero()]
+    return [c for c in cycles if all(germ_divides(j, c.factor) for j in nonzero)]
 
 
 def _local_factors(p: Polynomial):
@@ -478,8 +491,11 @@ def germ_cycles(f: Jet2, min_factor_prec: int = 4) -> PuiseuxBranchSet:
     if f.is_zero():
         raise DomainError("cannot decompose the zero germ")
     order = f.order
+    # the cap bounds regeneration, which an exact jet never needs: it is
+    # decomposed at its stored order, however high
+    cap = max(MAX_NP_ORDER, order) if f.as_exact_polynomial() is not None else MAX_NP_ORDER
     last_error = None
-    while order <= MAX_NP_ORDER:
+    while order <= cap:
         try:
             return _germ_cycles_once(f, f.at_order(order), min_factor_prec)
         except RegenerationRequest as e:
@@ -556,9 +572,7 @@ def verify_reconstruction(bs: PuiseuxBranchSet, order: Optional[int] = None):
     """Multiplying out all cycles (with multiplicity) must reproduce the
     germ up to a local unit, checked by exact germ division."""
     order = order or max(4, bs.certified_order // 2)
-    prod = Jet2.constant(1, order)
-    for c in bs.cycles:
-        prod = prod * c.factor.at_order(order) ** c.multiplicity
+    prod = branch_product(bs.cycles, order)
     src = bs.source.at_order(order)
     if prod.is_unit():
         if not src.is_unit() and bs.cycles:
@@ -600,7 +614,7 @@ def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
         d = poly_gcd(pf, pg)
         if not d.is_constant() and d.constant_value() == 0:
             return inf, f"common factor {d}"
-    order = max(f.order, g.order, 6)
+    order = min(max(f.order, g.order, 6), MAX_STABILIZATION_ORDER)
     while order <= MAX_STABILIZATION_ORDER:
         try:
             p1, p2 = _truncations([f, g], order - 1)
@@ -624,10 +638,19 @@ def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
 def _common_cycles(f: Jet2, g: Jet2, order: int) -> list:
     """Cycles shared by two germs, as (cycle_f, cycle_g) pairs."""
     try:
-        bf = germ_cycles(f.at_order(order))
-        bg = germ_cycles(g.at_order(order))
+        return _matched(germ_cycles(f.at_order(order)), germ_cycles(g.at_order(order)))
     except (InconclusiveError, BudgetExceededError):
         return []
+
+
+# ---------------------------------------------------------------------------
+# branch splits: common branches of two germs, branches on a variety trace
+# ---------------------------------------------------------------------------
+
+
+def _matched(bf: PuiseuxBranchSet, bg: PuiseuxBranchSet) -> list:
+    """Cycles of two branch sets that agree by truncation key, as
+    (cycle_f, cycle_g) pairs."""
     out = []
     for cf in bf.cycles:
         for cg in bg.cycles:
@@ -637,9 +660,16 @@ def _common_cycles(f: Jet2, g: Jet2, order: int) -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
-# common-factor splitting
-# ---------------------------------------------------------------------------
+def _split_off(order: int, *parts) -> list:
+    """(h, source / h) for each (source, cycles) part, h the branch product
+    of the cycles.  Every product is formed before any division, so an error
+    regenerating a cycle factor wins over a failed division, which asks for
+    a higher order."""
+    hs = [branch_product(cycles, order) for _, cycles in parts]
+    quotients = [germ_divide(source, h, order) for (source, _), h in zip(parts, hs)]
+    if any(q is None for q in quotients):
+        raise RegenerationRequest(2 * order + 8)
+    return list(zip(hs, quotients))
 
 
 @dataclass
@@ -653,7 +683,6 @@ class GermSplit:
     f: Jet2
     g: Jet2
     certified_order: int
-    common_cycles: list = dfield(default_factory=list)
 
     def describe(self) -> dict:
         return {
@@ -673,24 +702,10 @@ def split_common(fL: Jet2, gL: Jet2) -> GermSplit:
     pf, pg = fL.as_exact_polynomial(), gL.as_exact_polynomial()
     if pf is not None and pg is not None:
         return _split_exact(fL, gL, pf, pg, order)
-    bf = germ_cycles(fL)
-    bg = germ_cycles(gL)
-    matched = []
-    for cf in bf.cycles:
-        for cg in bg.cycles:
-            k = min(cf.factor.order, cg.factor.order)
-            if cf.key(k) == cg.key(k):
-                matched.append((cf, cg))
-    h_f = Jet2.constant(1, order)
-    h_g = Jet2.constant(1, order)
-    for cf, cg in matched:
-        h_f = h_f * cf.factor.at_order(order) ** cf.multiplicity
-        h_g = h_g * cg.factor.at_order(order) ** cg.multiplicity
-    f = germ_divide(fL, h_f, order)
-    g = germ_divide(gL, h_g, order)
-    if f is None or g is None:
-        raise RegenerationRequest(2 * order + 8)
-    return GermSplit(h_f, h_g, f, g, order, matched)
+    matched = _matched(germ_cycles(fL), germ_cycles(gL))
+    (h_f, f), (h_g, g) = _split_off(order, (fL, [cf for cf, _ in matched]),
+                                    (gL, [cg for _, cg in matched]))
+    return GermSplit(h_f, h_g, f, g, order)
 
 
 def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
@@ -700,61 +715,29 @@ def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
     gdict = {normalize_leading(p): m for p, m in lg}
     h_f_poly = Polynomial.constant(LEAF_RING, 1)
     h_g_poly = Polynomial.constant(LEAF_RING, 1)
-    matched = []
     for p, mf in lf:
         key = normalize_leading(p)
         if key in gdict:
             h_f_poly = h_f_poly * p ** mf
             h_g_poly = h_g_poly * p ** gdict[key]
-            matched.append((key, mf, gdict[key]))
     h_f = Jet2.from_polynomial(h_f_poly, order)
     h_g = Jet2.from_polynomial(h_g_poly, order)
     f = germ_divide(fL, h_f, order)
     g = germ_divide(gL, h_g, order)
     if f is None or g is None:
         raise CertificateError("exact split division failed")  # pragma: no cover
-    return GermSplit(h_f, h_g, f, g, order, matched)
+    return GermSplit(h_f, h_g, f, g, order)
 
 
-# ---------------------------------------------------------------------------
-# factor multiplicities of a common-branch germ
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FactorMultiplicities:
-    k: int                   # minimal multiplicity of a factor
-    K: int                   # maximal multiplicity of a factor
-    reduced: Jet2            # product of the distinct factors, once each
-    branch_count: int        # branches counted with multiplicity
-    mu: int                  # vanishing order at the origin
-    branches: PuiseuxBranchSet
-
-    def describe(self) -> dict:
-        return {
-            "k": self.k,
-            "K": self.K,
-            "reduced": str(self.reduced.to_polynomial()),
-            "branch_count": self.branch_count,
-            "mu": self.mu,
-        }
-
-
-def factor_multiplicities(h: Jet2) -> FactorMultiplicities:
-    """Minimal/maximal factor multiplicities, the reduced form, and branch
-    counts of a germ vanishing at the origin."""
-    if h.is_zero():
-        raise DomainError("factor data of the zero germ")
-    if h.vanishing_order() == 0:
-        raise DomainError("factor data requires a germ vanishing at the origin")
-    bs = newton_puiseux(h)
-    if not bs.cycles:
-        raise CertificateError("vanishing germ produced no cycles")  # pragma: no cover
-    k = bs.min_multiplicity()
-    K = bs.max_multiplicity()
-    order = bs.certified_order
-    reduced = Jet2.constant(1, order)
-    for c in bs.cycles:
-        reduced = reduced * c.factor.at_order(order)
-    count = bs.total_branches_with_multiplicity()
-    return FactorMultiplicities(k, K, reduced, count, bs.mu, bs)
+def split_on_variety(fL: Jet2, restrictions: Sequence[Jet2], order: int) -> tuple:
+    """Factor a restriction fL into h, carried by its branches on the variety
+    trace (where every restriction vanishes), and the cofactor f; returns
+    (h, f, those cycles)."""
+    if fL.is_zero():
+        raise HypothesisError("restriction of F to the leaf is zero at this order")
+    on_variety = cycles_on(germ_cycles(fL).cycles, restrictions)
+    if not on_variety:
+        raise HypothesisError(
+            "no factor of the restriction vanishes on the variety trace")
+    (h, f), = _split_off(order, (fL, on_variety))
+    return h, f, on_variety

@@ -30,11 +30,11 @@ from .errors import (
 )
 from .foliation import FoliationContext
 from .germs import (
-    germ_cycles,
-    germ_divide,
-    germ_divides,
+    branch_product,
+    cycles_on,
     local_multiplicity,
     split_common,
+    split_on_variety,
 )
 from .ideals import (
     Budget,
@@ -93,6 +93,16 @@ class NoetherianPair:
             self._local_basis = self.ctx.local_basis(tuple(polys), self.cert_order)
         return self._local_basis
 
+    def restrictions(self) -> list:
+        """Leaf jets of the global generators at the certificate order."""
+        return [self.ctx.leaf_jet(g, self.cert_order) for g in self.ideal.generators]
+
+    def split_on_variety(self, F: Polynomial) -> tuple:
+        """(h, f, cycles): F's restriction split into the factor carried by
+        the variety trace of the ideal and its cofactor."""
+        return split_on_variety(self.ctx.leaf_jet(F, self.cert_order),
+                                self.restrictions(), self.cert_order)
+
     def local_member(self, jet: Jet2) -> bool:
         """Membership in the local ideal, certified up to cert_order (or the
         probe's own stored order when it cannot regenerate)."""
@@ -138,8 +148,7 @@ def make_pair(ideal: IdealPresentation, local_gens: Sequence[Jet2],
 
 
 def verify_pair(pair: NoetherianPair):
-    for g in pair.ideal.generators:
-        jet = pair.ctx.leaf_jet(g, pair.cert_order)
+    for g, jet in zip(pair.ideal.generators, pair.restrictions()):
         if not pair.local_member(jet):
             raise HypothesisError(
                 f"pair containment fails: restriction of {g} is not in the local ideal",
@@ -269,31 +278,6 @@ def poisson_extension(pair: NoetherianPair, F: Polynomial, G: Polynomial,
     return out, step
 
 
-def _split_against_variety(pair: NoetherianPair, F: Polynomial):
-    """Factor F's restriction into h (branches on the variety trace of I)
-    and the cofactor f; returns (h_jet, f_jet, vanishing cycles)."""
-    fL = pair.ctx.leaf_jet(F, pair.cert_order)
-    if fL.is_zero():
-        raise HypothesisError("restriction of F to the leaf is zero at this order")
-    bs = germ_cycles(fL)
-    restrictions = [pair.ctx.leaf_jet(g, pair.cert_order) for g in pair.ideal.generators]
-    on_variety = []
-    for cyc in bs.cycles:
-        if all(germ_divides(r, cyc.factor) for r in restrictions):
-            on_variety.append(cyc)
-    if not on_variety:
-        raise HypothesisError(
-            "no factor of the restriction vanishes on the variety trace")
-    order = pair.cert_order
-    h = Jet2.constant(1, order)
-    for cyc in on_variety:
-        h = h * cyc.factor.at_order(order) ** cyc.multiplicity
-    f = germ_divide(fL, h, order)
-    if f is None:
-        raise RegenerationRequest(2 * order + 8)
-    return h, f, on_variety
-
-
 def jacobian_extension(pair: NoetherianPair, F: Polynomial,
                        budget: Optional[Budget] = None):
     """Adjoin all order-k iterated flow derivatives of F globally and the
@@ -309,16 +293,14 @@ def jacobian_extension(pair: NoetherianPair, F: Polynomial,
     if not pair.nonisolated_certified:
         raise HypothesisError(
             "jacobian extension requires certified non-isolated intersections")
-    h, f, cycles = _split_against_variety(pair, F)
+    h, f, cycles = pair.split_on_variety(F)
     if not pair.local_member(f):
         raise HypothesisError("cofactor of the variety branches is not in the local ideal")
     k = min(c.multiplicity for c in cycles)
     K = max(c.multiplicity for c in cycles)
     mu = h.vanishing_order()
     order = pair.cert_order
-    reduced = Jet2.constant(1, order)
-    for c in cycles:
-        reduced = reduced * c.factor.at_order(order)
+    reduced = branch_product(cycles, order, [1] * len(cycles))
     # global side: all order-k iterated derivatives
     new_gens = []
     for a in range(k + 1):
@@ -374,14 +356,10 @@ def _assert_strict_progress(pair: NoetherianPair, cycles, k: int, new_gens):
     multiplicity cycle; this is what shrinks the variety trace."""
     if not new_gens:
         raise CertificateError("jacobian step produced no new generators")
-    order = pair.cert_order
-    for cyc in cycles:
-        if cyc.multiplicity != k:
-            continue
-        jets = [pair.ctx.leaf_jet(g, order) for g in new_gens]
-        if all(germ_divides(j, cyc.factor) for j in jets if not j.is_zero()):
-            raise CertificateError(
-                "jacobian step failed to remove a minimal-multiplicity branch")
+    jets = [pair.ctx.leaf_jet(g, pair.cert_order) for g in new_gens]
+    if cycles_on([c for c in cycles if c.multiplicity == k], jets):
+        raise CertificateError(
+            "jacobian step failed to remove a minimal-multiplicity branch")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,20 @@ class TestBound:
         code = main(["bound", "--manifest", path, "--budget", "3"])
         assert code == 3
 
+    def test_exact_jets_above_the_order_caps(self, tmp_path, capsys):
+        # the order-28 run asks for order 164, above both the decomposition
+        # and the stabilization cap; exact leaf jets need no regeneration
+        trace = tmp_path / "trace.json"
+        path = write_manifest(tmp_path, f="(y^3-x^4)*(x-y^2)", g="(y^3-x^4)*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "status: point-excluded" in out
+        assert "direct local multiplicity: 2" in out
+        assert "certified upper bound: 640" in out
+        assert main(["verify", "--from-trace", str(trace)]) == 0
+        marks = [line.split(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert marks == ["PASS"] * 9
+
     def test_missing_polynomials(self, tmp_path):
         path = write_manifest(tmp_path)
         assert main(["bound", "--manifest", path]) == 1

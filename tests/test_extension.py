@@ -1,13 +1,9 @@
 import pytest
 
 from leafmult.errors import HypothesisError
-from leafmult.extension import (
-    construct_product,
-    construct_witness,
-    enumerate_monodromic,
-)
+from leafmult.extension import construct_witness, enumerate_monodromic
 from leafmult.foliation import FoliationContext, VectorField
-from leafmult.germs import germ_cycles, germ_divides
+from leafmult.germs import branch_product, germ_cycles, germ_divides
 from leafmult.ideals import IdealPresentation
 from leafmult.jets import Jet2
 from leafmult.poly import parse_polynomial
@@ -57,19 +53,19 @@ class TestConstructProduct:
     def test_full_cusp_cycle(self):
         bs = germ_cycles(J("t2^2-t1^3"))
         subsets = enumerate_monodromic(bs.cycles)
-        fs = construct_product(subsets[0], bs.cycles, 12)
+        fs = branch_product(bs.cycles, 12, subsets[0].choices)
         assert fs.to_polynomial() == parse_polynomial("t1^3-t2^2", T)
 
     def test_single_line(self):
         bs = germ_cycles(J("t2"))
-        fs = construct_product(enumerate_monodromic(bs.cycles)[0], bs.cycles, 8)
+        fs = branch_product(bs.cycles, 8, enumerate_monodromic(bs.cycles)[0].choices)
         assert fs.to_polynomial() == parse_polynomial("t2", T)
 
     def test_pair_of_lines(self):
         bs = germ_cycles(J("t2^2-t1^2"))
         subsets = enumerate_monodromic(bs.cycles)
         full = [s for s in subsets if s.size() == 2][0]
-        fs = construct_product(full, bs.cycles, 8)
+        fs = branch_product(bs.cycles, 8, full.choices)
         from leafmult.poly import normalize_leading
         assert normalize_leading(fs.to_polynomial()) == \
             normalize_leading(parse_polynomial("t2^2-t1^2", T))
@@ -79,7 +75,7 @@ class TestConstructProduct:
         bs = germ_cycles(src)
         for s in enumerate_monodromic(bs.cycles):
             if all(c <= 1 for c in s.choices):
-                fs = construct_product(s, bs.cycles, 12)
+                fs = branch_product(bs.cycles, 12, s.choices)
                 assert germ_divides(src, fs)
 
 

@@ -4,9 +4,13 @@ from math import inf
 
 import pytest
 
-from leafmult.errors import DomainError
+from leafmult.errors import DomainError, HypothesisError
 from leafmult.germs import (
-    factor_multiplicities,
+    MAX_NP_ORDER,
+    MAX_STABILIZATION_ORDER,
+    branch_product,
+    cycles_on,
+    germ_cycles,
     germ_divide,
     germ_divides,
     jet_inverse,
@@ -14,9 +18,10 @@ from leafmult.germs import (
     local_multiplicity,
     newton_puiseux,
     split_common,
+    split_on_variety,
 )
 from leafmult.jets import Jet2
-from leafmult.poly import Polynomial, parse_polynomial
+from leafmult.poly import Polynomial, normalize_leading, parse_polynomial
 
 T = ("t1", "t2")
 
@@ -230,31 +235,105 @@ class TestSplitCommon:
 
 class TestFactorMultiplicities:
     def test_mixed(self):
-        fm = factor_multiplicities(J("t1^2*(t1-t2^2)", 14))
-        assert fm.k == 1 and fm.K == 2
+        bs = newton_puiseux(J("t1^2*(t1-t2^2)", 14))
+        mults = [c.multiplicity for c in bs.cycles]
+        assert min(mults) == 1 and max(mults) == 2
+        reduced = branch_product(bs.cycles, bs.certified_order, [1] * len(bs.cycles))
         # t1*(t1 - t2^2) with each factor normalized to leading coefficient 1
-        assert fm.reduced.to_polynomial() == parse_polynomial("t1*t2^2-t1^2", T)
-        assert fm.mu == 3
-        assert fm.branch_count == 3
+        assert reduced.to_polynomial() == parse_polynomial("t1*t2^2-t1^2", T)
+        assert bs.mu == 3
+        assert sum(c.multiplicity * c.branch_count() for c in bs.cycles) == 3
 
     def test_single_line(self):
-        fm = factor_multiplicities(J("t1", 8))
-        assert fm.k == fm.K == 1
-        assert fm.reduced.to_polynomial() == parse_polynomial("t1", T)
+        bs = newton_puiseux(J("t1", 8))
+        assert [c.multiplicity for c in bs.cycles] == [1]
+        reduced = branch_product(bs.cycles, bs.certified_order, [1])
+        assert reduced.to_polynomial() == parse_polynomial("t1", T)
 
     def test_cusp_squared(self):
-        fm = factor_multiplicities(J("(t2^2-t1^3)^2", 20))
-        assert fm.k == fm.K == 2
-        assert fm.mu == 4
+        h = J("(t2^2-t1^3)^2", 20)
+        bs = newton_puiseux(h)
+        assert [c.multiplicity for c in bs.cycles] == [2]
+        assert bs.mu == 4
         # h divides reduced^K
-        assert germ_divides(fm.reduced ** fm.K, J("(t2^2-t1^3)^2", 20))
+        reduced = branch_product(bs.cycles, bs.certified_order, [1])
+        assert germ_divides(reduced ** 2, h)
 
     def test_reduced_is_squarefree(self):
         from leafmult.poly import squarefree_part
-        fm = factor_multiplicities(J("t1^3*t2^2", 12))
-        red = fm.reduced.to_polynomial()
+        bs = newton_puiseux(J("t1^3*t2^2", 12))
+        red = branch_product(bs.cycles, bs.certified_order, [1] * len(bs.cycles)).to_polynomial()
         assert squarefree_part(red) == red or \
             squarefree_part(red) == parse_polynomial("t1*t2", T)
+
+
+class TestBranchProduct:
+    def test_exponent_zero_skips_a_cycle(self):
+        bs = newton_puiseux(J("t1^2*(t1-t2^2)", 14))
+        by_mult = {c.multiplicity: i for i, c in enumerate(bs.cycles)}
+        only_t1 = [0] * len(bs.cycles)
+        only_t1[by_mult[2]] = 3
+        assert branch_product(bs.cycles, 10, only_t1).to_polynomial() == \
+            parse_polynomial("t1^3", T)
+        assert branch_product(bs.cycles, 10, [0] * len(bs.cycles)).to_polynomial() == \
+            parse_polynomial("1", T)
+
+    def test_default_exponents_are_the_multiplicities(self):
+        h = J("t1^2*(t1-t2^2)*(t2^2-t1^3)^3", 20)
+        bs = newton_puiseux(h)
+        mults = [c.multiplicity for c in bs.cycles]
+        assert sorted(mults) == [1, 2, 3]
+        full = branch_product(bs.cycles, 20)
+        assert full.to_polynomial() == branch_product(bs.cycles, 20, mults).to_polynomial()
+        # the product reproduces the germ up to a unit
+        q = germ_divide(h, full)
+        assert q is not None and q.is_unit()
+
+
+class TestSplitOnVariety:
+    def test_cofactor_times_h_is_the_restriction(self):
+        fL = J("t1^2*(t1-t2^2)*(t2-t1^2)", 16)
+        h, f, cycles = split_on_variety(fL, [J("t1", 16), J("t1*t2", 16)], 16)
+        assert [c.factor.to_polynomial() for c in cycles] == [parse_polynomial("t1", T)]
+        assert h.to_polynomial() == parse_polynomial("t1^2", T)
+        assert ((h * f) - fL).is_zero_up_to(16)
+        assert f.to_polynomial() == parse_polynomial("t1*t2-t2^3-t1^3+t1^2*t2^2", T)
+
+    def test_zero_restrictions_do_not_filter(self):
+        fL = J("t1*(t1-t2^2)", 12)
+        _, _, cycles = split_on_variety(fL, [Jet2.zero(12), J("t1-t2^2", 12)], 12)
+        assert [c.factor.to_polynomial() for c in cycles] == \
+            [normalize_leading(parse_polynomial("t1-t2^2", T))]
+
+    def test_no_cycle_on_the_trace(self):
+        with pytest.raises(HypothesisError):
+            split_on_variety(J("t1*(t1-t2^2)", 12), [J("t2", 12)], 12)
+
+    def test_zero_restriction_of_F(self):
+        with pytest.raises(HypothesisError):
+            split_on_variety(Jet2.zero(12), [J("t1", 12)], 12)
+
+    def test_cycles_on(self):
+        bs = newton_puiseux(J("t1*t2*(t1-t2^2)", 14))
+        on = cycles_on(bs.cycles, [J("t1*(t1-t2^2)", 14), J("t1^2+t1*t2", 14)])
+        assert [c.factor.to_polynomial() for c in on] == [parse_polynomial("t1", T)]
+        assert cycles_on(bs.cycles, []) == bs.cycles
+
+
+class TestOrderCaps:
+    def test_exact_jet_above_the_decomposition_cap(self):
+        jet = J("t1*(t1-t2^2)", 200)
+        assert jet.order > MAX_NP_ORDER
+        bs = germ_cycles(jet)
+        assert sorted(str(c.factor.to_polynomial()) for c in bs.cycles) == \
+            sorted(str(normalize_leading(parse_polynomial(t, T))) for t in ("t1", "t1-t2^2"))
+        assert all(c.multiplicity == 1 for c in bs.cycles)
+
+    def test_exact_jets_above_the_stabilization_cap(self):
+        f, g = J("t1-t2^2", 200), J("t1-2*t2^2", 200)
+        assert f.order > MAX_STABILIZATION_ORDER
+        value, cert = local_multiplicity(f, g)
+        assert value == 2 and cert.holds()
 
 
 class TestCrossEngineOracle:

@@ -322,6 +322,61 @@ class TestNonisolatedBound:
         assert "split" in data
 
 
+def _steps(report):
+    return [(s.kind, *s.transfer) for s in report.ledger.steps]
+
+
+def _jacobian_evidence(report):
+    return [r["step"]["evidence"] for r in report.trace["rounds"] if r["stage"] == "jacobian"]
+
+
+class TestBranchSplits:
+    def test_e1_split_and_jacobian_evidence(self):
+        report = nonisolated_bound(P("x*(x-y^2)"), P("x*(x-2*y^2)"), flat3())
+        split = report.trace["split"]
+        assert (split["h_f"], split["h_g"], split["f"], split["g"]) == \
+            ("t1", "t1", "-t2^2 + t1", "-2*t2^2 + t1")
+        [ev] = _jacobian_evidence(report)
+        assert ev["reduced_factor"] == "t1"
+        assert ev["local_generators"] == ["-t2^2 + t1", "-2*t2^2 + t1", "t1"]
+        assert ev["removed_branches"] == ["t1"]
+
+    def test_pair_split_on_variety(self):
+        ctx, state, F = TestJacobianExtension()._nonisolated_state()
+        assert [j.to_polynomial() for j in state.restrictions()] == \
+            [ctx.leaf_jet(g, state.cert_order).to_polynomial() for g in state.ideal.generators]
+        h, f, cycles = state.split_on_variety(F)
+        assert h.to_polynomial() == parse_polynomial("t1", T)
+        assert f.to_polynomial() == parse_polynomial("t1-t2^2", T)
+        assert [c.multiplicity for c in cycles] == [1]
+
+    # On the exponential leaf (z = e^t1) the branch t1 = 0 is shared, but
+    # no global factor of F and G carries it: split_common finds it by
+    # matching Puiseux cycles of the two restrictions.
+    def test_common_line_not_a_global_factor(self):
+        report = nonisolated_bound(P("x*y"), P("(z-1)*(y-x)"), exp_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert report.bound == 234
+        assert report.direct_value == 1        # I(t2, t2 - t1) = 1
+        assert report.trace["split"]["h_f"] == "t1"
+        assert report.trace["split"]["h_g"] == "-t1"
+        assert _steps(report) == [("radical", 9, 0), ("poisson", 1, 1), ("radical", 25, 0),
+                                  ("jacobian", 1, 0), ("poisson", 1, 1), ("radical", 1, 0)]
+        [ev] = _jacobian_evidence(report)
+        assert ev["removed_branches"] == ["t1"]
+
+    def test_common_line_with_parabola_cofactors(self):
+        report = nonisolated_bound(P("x*(y-x^2)"), P("(z-1)*(y+x^2)"), exp_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert report.bound == 528
+        assert report.direct_value == 2        # I(t2 - t1^2, t2 + t1^2) = 2
+        assert report.trace["split"]["h_f"] == "t1"
+        assert _steps(report) == [
+            ("radical", 16, 0), ("poisson", 1, 1), ("radical", 16, 0), ("poisson", 1, 1),
+            ("radical", 1, 0), ("jacobian", 1, 0), ("radical", 1, 0), ("poisson", 1, 1),
+            ("radical", 1, 0)]
+
+
 class TestChainInvariants:
     def test_monotone_chain_and_pair_preservation(self):
         # every produced chain is increasing on both sides: old global
