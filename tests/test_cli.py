@@ -307,6 +307,31 @@ class TestAppendix:
             "divisibility checked: True", "vanishing checked: True"]
 
 
+def _without_timings(data):
+    if isinstance(data, dict):
+        return {k: _without_timings(v) for k, v in data.items() if k != "timings"}
+    if isinstance(data, list):
+        return [_without_timings(v) for v in data]
+    return data
+
+
+PINNED_TRACES = json.loads((Path(__file__).resolve().parent / "data"
+                            / "pinned_bound_traces.json").read_text())
+
+
+class TestCertificatePin:
+    """`bound --trace` on the shipped manifests writes exactly the pinned
+    certificate: every field but the wall-clock timings."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_trace_matches_pin(self, name, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["bound", "--manifest", str(MANIFESTS / f"{name}.json"),
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert _without_timings(json.loads(trace.read_text())) == PINNED_TRACES[name]
+
+
 class TestManifestRoundTrip:
     def test_round_trip(self, tmp_path):
         path = write_manifest(tmp_path, f="x*(x-y^2)", g="y",
