@@ -146,7 +146,7 @@ class FoliationContext:
         basis = self._bases.get(key)
         if basis is None:
             from .localbasis import standard_basis
-            basis = self._bases[key] = tuple(standard_basis(gens, max_degree=order))
+            basis = self._bases[key] = tuple(standard_basis(gens, order=order))
         return basis
 
     def _flow_jets(self, order: int) -> tuple:

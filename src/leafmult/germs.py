@@ -1,13 +1,14 @@
 """Local analytic geometry on the leaf: branch decomposition of germs,
 branch products and splits (the branches two germs share, the branches on
 a variety trace), germ division, and local intersection multiplicity with
-stabilization certificates.
+closure certificates.
 
 Germs arrive as jets.  Exact-polynomial jets take exact paths (polynomial
 factorization over Q, exact division); genuinely transcendental jets go
-through truncated-series machinery, with every certificate comparing two
-consecutive regeneration orders and requiring staircases to sit strictly
-inside the truncation box.
+through truncated-series machinery.  Division and multiplicity run on the
+highest corner of `localbasis`: a division certifies a/b modulo
+m^{N+1}, and a multiplicity is certified by a staircase that closes below
+the corner order (Nakayama).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .ideals import Budget
 from .jets import LEAF_RING, Jet2, cached_producer
 from .localbasis import (  # local_membership is re-exported
     StabilizationCertificate,
+    corner_colength,
     local_membership,
     mora_divide,
-    staircase_at_order,
 )
 from .poly import Polynomial, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
@@ -40,7 +41,7 @@ from .series import QQ, XSeries, YPoly
 
 # branch decomposition regenerates a jet to no higher order than this
 MAX_NP_ORDER = 160
-# local_multiplicity doubles the truncation order up to this cap
+# local_multiplicity doubles the corner order up to this cap
 MAX_STABILIZATION_ORDER = 96
 # shears t1 -> t1 + mu*t2 tried in turn, without and then with a swap
 SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4)
@@ -148,20 +149,17 @@ def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]
     order = min(a.order, b.order) if order is None else order
     if b.is_unit():
         return (a.truncate(order) * jet_inverse(b, order)).truncate(order)
-    pa, pb = a.as_exact_polynomial(), b.as_exact_polynomial()
-    rem, u, quots = mora_divide(a.at_order(order).poly, [b.at_order(order).poly])
-    if not rem.is_zero() and rem.total_degree() >= 0:
-        low = min(sum(m) for m in rem.terms)
-        if low <= order:
-            return None
+    rem, u, (q,) = mora_divide(a.at_order(order).poly, [b.at_order(order).poly], order)
+    if not rem.is_zero():
+        return None
     if u.constant_value() == 0:
         raise CertificateError("Mora division produced a non-unit multiplier")
-    q = quots[0]
+    pa, pb = a.as_exact_polynomial(), b.as_exact_polynomial()
     if pa is not None and pb is not None and u.is_constant():
-        # exact polynomial division result
-        if rem.is_zero():
-            qjet = Jet2.from_polynomial(q * (Fraction(1) / u.constant_value()), order)
-            return qjet
+        # the corner quotient is the polynomial quotient only if it divides
+        exact = q * (Fraction(1) / u.constant_value())
+        if exact * pb == pa:
+            return Jet2.from_polynomial(exact, order)
     u_jet = Jet2.from_polynomial(u, order)
     q_jet = Jet2.from_polynomial(q, order)
     result = (q_jet * jet_inverse(u_jet, order)).truncate(order)
@@ -584,23 +582,20 @@ def verify_reconstruction(bs: PuiseuxBranchSet, order: Optional[int] = None):
 
 
 # ---------------------------------------------------------------------------
-# local multiplicity with stabilization
+# local multiplicity on the highest corner
 # ---------------------------------------------------------------------------
-
-
-def _truncations(jets: Sequence[Jet2], order: int) -> list:
-    """Truncations at exactly the requested order; regenerate raises
-    InconclusiveError for a jet stored below it with no producer."""
-    return [j.regenerate(order).poly for j in jets]
 
 
 def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
     """(value, certificate) for dim of the local ring modulo <f, g>.
 
-    Infinite only with a branch-matching certificate (a common branch
-    through the origin), never on budget exhaustion alone."""
+    Finite only with a closure certificate from one corner standard basis
+    (localbasis module docstring); infinite only with a common factor or a
+    branch-matching certificate (a common branch through the origin),
+    never on budget exhaustion alone."""
+    unit = StabilizationCertificate(0, 0, ((0, 0),), 0)
     if f.is_unit() or g.is_unit():
-        return 0, StabilizationCertificate((f.order, g.order), (), 0, True)
+        return 0, unit
     if f.is_zero() and g.is_zero():
         return inf, "both germs are zero"
     pf, pg = f.as_exact_polynomial(), g.as_exact_polynomial()
@@ -608,7 +603,7 @@ def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
         if pf.is_zero() or pg.is_zero():
             nz = pg if pf.is_zero() else pf
             if nz.constant_value() != 0:
-                return 0, StabilizationCertificate((f.order,), (), 0, True)
+                return 0, unit
             return inf, "principal local ideal has infinite colength"
         from .poly import gcd as poly_gcd
         d = poly_gcd(pf, pg)
@@ -616,23 +611,16 @@ def local_multiplicity(f: Jet2, g: Jet2, budget: Optional[Budget] = None):
             return inf, f"common factor {d}"
     order = min(max(f.order, g.order, 6), MAX_STABILIZATION_ORDER)
     while order <= MAX_STABILIZATION_ORDER:
-        try:
-            p1, p2 = _truncations([f, g], order - 1)
-            q1, q2 = _truncations([f, g], order)
-        except InconclusiveError:
-            raise InconclusiveError(
-                "jets lack producers and stabilization was not reached at the stored order")
-        lts1, m1 = staircase_at_order([p1, p2], budget)
-        lts2, m2 = staircase_at_order([q1, q2], budget)
-        if m1 is not inf and m1 == m2 and lts1 == lts2 and m1 < order - 1:
-            cert = StabilizationCertificate((order - 1, order), lts1, m1, True)
-            return m1, cert
-        # not stabilized: check for a genuinely common branch
+        # regenerate raises InconclusiveError for a jet without a producer
+        cert = corner_colength([j.regenerate(order).poly for j in (f, g)], order, budget)
+        if cert is not None:
+            return cert.multiplicity, cert
+        # no closure: check for a genuinely common branch
         common = _common_cycles(f, g, order)
         if common:
             return inf, f"matched common branch: {common[0][0].factor.to_polynomial()}"
         order = 2 * order
-    raise InconclusiveError("local multiplicity did not stabilize below the order cap")
+    raise InconclusiveError("local multiplicity did not close below the order cap")
 
 
 def _common_cycles(f: Jet2, g: Jet2, order: int) -> list:

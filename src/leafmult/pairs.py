@@ -44,6 +44,7 @@ from .ideals import (
     radical_membership,
 )
 from .jets import Jet2
+from .localbasis import corner_member
 from .poly import Polynomial
 
 
@@ -106,19 +107,7 @@ class NoetherianPair:
     def local_member(self, jet: Jet2) -> bool:
         """Membership in the local ideal, certified up to cert_order (or the
         probe's own stored order when it cannot regenerate)."""
-        if jet.is_zero():
-            return True
-        basis = self.local_basis()
-        if not basis:
-            return False
-        from .localbasis import mora_normal_form
-        effective = self.cert_order if jet.can_regenerate() \
-            else min(self.cert_order, jet.order)
-        work = jet.regenerate(effective)
-        target = work.to_polynomial()
-        if target.is_zero():
-            return True
-        return mora_normal_form(target, basis, max_degree=effective).is_zero()
+        return corner_member(jet, self.local_basis(), self.cert_order)
 
     def describe(self) -> dict:
         return {

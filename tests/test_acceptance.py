@@ -140,7 +140,7 @@ def test_criterion_4_local_multiplicity_catalog(criterion):
         value, cert = local_multiplicity(J(ftext), J(gtext))
         assert value == expected, (ftext, gtext, value)
         assert cert.holds()
-        assert cert.orders[1] == cert.orders[0] + 1
+        assert cert.closure <= cert.order
     criterion["ok"] = True
 
 

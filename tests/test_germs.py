@@ -61,6 +61,15 @@ class TestGermDivide:
         q = germ_divide(J("t1^2-t1*t2^2"), J("t1"))
         assert q.to_polynomial() == parse_polynomial("t1-t2^2", T)
 
+    def test_exact_only_when_the_polynomials_divide(self):
+        # at order 6 the corner quotient of t1^2*(1+t1^9) by t1^2 is 1,
+        # which is not the polynomial quotient: the result stays a jet
+        q = germ_divide(J("t1^2*(1+t1^9)", 6), J("t1^2", 6))
+        assert q.as_exact_polynomial() is None
+        assert q.regenerate(12).to_polynomial() == parse_polynomial("1+t1^9", T)
+        q = germ_divide(J("t1^2*(1+t1^3)"), J("t1^2"))
+        assert q.as_exact_polynomial() == parse_polynomial("1+t1^3", T)
+
     def test_unit_divisor(self):
         q = germ_divide(J("t1"), J("1+t1"))
         # t1/(1+t1) = t1 - t1^2 + t1^3 - ...
@@ -96,7 +105,10 @@ class TestLocalMultiplicity:
         value, cert = local_multiplicity(J("t1-t2^2"), J("t1-2*t2^2"))
         assert value == 2
         assert cert.holds()
-        assert cert.orders[1] == cert.orders[0] + 1
+        # m^2 lies in <t1 - t2^2, t1 - 2*t2^2>: every monomial of degree 2
+        # is a leading monomial below the corner order
+        assert cert.closure == 2 <= cert.order
+        assert cert.staircase == ((1, 0), (0, 2))
 
     def test_unit_gives_zero(self):
         assert local_multiplicity(J("1+t1"), J("t2"))[0] == 0

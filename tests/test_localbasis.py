@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from leafmult.errors import BudgetExceededError
 from leafmult.ideals import Budget
 from leafmult.localbasis import (
+    closure_degree,
+    corner_colength,
+    leading_staircase,
     local_quotient_dimension,
     mora_divide,
     mora_normal_form,
-    staircase_at_order,
     standard_basis,
 )
 from leafmult.poly import (
@@ -23,6 +25,8 @@ from leafmult.poly import (
 )
 
 T = ("t1", "t2")
+# a corner order above every degree the fixed examples below reach
+N = 10
 
 
 def P(text):
@@ -31,26 +35,26 @@ def P(text):
 
 class TestMoraNormalForm:
     def test_member_of_maximal(self):
-        assert mora_normal_form(P("t1^2"), [P("t1"), P("t2")]).is_zero()
+        assert mora_normal_form(P("t1^2"), [P("t1"), P("t2")], N).is_zero()
 
     def test_unit_multiple(self):
         # t1 + t1^2 = t1 * unit, so t1 is a member of <t1 + t1^2>
-        assert mora_normal_form(P("t1"), [P("t1+t1^2")]).is_zero()
+        assert mora_normal_form(P("t1"), [P("t1+t1^2")], N).is_zero()
 
     def test_nonmember(self):
-        r = mora_normal_form(P("t2"), [P("t1+t1^2")])
+        r = mora_normal_form(P("t2"), [P("t1+t1^2")], N)
         assert not r.is_zero()
 
     def test_local_leading_term(self):
         # under the local order the lowest-degree term leads
-        r = mora_normal_form(P("t1^2"), [P("t1^3")])
+        r = mora_normal_form(P("t1^2"), [P("t1^3")], N)
         assert r == P("t1^2")
-        assert mora_normal_form(P("t1^3"), [P("t1^2")]).is_zero()
+        assert mora_normal_form(P("t1^3"), [P("t1^2")], N).is_zero()
 
 
 class TestStandardBasis:
     def test_monomials(self):
-        basis = standard_basis([P("t1^2"), P("t2^3")])
+        assert standard_basis([P("t1^2"), P("t2^3")], N) == [P("t1^2"), P("t2^3")]
         assert local_quotient_dimension([P("t1^2"), P("t2^3")]) == 6
 
     def test_maximal_ideal(self):
@@ -96,16 +100,17 @@ def _random_vanishing(rng, max_deg=3):
 
 class TestStaircase:
     def test_reports_minimal_generators(self):
-        lts, m = staircase_at_order([P("t1^2"), P("t1*t2"), P("t2^3"), P("t1^2*t2")])
+        gens = [P("t1^2"), P("t1*t2"), P("t2^3"), P("t1^2*t2")]
+        lts = leading_staircase(standard_basis(gens, N))
         assert set(lts) == {(2, 0), (1, 1), (0, 3)}
-        assert m == 4  # 1, t1, t2, t2^2
+        assert closure_degree(lts, N) == 3
+        assert local_quotient_dimension(gens) == 4  # 1, t1, t2, t2^2
 
 
 # ---------------------------------------------------------------------------
-# reference: the local division kernel as it was before leading terms and
-# selection keys were cached per pool entry, kept verbatim (leading terms
-# under the local order written out) so the kernel can be compared with it
-# output for output and step for step.
+# reference: the untruncated local division kernel, kept verbatim (leading
+# terms under the local order written out) as an oracle for the decisions
+# the corner kernel makes modulo m^{N+1}.
 # ---------------------------------------------------------------------------
 
 
@@ -216,58 +221,115 @@ def _ref_standard_basis(gens, budget):
     return out
 
 
-def _run(fn, *args, cap):
-    """(result or the exception type, budget used) of fn under a fresh cap."""
-    budget = Budget(cap=cap)
+def _reference(fn, *args):
+    """fn under a small budget; examples the reference cannot finish are
+    skipped."""
+    budget = Budget(cap=100)
     try:
-        result = fn(*args, budget)
-    except BudgetExceededError as e:
-        result = (type(e), e.partial)
-    return result, budget.used
+        return fn(*args, budget)
+    except BudgetExceededError:
+        assume(False)
+
+
+def _reference_member(target, gens, n):
+    """target in <gens> + m^{n+1}, decided by the untruncated reference:
+    its remainder is zero or has no term of degree <= n."""
+    rem = _reference(lambda t, g, b: _ref_mora_normal_form(t, _ref_standard_basis(g, b), b),
+                     target, gens)
+    return rem.is_zero() or min(sum(m) for m in rem.terms) > n
+
+
+def _reference_closure(gens, n):
+    """(least k <= n with m^k in the ideal, colength) from the untruncated
+    reference, (None, None) when there is no such k."""
+    basis = _reference(_ref_standard_basis, gens)
+    lts = [_ref_leading_term(g)[0] for g in basis]
+    for k in range(n + 1):
+        if all(any(monomial_divides(m, (a, k - a)) for m in lts) for a in range(k + 1)):
+            count = sum(1 for a in range(k) for b in range(k - a)
+                        if not any(monomial_divides(m, (a, b)) for m in lts))
+            return k, count
+    return None, None
 
 
 local_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 local_monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
 local_polys = st.dictionaries(local_monos, local_coeffs, max_size=4).map(
     lambda d: Polynomial(T, d))
+orders = st.integers(0, 8)
 
 
 class TestKernelMatchesReference:
-    """Same polynomials in the same order and the same budget use as the
-    reference kernel, including where the budget runs out."""
+    """The corner kernel at several orders N makes the decisions of the
+    untruncated reference kernel: membership in I + m^{N+1}, the colength
+    once the staircase closes by N, and the division identity modulo
+    m^{N+1}."""
 
     @settings(max_examples=120, deadline=None)
-    @given(local_polys, st.lists(local_polys, min_size=1, max_size=3), st.integers(5, 60))
-    def test_mora_normal_form(self, f, gens, cap):
-        got = _run(lambda f, g, b: mora_normal_form(f, g, b), f, gens, cap=cap)
-        assert got == _run(_ref_mora_normal_form, f, gens, cap=cap)
+    @given(local_polys, st.lists(local_polys, min_size=1, max_size=3), orders)
+    def test_mora_normal_form(self, f, gens, n):
+        expected = _reference_member(f, gens, n)
+        r = mora_normal_form(f, standard_basis(gens, n), n)
+        assert r.is_zero() or r.total_degree() <= n
+        assert r.is_zero() == expected
 
     @settings(max_examples=80, deadline=None)
-    @given(local_polys, st.lists(local_polys, min_size=1, max_size=2), st.integers(5, 60))
-    @example(P("t1^2+t2^3"), [P("t1+t2^2"), P("t1+t2^2")], 60)  # tie: the first wins
-    def test_mora_divide(self, f, divisors, cap):
-        got = _run(lambda f, d, b: mora_divide(f, d, b), f, divisors, cap=cap)
-        assert got == _run(_ref_mora_divide, f, divisors, cap=cap)
+    @given(local_polys, st.lists(local_polys, min_size=1, max_size=2), orders)
+    @example(P("t1^2+t2^3"), [P("t1+t2^2"), P("t1+t2^2")], 6)  # tie: the first wins
+    def test_mora_divide(self, f, divisors, n):
+        rem, u, quots = mora_divide(f, divisors, n)
+        assert u.constant_value() != 0
+        assert all(p.is_zero() or p.total_degree() <= n for p in [rem, u] + quots)
+        combination = sum((q * d for q, d in zip(quots, divisors)), rem)
+        assert (u * f - combination).truncated(n).is_zero()
+        if len(divisors) == 1 and not divisors[0].is_zero():
+            # one generator is a standard basis: the remainder decides
+            assert rem.is_zero() == _reference_member(f, divisors, n)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.lists(local_polys, min_size=1, max_size=3), st.integers(5, 400))
-    # found by random search: inputs whose result depends on the pair order
+    @given(st.lists(local_polys, min_size=1, max_size=3), orders)
+    # found by random search: inputs whose basis depends on the pair order
     # and on when a reduced polynomial joins the Mora pool
     @example([P("2*t1*t2^2 + 3/2*t2^2"), P("1/2*t1*t2^2 - t2^3 - 3/2*t2^2"),
-              P("-t1^2 - 3/2*t1*t2 - 1/2*t2")], 300)
+              P("-t1^2 - 3/2*t1*t2 - 1/2*t2")], 4)
     @example([P("2*t1^2*t2^2 + t1^2*t2"), P("3/2*t2^3 + 3"),
-              P("1/2*t1*t2^3 - 1/2*t1^2*t2 - 3*t1")], 300)
-    def test_standard_basis(self, gens, cap):
-        got = _run(lambda g, b: standard_basis(g, b), gens, cap=cap)
-        assert got == _run(_ref_standard_basis, gens, cap=cap)
+              P("1/2*t1*t2^3 - 1/2*t1^2*t2 - 3*t1")], 4)
+    def test_standard_basis(self, gens, n):
+        closure, colength = _reference_closure(gens, n)
+        cert = corner_colength(gens, n)
+        if closure is None:
+            assert cert is None
+        else:
+            assert (cert.closure, cert.multiplicity) == (closure, colength)
+            assert cert.holds()
+
+
+class TestStepBound:
+    """Every corner reduction step lowers the leading monomial among the
+    (N+1)(N+2)/2 monomials of degree <= N, so no normal form or division
+    spends more budget steps than that."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(local_polys, st.lists(local_polys, min_size=1, max_size=3), st.integers(0, 12))
+    @example(P("t1"), [P("t1-t1^2")], 12)
+    def test_mora_normal_form(self, f, gens, n):
+        budget = Budget(cap=10**6)
+        mora_normal_form(f, gens, n, budget)
+        assert budget.used <= (n + 1) * (n + 2) // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(local_polys, st.lists(local_polys, min_size=1, max_size=2), st.integers(0, 12))
+    def test_mora_divide(self, f, divisors, n):
+        budget = Budget(cap=10**6)
+        mora_divide(f, divisors, n, budget)
+        assert budget.used <= (n + 1) * (n + 2) // 2
 
 
 class TestHighestCorner:
-    """max_degree=N computes in Q[t1,t2]/m^{N+1}.  Its membership decisions
-    are those of the untruncated reference kernel above (output for output
-    the kernel with max_degree=None, see TestKernelMatchesReference),
-    followed by the check that decided local membership before: the
-    remainder is zero or has no term of degree <= N."""
+    """Membership decisions on the corner are those of the untruncated
+    reference kernel above, followed by the check that decided local
+    membership before: the remainder is zero or has no term of degree
+    <= N."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(local_polys, min_size=1, max_size=3),
@@ -282,28 +344,22 @@ class TestHighestCorner:
         target = extra
         for c, g in zip(cofactors, gens):
             target = target + c * g
-        budget = Budget(cap=100)
-        try:
-            rem = _ref_mora_normal_form(target, _ref_standard_basis(gens, budget), budget)
-        except BudgetExceededError:
-            assume(False)
-        expected = rem.is_zero() or min(sum(m) for m in rem.terms) > n
-        basis = standard_basis(gens, max_degree=n)
+        expected = _reference_member(target, gens, n)
+        basis = standard_basis(gens, n)
         assert all(g.total_degree() <= n for g in basis)
-        got = mora_normal_form(target, basis, max_degree=n)
+        got = mora_normal_form(target, basis, n)
         assert got.total_degree() <= n
         assert got.is_zero() == expected
 
     def test_unit_collapses_to_one(self):
         gens = [P("t1^3"), P("1 - t1 + t2^2")]
-        assert standard_basis(gens, max_degree=5) == [P("1")]
-        assert standard_basis(gens) == [P("1 - t1 + t2^2")]
-        assert mora_normal_form(P("t1 + t2^5"), [P("1")], max_degree=5).is_zero()
+        assert standard_basis(gens, 5) == [P("1")]
+        assert mora_normal_form(P("t1 + t2^5"), [P("1")], 5).is_zero()
 
     def test_appended_reducers_stop_the_climb(self):
         # t1 = (t1 - t1^2) * unit: the appended reducer t1 ends the reduction
         # after two steps; without it the remainder climbs t1^2, t1^3, ...
         # up to the corner
         budget = Budget(cap=1000)
-        assert mora_normal_form(P("t1"), [P("t1-t1^2")], budget, max_degree=40).is_zero()
+        assert mora_normal_form(P("t1"), [P("t1-t1^2")], 40, budget).is_zero()
         assert budget.used == 2
