@@ -4,8 +4,9 @@ Subcommands: check (hypothesis diagnostics), bound (the multiplicity
 pipeline with a JSON trace), verify (randomized lemma suites or offline
 trace re-verification), appendix (on-leaf witness construction).
 
-Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 budget or
-partial result, 4 internal certificate failure.
+Exit codes: 0 success, 1 parse error (a malformed manifest, trace or
+command line), 2 hypothesis failure, 3 budget or partial result, 4 internal
+certificate failure.
 
 Each handler imports the layers it runs, so a cold command compiles only
 those.
@@ -33,8 +34,21 @@ EXIT_BUDGET = 3
 EXIT_CERTIFICATE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit with EXIT_PARSE."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leafmult",
         description="certified multiplicity bounds on leaves of polynomial foliations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,20 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="run the multiplicity-bound pipeline")
     bound.add_argument("--manifest", required=True)
     bound.add_argument("--seed", type=int, default=None)
-    bound.add_argument("--jet-order", type=int, default=None)
-    bound.add_argument("--budget", type=int, default=None)
+    bound.add_argument("--jet-order", type=_non_negative, default=None)
+    bound.add_argument("--budget", type=_non_negative, default=None)
     bound.add_argument("--trace", default=None)
 
     verify = sub.add_parser("verify", help="randomized lemma suites or trace re-check")
     verify.add_argument("--suite", default=None,
                         help="suite name, or 'all' (default)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--count", type=int, default=100)
+    verify.add_argument("--count", type=_non_negative, default=100)
     verify.add_argument("--from-trace", dest="from_trace", default=None)
 
     appendix = sub.add_parser("appendix", help="construct and check the on-leaf witness")
     appendix.add_argument("--manifest", required=True)
-    appendix.add_argument("--jet-order", type=int, default=None)
+    appendix.add_argument("--jet-order", type=_non_negative, default=None)
     appendix.add_argument("--trace", default=None)
 
     return parser
@@ -95,7 +109,7 @@ def cmd_bound(args) -> int:
     budget = None
     cap = args.budget if args.budget is not None else manifest.options.get("budget")
     if cap is not None:
-        budget = Budget(cap=int(cap))
+        budget = Budget(cap=cap)
     report = nonisolated_bound(manifest.f, manifest.g, ctx, options, budget)
     data = report.describe()
     trace_path = args.trace or manifest.options.get("trace")
@@ -162,11 +176,10 @@ def cmd_appendix(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"check": cmd_check, "bound": cmd_bound,
                 "verify": cmd_verify, "appendix": cmd_appendix}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -151,10 +151,10 @@ class FoliationContext:
 
     def _flow_jets(self, order: int) -> tuple:
         """phi_i: the leaf jet of the coordinate function x_i at order, as
-        polynomials in LEAF_RING, memoized per order.  Built row by row:
-        V2^b x_i, then V1 along the row, and a row (or the rows after it)
-        stops at the first derivative that vanishes identically, since every
-        later one is a derivative of it."""
+        polynomials in LEAF_RING, memoized per order.  Read row by row from
+        the derivative memo: V2^b x_i, then V1 along the row, and a row (or
+        the rows after it) stops at the first derivative that vanishes
+        identically, since every later one is a derivative of it."""
         flows = self._flows.get(order)
         if flows is None:
             flows = self._flows[order] = tuple(
@@ -162,23 +162,18 @@ class FoliationContext:
         return flows
 
     def _coordinate_jet(self, index: int, order: int) -> Polynomial:
+        x = Polynomial.variable(self.ring, index)
         coeffs = {}
-        row = Polynomial.variable(self.ring, index)  # V2^b x_i
         for b in range(order + 1):
-            if row.is_zero():
+            if self.iterated_derivative(x, 0, b).is_zero():
                 break
-            d = row  # V1^a V2^b x_i
             for a in range(order + 1 - b):
+                d = self.iterated_derivative(x, a, b)
+                if d.is_zero():
+                    break
                 v = d.evaluate(self.point)
                 if v:
                     coeffs[(a, b)] = v / (factorial(a) * factorial(b))
-                if a == order - b:
-                    break
-                d = self.v1.apply(d)
-                if d.is_zero():
-                    break
-            if b < order:
-                row = self.v2.apply(row)
         return Polynomial(LEAF_RING, coeffs)
 
     def _flow_power(self, index: int, e: int, order: int) -> Polynomial:

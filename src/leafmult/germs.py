@@ -13,7 +13,7 @@ the corner order (Nakayama).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from typing import Optional, Sequence
@@ -27,7 +27,7 @@ from .errors import (
     RegenerationRequest,
 )
 from .ideals import Budget
-from .jets import LEAF_RING, Jet2, cached_producer
+from .jets import LEAF_RING, Jet2, cached_producer, linear_substitution
 from .localbasis import (  # local_membership is re-exported
     StabilizationCertificate,
     corner_colength,
@@ -66,15 +66,10 @@ class Frame:
         return out
 
     def pull_polynomial(self, p: Polynomial) -> Polynomial:
-        """Express a frame-coordinate polynomial in original coordinates."""
-        if self.shear:
-            t1 = Polynomial(LEAF_RING, {(1, 0): Fraction(1), (0, 1): -self.shear})
-            t2 = Polynomial.variable(LEAF_RING, 1)
-            p = p.compose([t1, t2])
-        if self.swap:
-            p = p.compose([Polynomial.variable(LEAF_RING, 1),
-                           Polynomial.variable(LEAF_RING, 0)])
-        return p
+        """Express a frame-coordinate polynomial in original coordinates:
+        t1 -> t1 - shear*t2, then the swap, as one linear substitution."""
+        s = -self.shear
+        return linear_substitution(p, *((s, 1, 1, 0) if self.swap else (1, s, 0, 1)))
 
 
 def choose_frame(jet: Jet2) -> Frame:
@@ -187,17 +182,21 @@ def germ_divides(a: Jet2, b: Jet2, order: Optional[int] = None) -> bool:
 @dataclass
 class BranchCycle:
     """A conjugacy class of branches: its defining germ factor over Q (in
-    original leaf coordinates), the ramification index, the degree of the
-    coefficient field, and its multiplicity as a repeated factor."""
+    original leaf coordinates), its multiplicity as a repeated factor, and
+    its parameterization, which holds the ramification index and the
+    coefficient field."""
 
     factor: Jet2
     multiplicity: int
-    ram_index: int
-    field_degree: int
-    edge: Optional[tuple]
-    field_chain: tuple = ()
-    param: Optional[BranchParam] = None
-    frame: Frame = dfield(default_factory=Frame)
+    param: BranchParam
+
+    @property
+    def ram_index(self) -> int:
+        return self.param.ram
+
+    @property
+    def field_degree(self) -> int:
+        return self.param.field_degree()
 
     def order_at_origin(self) -> int:
         v = self.factor.vanishing_order()
@@ -211,18 +210,16 @@ class BranchCycle:
         return normalize_leading(self.factor.truncate(order).to_polynomial())
 
     def describe(self) -> dict:
-        data = {
+        return {
             "factor": str(self.factor.to_polynomial()),
             "factor_order": self.factor.order,
             "multiplicity": self.multiplicity,
             "ramification_index": self.ram_index,
             "field_degree": self.field_degree,
-            "edge": list(self.edge) if self.edge else None,
-            "field": list(self.field_chain),
+            "edge": list(self.param.edge) if self.param.edge else None,
+            "field": list(self.param.describe_field()),
+            "series": [[e, c] for e, c in self.param.series_table()],
         }
-        if self.param is not None:
-            data["series"] = [[e, c] for e, c in self.param.series_table()]
-        return data
 
 
 @dataclass
@@ -294,16 +291,7 @@ def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
         factor_frame = Polynomial(LEAF_RING, W.terms)
         factor_orig = frame.pull_polynomial(factor_frame)
         jet = _cycle_factor_jet(source, frame, factor_orig, want)
-        cycles.append(BranchCycle(
-            factor=jet,
-            multiplicity=1,
-            ram_index=bp.ram,
-            field_degree=bp.field_degree(),
-            edge=bp.edge,
-            field_chain=tuple(bp.describe_field()),
-            param=bp,
-            frame=frame,
-        ))
+        cycles.append(BranchCycle(factor=jet, multiplicity=1, param=bp))
     return cycles
 
 
@@ -566,10 +554,10 @@ def newton_puiseux(f: Jet2) -> PuiseuxBranchSet:
     return bs
 
 
-def verify_reconstruction(bs: PuiseuxBranchSet, order: Optional[int] = None):
+def verify_reconstruction(bs: PuiseuxBranchSet):
     """Multiplying out all cycles (with multiplicity) must reproduce the
     germ up to a local unit, checked by exact germ division."""
-    order = order or max(4, bs.certified_order // 2)
+    order = max(4, bs.certified_order // 2)
     prod = branch_product(bs.cycles, order)
     src = bs.source.at_order(order)
     if prod.is_unit():

@@ -19,6 +19,7 @@ from .errors import BudgetExceededError, DomainError
 from .poly import (
     Monomial,
     Polynomial,
+    degrevlex_key,
     gcd as poly_gcd,
     monomial_degree,
     monomial_div,
@@ -68,7 +69,7 @@ def _sort_key(kind: str, permutation: Optional[tuple]):
         if kind == "lex":
             return tuple
         if kind == "degrevlex":
-            return lambda m: (sum(m), tuple(map(neg, m[::-1])))
+            return degrevlex_key
         return lambda m: (-sum(m), tuple(map(neg, m[::-1])))
     perm = tuple(permutation)
     rev = perm[::-1]
@@ -80,7 +81,6 @@ def _sort_key(kind: str, permutation: Optional[tuple]):
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
-LOCAL = MonomialOrder("local")
 
 # largest radical-membership exponent searched for
 EXPONENT_CAP = 64
@@ -161,16 +161,16 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerStats:
+    """The budget steps one basis computation spends, by stage."""
+
     pairs_considered: int = 0
     reductions: int = 0
-    max_degree: int = 0
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     order: MonomialOrder
     basis: tuple
-    reduced: bool = True
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
     def leading_monomials(self):
@@ -253,22 +253,28 @@ _GB_CACHE: dict = {}
 
 def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
              budget: Optional[Budget] = None) -> GroebnerBasis:
-    """Reduced Groebner basis; deterministic for fixed input and order."""
+    """Reduced Groebner basis; deterministic for fixed input and order.
+
+    Every caller shares `_GB_CACHE`.  A hit charges `budget` the S-pairs and
+    reduction steps the basis cost when it was computed, so `budget.used`,
+    and whether the budget runs out, do not depend on what ran before."""
     if not order.is_global():
         raise DomainError("groebner requires a global order; use the local engine for local orders")
     cache_key = (ideal, order)
-    if budget is None:
-        hit = _GB_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
-        budget = Budget()
+    hit = _GB_CACHE.get(cache_key)
+    if hit is not None:
+        for stage, n in (("groebner", hit.stats.pairs_considered),
+                         ("reduction", hit.stats.reductions)):
+            if n and budget is not None:
+                budget.spend(n, stage, partial=hit.basis)
+        return hit
+    budget = budget or Budget()
     # every spend below is one S-pair or one reduction step of this basis
     used_before = budget.used
     G: list[Polynomial] = []
     lm: list[Monomial] = []
     P: set = set()
     pairs_considered = 0
-    max_degree = 0
     for g in ideal.generators:
         r = reduce_poly(g, G, order, budget) if G else g
         if not r.is_zero():
@@ -283,7 +289,6 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         s = _s_polynomial(G[i], lm[i], G[i].terms[lm[i]], G[j], lm[j], G[j].terms[lm[j]])
         r = reduce_poly(s, G, order, budget)
         if not r.is_zero():
-            max_degree = max(max_degree, r.total_degree())
             G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
     # minimalize
     Gmin, lm_min = [], []
@@ -299,9 +304,8 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         Gred.append(monic(r, order))
     Gred.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     stats = GroebnerStats(pairs_considered=pairs_considered,
-                          reductions=budget.used - used_before - pairs_considered,
-                          max_degree=max(max_degree, ideal.max_degree()))
-    gb = GroebnerBasis(order=order, basis=tuple(Gred), reduced=True, stats=stats)
+                          reductions=budget.used - used_before - pairs_considered)
+    gb = GroebnerBasis(order=order, basis=tuple(Gred), stats=stats)
     _GB_CACHE[cache_key] = gb
     return gb
 
@@ -313,21 +317,22 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
 
 
 def member(f: Polynomial, ideal: IdealPresentation,
-           order: MonomialOrder = DEGREVLEX, budget: Optional[Budget] = None) -> bool:
+           budget: Optional[Budget] = None) -> bool:
     if f.is_zero():
         return True
     if ideal.is_zero_ideal():
         return False
-    return normal_form(f, groebner(ideal, order, budget), budget).is_zero()
+    return normal_form(f, groebner(ideal, DEGREVLEX, budget), budget).is_zero()
 
 
-def extend_ring(ideal: IdealPresentation, fresh: str = "_t"):
-    """A fresh variable appended to the ring; returns (new_ring, lifted gens, index)."""
-    name = fresh
+def extend_ring(ideal: IdealPresentation):
+    """A fresh variable `_t` (or `_t1`, ... when the ring has one) appended
+    to the ring; returns (new_ring, lifted gens, index)."""
+    name = "_t"
     k = 0
     while name in ideal.ring:
         k += 1
-        name = f"{fresh}{k}"
+        name = f"_t{k}"
     new_ring = ideal.ring + (name,)
     var_map = list(range(len(ideal.ring)))
     lifted = [g.map_ring(new_ring, var_map) for g in ideal.generators]

@@ -45,7 +45,7 @@ def _poly_producer(p: Polynomial):
     return produce
 
 
-def _linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
+def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
     """p(m00*t1 + m01*t2, m10*t1 + m11*t2), one homogeneous component at a
     time in integer arithmetic: with the entries over a common denominator
     q, the term t1^a*t2^b becomes q^-(a+b) * (p0*t1 + p1*t2)^a * (p2*t1 + p3*t2)^b."""
@@ -118,10 +118,6 @@ class Jet2:
     @staticmethod
     def constant(value, order: int) -> "Jet2":
         return Jet2.from_polynomial(Polynomial.constant(LEAF_RING, value), order)
-
-    @staticmethod
-    def variable(index: int, order: int) -> "Jet2":
-        return Jet2.from_polynomial(Polynomial.variable(LEAF_RING, index), order)
 
     # -- queries ----------------------------------------------------------
 
@@ -264,7 +260,7 @@ class Jet2:
         new t1 = m00*t1 + m01*t2, new t2 = m10*t1 + m11*t2 substituted in."""
         (m00, m01), (m10, m11) = matrix
         # a linear substitution keeps every term's total degree
-        return self._unary(lambda p, n: _linear_substitution(p, m00, m01, m10, m11))
+        return self._unary(lambda p, n: linear_substitution(p, m00, m01, m10, m11))
 
     def swap_variables(self) -> "Jet2":
         return self.substitute_linear(((0, 1), (1, 0)))

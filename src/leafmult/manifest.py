@@ -19,6 +19,8 @@ from .foliation import FoliationContext, VectorField
 from .poly import Polynomial, parse_polynomial
 
 TRACE_VERSION = 1
+# the accepted manifest options and their types; jet_order and budget are >= 0
+OPTION_TYPES = {"seed": int, "jet_order": int, "budget": int, "trace": str}
 
 
 def _fraction(text) -> Fraction:
@@ -26,6 +28,34 @@ def _fraction(text) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational literal {text!r}: {e}")
+
+
+def _array(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ParseError(f"manifest field {key!r} must be a JSON array")
+    return value
+
+
+def _polynomial(text, variables: tuple) -> Polynomial:
+    if not isinstance(text, str):
+        raise ParseError(f"a polynomial must be a string, not {text!r}")
+    return parse_polynomial(text, variables)
+
+
+def _options(options) -> dict:
+    if not isinstance(options, dict):
+        raise ParseError("manifest options must be a JSON object")
+    for key, value in options.items():
+        kind = OPTION_TYPES.get(key)
+        if kind is None:
+            raise ParseError(f"unknown manifest option {key!r}; "
+                             f"known: {', '.join(OPTION_TYPES)}")
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"manifest option {key!r} must be {kind.__name__}, not {value!r}")
+        if key in ("jet_order", "budget") and value < 0:
+            raise ParseError(f"manifest option {key!r} must be >= 0, not {value}")
+    return dict(options)
 
 
 @dataclass
@@ -44,22 +74,26 @@ class ProblemManifest:
         if not isinstance(data, dict):
             raise ParseError("a manifest is a JSON object")
         try:
-            variables = tuple(data["variables"])
+            variables = tuple(_array(data, "variables"))
             if not variables:
                 raise ParseError("empty variable list")
-            v1 = tuple(parse_polynomial(t, variables) for t in data["v1"])
-            v2 = tuple(parse_polynomial(t, variables) for t in data["v2"])
-            point = tuple(_fraction(x) for x in data["point"])
+            if not all(isinstance(v, str) for v in variables) \
+                    or len(set(variables)) != len(variables):
+                raise ParseError(f"variables must be distinct names, not {list(variables)}")
+            v1 = tuple(_polynomial(t, variables) for t in _array(data, "v1"))
+            v2 = tuple(_polynomial(t, variables) for t in _array(data, "v2"))
+            point = tuple(_fraction(x) for x in _array(data, "point"))
         except KeyError as e:
             raise ParseError(f"manifest missing required field {e}")
         if len(v1) != len(variables) or len(v2) != len(variables):
             raise ParseError("vector fields need one component per variable")
         if len(point) != len(variables):
             raise ParseError("point arity does not match the variable list")
-        f = parse_polynomial(data["f"], variables) if "f" in data else None
-        g = parse_polynomial(data["g"], variables) if "g" in data else None
-        ideal = tuple(parse_polynomial(t, variables) for t in data.get("ideal", ()))
-        options = dict(data.get("options", {}))
+        f = _polynomial(data["f"], variables) if "f" in data else None
+        g = _polynomial(data["g"], variables) if "g" in data else None
+        ideal = tuple(_polynomial(t, variables) for t in _array(data, "ideal")) \
+            if "ideal" in data else ()
+        options = _options(data.get("options", {}))
         return ProblemManifest(variables, v1, v2, point, f, g, ideal, options)
 
     @staticmethod

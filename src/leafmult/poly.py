@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 from math import inf
-from operator import add
+from operator import add, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError, RingMismatchError
@@ -39,6 +39,12 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def degrevlex_key(m: Monomial) -> tuple:
+    """Sort key of degrevlex: total degree, then reversed negated exponents;
+    a bigger key is a bigger monomial."""
+    return (sum(m), tuple(map(neg, m[::-1])))
 
 
 def _add_into(acc: dict, terms: Mapping[Monomial, Fraction]) -> None:
@@ -348,10 +354,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms sorted degrevlex-descending for deterministic output."""
-        def key(item):
-            m, _ = item
-            return (monomial_degree(m), tuple(-e for e in reversed(m)))
-        return sorted(self.terms.items(), key=key, reverse=True)
+        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -556,13 +559,11 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
         return a
     a._check_ring(b)
     # divide leading terms under degrevlex until nothing is left
-    def drl_key(m):
-        return (monomial_degree(m), tuple(-e for e in reversed(m)))
-    bm, bc = max(b.terms.items(), key=lambda t: drl_key(t[0]))
+    bm, bc = max(b.terms.items(), key=lambda t: degrevlex_key(t[0]))
     q_terms: dict[Monomial, Fraction] = {}
     r = a
     while not r.is_zero():
-        rm, rc = max(r.terms.items(), key=lambda t: drl_key(t[0]))
+        rm, rc = max(r.terms.items(), key=lambda t: degrevlex_key(t[0]))
         if not monomial_divides(bm, rm):
             raise DomainError("inexact polynomial division")
         qm = monomial_div(rm, bm)
@@ -600,9 +601,7 @@ def normalize_leading(p: Polynomial) -> Polynomial:
     """Scale so the degrevlex leading coefficient is 1."""
     if p.is_zero():
         return p
-    def drl_key(m):
-        return (monomial_degree(m), tuple(-e for e in reversed(m)))
-    _, lc = max(p.terms.items(), key=lambda t: drl_key(t[0]))
+    _, lc = max(p.terms.items(), key=lambda t: degrevlex_key(t[0]))
     return p * (Fraction(1) / lc)
 
 

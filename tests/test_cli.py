@@ -95,6 +95,47 @@ class TestBound:
         assert main(["bound", "--manifest", path]) == 2
 
 
+FLAT_PAIR = dict(FLAT, f="x*(x-y^2)", g="x*(x-2*y^2)")
+E1 = str(MANIFESTS / "e1-tangent-parabolas.json")
+
+
+class TestMalformedInput:
+    """Malformed manifests and command-line values end with exit 1 and a
+    `parse error:` line, never a traceback or a silent misreading."""
+
+    @pytest.mark.parametrize("manifest,argv", [
+        (dict(FLAT_PAIR, options={"jet_order": "abc"}), []),
+        (dict(FLAT_PAIR, options={"budget": "lots"}), []),
+        (dict(FLAT_PAIR, options=[1, 2]), []),
+        (dict(FLAT_PAIR, options={"jet_order": -3}), []),
+        (dict(FLAT_PAIR, options={"budget": -1}), []),
+        (dict(FLAT_PAIR, options={"seed": True}), []),
+        (dict(FLAT_PAIR, options={"trace": 7}), []),
+        (dict(FLAT_PAIR, options={"jet-order": 5}), []),
+        (dict(FLAT_PAIR, f=5), []),
+        (dict(FLAT_PAIR, ideal="x"), []),
+        (dict(FLAT_PAIR, variables="xyz"), []),
+        (dict(FLAT_PAIR, v1="100"), []),
+        (dict(FLAT_PAIR, point=0), []),
+        (dict(FLAT_PAIR, variables=["x", "x", "z"]), []),
+        (None, ["bound", "--manifest", E1, "--jet-order", "-1"]),
+        (None, ["bound", "--manifest", E1, "--jet-order", "abc"]),
+        (None, ["bound", "--manifest", E1, "--budget", "-5"]),
+        (None, ["appendix", "--manifest", E1, "--jet-order", "-2"]),
+        (None, ["verify", "--count", "-1"]),
+        (None, ["bound"]),
+        (None, ["nonsense"]),
+    ])
+    def test_exit_1_without_traceback(self, manifest, argv, tmp_path, capsys):
+        if manifest is not None:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(manifest))
+            argv = ["bound", "--manifest", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 class TestVerify:
     def test_suites(self, capsys):
         assert main(["verify", "--suite", "poisson-lemma", "--count", "5"]) == 0

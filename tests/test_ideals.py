@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from leafmult.errors import BudgetExceededError, DomainError
 from leafmult.ideals import (
+    _GB_CACHE,
     DEGREVLEX,
     LEX,
     Budget,
@@ -173,6 +174,57 @@ class TestGroebner:
         assert b.reductions == alone.reductions
         assert a.reductions + a.pairs_considered + b.reductions + b.pairs_considered \
             == shared.used
+
+
+class _StageBudget(Budget):
+    """A budget that also counts what it spends per stage."""
+
+    def __init__(self, cap: int = 200_000):
+        super().__init__(cap)
+        self.by_stage = {}
+
+    def spend(self, n=1, stage="", partial=None):
+        self.by_stage[stage] = self.by_stage.get(stage, 0) + n
+        super().spend(n, stage, partial)
+
+
+class TestSharedCache:
+    """Budgeted calls read the cache too; a hit charges what the basis cost
+    to compute, stage by stage."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(global_polys.filter(bool), min_size=1, max_size=3),
+           st.sampled_from([DEGREVLEX, LEX]))
+    def test_hit_spends_as_a_cold_computation(self, gens, order):
+        I = IdealPresentation(RING, tuple(gens))
+        _GB_CACHE.clear()
+        cold = _StageBudget()
+        gb = groebner(I, order, cold)
+        warm = _StageBudget()
+        assert groebner(I, order, warm) is gb
+        assert warm.used == cold.used
+        assert warm.by_stage == cold.by_stage
+        for cap in range(cold.used + 2):
+            if cap < cold.used:
+                with pytest.raises(BudgetExceededError):
+                    groebner(I, order, Budget(cap=cap))
+            else:
+                assert groebner(I, order, Budget(cap=cap)) is gb
+        for cap in {max(cold.used - 1, 0), cold.used}:
+            _GB_CACHE.clear()
+            if cap < cold.used:
+                with pytest.raises(BudgetExceededError):
+                    groebner(I, order, Budget(cap=cap))
+            else:
+                assert groebner(I, order, Budget(cap=cap)) == gb
+
+    def test_unbudgeted_hit_is_shared(self):
+        _GB_CACHE.clear()
+        I = ideal("x^3-2*x*y", "x^2*y-2*y^2+x")
+        gb = groebner(I)
+        budget = Budget()
+        assert groebner(I, DEGREVLEX, budget) is gb
+        assert budget.used == gb.stats.pairs_considered + gb.stats.reductions > 0
 
 
 class TestNormalForm:

@@ -5,7 +5,7 @@ import pytest
 from leafmult.errors import HypothesisError
 from leafmult.foliation import FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
-from leafmult.ideals import Budget, IdealPresentation
+from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation
 from leafmult.jets import Jet2
 from leafmult.pairs import (
     BoundLedger,
@@ -324,6 +324,36 @@ class TestNonisolatedBound:
 
 def _steps(report):
     return [(s.kind, *s.transfer) for s in report.ledger.steps]
+
+
+def _without_timings(data):
+    if isinstance(data, dict):
+        return {k: _without_timings(v) for k, v in data.items() if k != "timings"}
+    if isinstance(data, list):
+        return [_without_timings(v) for v in data]
+    return data
+
+
+class TestBudgetedRunsShareTheCache:
+    """A budgeted pipeline reads the Groebner cache like an unbudgeted one:
+    on a cold and then a warm cache it reports what the unbudgeted run
+    reports and spends the same steps."""
+
+    @pytest.mark.parametrize("leaf,f,g", [
+        (flat3, "x*(x-y^2)", "x*(x-2*y^2)"),
+        (exp_leaf, "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)"),
+    ])
+    def test_cold_then_warm(self, leaf, f, g):
+        _GB_CACHE.clear()
+        reports, used = [], []
+        for _ in range(2):
+            budget = Budget(cap=10 ** 7)
+            reports.append(_without_timings(
+                nonisolated_bound(P(f), P(g), leaf(), budget=budget).describe()))
+            used.append(budget.used)
+        plain = _without_timings(nonisolated_bound(P(f), P(g), leaf()).describe())
+        assert reports == [plain, plain]
+        assert used[0] == used[1] > 0
 
 
 def _jacobian_evidence(report):
