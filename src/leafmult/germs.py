@@ -260,10 +260,11 @@ def cycles_on(cycles: Sequence[BranchCycle], jets: Sequence[Jet2]) -> list:
     return [c for c in cycles if all(germ_divides(j, c.factor) for j in nonzero)]
 
 
-def _local_factors(p: Polynomial):
+def _local_factors(p: Polynomial, divisors: Sequence[Polynomial] = ()):
     """(unit_part, [(irreducible local factor, mult)]); local factors vanish
-    at the origin, the unit part does not."""
-    content, factors = factor(p)
+    at the origin, the unit part does not.  The divisors are passed on to
+    poly.factor."""
+    content, factors = factor(p, divisors)
     unit = Polynomial.constant(LEAF_RING, content)
     local = []
     for fp, mult in factors:
@@ -472,8 +473,11 @@ def _ypoly_yun(w: YPoly) -> list:
     return [(p, m) for p, m in out if p.degree() > 0]
 
 
-def germ_cycles(f: Jet2, min_factor_prec: int = 4) -> PuiseuxBranchSet:
-    """Branch decomposition of a nonzero germ vanishing at the origin."""
+def germ_cycles(f: Jet2, min_factor_prec: int = 4,
+                divisors: Sequence[Polynomial] = ()) -> PuiseuxBranchSet:
+    """Branch decomposition of a nonzero germ vanishing at the origin.  An
+    exact germ is factored over Q with the given divisors (poly.factor);
+    they change the speed, never the result."""
     if f.is_zero():
         raise DomainError("cannot decompose the zero germ")
     order = f.order
@@ -483,7 +487,7 @@ def germ_cycles(f: Jet2, min_factor_prec: int = 4) -> PuiseuxBranchSet:
     last_error = None
     while order <= cap:
         try:
-            return _germ_cycles_once(f, f.at_order(order), min_factor_prec)
+            return _germ_cycles_once(f, f.at_order(order), min_factor_prec, divisors)
         except RegenerationRequest as e:
             if not f.can_regenerate():
                 raise InconclusiveError(
@@ -494,7 +498,8 @@ def germ_cycles(f: Jet2, min_factor_prec: int = 4) -> PuiseuxBranchSet:
                               stage="puiseux", partial=last_error)
 
 
-def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int) -> PuiseuxBranchSet:
+def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int,
+                      divisors: Sequence[Polynomial]) -> PuiseuxBranchSet:
     mu = work.vanishing_order()
     if mu is None:
         raise RegenerationRequest(2 * work.order + 4)
@@ -502,7 +507,7 @@ def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int) -> Puiseux
     if mu == 0:
         return PuiseuxBranchSet([], 0, work.order, Frame(), source)
     if exact is not None:
-        unit, local = _local_factors(exact)
+        unit, local = _local_factors(exact, divisors)
         cycles = []
         for fp, mult in local:
             sub = Jet2.from_polynomial(fp, work.order)
@@ -686,8 +691,11 @@ def split_common(fL: Jet2, gL: Jet2) -> GermSplit:
 
 def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
                  order: int) -> GermSplit:
-    _, lf = _local_factors(pf)
-    _, lg = _local_factors(pg)
+    """split_common of two exact germs from their factorizations over Q;
+    each polynomial is factored with the other as divisor, so a common
+    factor is split off by a gcd before anything is left to sympy."""
+    _, lf = _local_factors(pf, (pg,))
+    _, lg = _local_factors(pg, (pf,))
     gdict = {normalize_leading(p): m for p, m in lg}
     h_f_poly = Polynomial.constant(LEAF_RING, 1)
     h_g_poly = Polynomial.constant(LEAF_RING, 1)
@@ -708,10 +716,13 @@ def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
 def split_on_variety(fL: Jet2, restrictions: Sequence[Jet2], order: int) -> tuple:
     """Factor a restriction fL into h, carried by its branches on the variety
     trace (where every restriction vanishes), and the cofactor f; returns
-    (h, f, those cycles)."""
+    (h, f, those cycles).  An exact fL is factored with the exact
+    restrictions as divisors, so the branches it shares with them are split
+    off by a gcd before anything is left to sympy."""
     if fL.is_zero():
         raise HypothesisError("restriction of F to the leaf is zero at this order")
-    on_variety = cycles_on(germ_cycles(fL).cycles, restrictions)
+    exact = [p for p in (r.as_exact_polynomial() for r in restrictions) if p is not None]
+    on_variety = cycles_on(germ_cycles(fL, divisors=exact).cycles, restrictions)
     if not on_variety:
         raise HypothesisError(
             "no factor of the restriction vanishes on the variety trace")

@@ -515,9 +515,16 @@ def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
 
 # -- gcd and squarefree machinery ------------------------------------------
 #
-# Multivariate gcd by primitive-part/content recursion on the last active
-# variable, with subresultant-style integer gcd at the univariate base.
-# Adequate for desk-scale degrees; exactness is the only requirement.
+# The gcd is the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symb.
+# Comput. 1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+# section 7.7) on integer coefficients: evaluate the last variable at an
+# integer xi, take the gcd of the images recursively, rebuild a candidate
+# from its symmetric xi-adic digits and keep it when its primitive part
+# divides both inputs.  With xi >= 2*min(|a|, |b|) + 2 (max norms of the
+# primitive inputs) a candidate that divides both is the gcd.  After
+# HEU_GCD_TRIES values of xi the primitive PRS below decides.
+
+HEU_GCD_TRIES = 6
 
 
 def _as_univariate(p: Polynomial, index: int) -> dict[int, Polynomial]:
@@ -573,12 +580,14 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(a.ring, q_terms)
 
 
-def _content_wrt(p: Polynomial, index: int) -> Polynomial:
-    """gcd of the coefficients of p viewed in variable `index`."""
+def _content_wrt(p: Polynomial, index: int, gcd_of=None) -> Polynomial:
+    """gcd of the coefficients of p viewed in variable `index`, taken with
+    gcd_of (default gcd)."""
+    gcd_of = gcd_of or gcd
     uni = _as_univariate(p, index)
     cont = Polynomial.zero(p.ring)
     for e in sorted(uni):
-        cont = gcd(cont, uni[e])
+        cont = gcd_of(cont, uni[e])
         if cont.is_constant() and not cont.is_zero():
             break
     return cont
@@ -612,21 +621,124 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     if a.ring != b.ring:
         raise RingMismatchError(f"ring {a.ring} != ring {b.ring}")
-    if a.is_zero():
-        return normalize_leading(b)
-    if b.is_zero():
-        return normalize_leading(a)
+    if a.is_zero() or b.is_zero():
+        return normalize_leading(a + b)
+    h = _heu_gcd(_primitive_ints(a), _primitive_ints(b))
+    if h is None:
+        return _gcd_prs(a, b)
+    return normalize_leading(Polynomial._raw(a.ring, {m: Fraction(c) for m, c in h.items()}))
+
+
+def _primitive_ints(p: Polynomial) -> dict:
+    """The terms of p / _int_content(p), with int coefficients."""
+    c = _int_content(p)
+    return {m: int(v / c) for m, v in p.terms.items()}
+
+
+def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
+    """gcd of two nonzero integer term maps, integer content included, up
+    to sign; None when HEU_GCD_TRIES evaluation points all fail.  Every
+    level takes out the contents of its inputs and multiplies their gcd back
+    into its result: the images a(xi), b(xi) are not primitive, and a
+    candidate short of their common content still divides both inputs."""
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    content = math.gcd(ca, cb)
+    zero = (0,) * len(next(iter(a)))
+    a = {m: c // ca for m, c in a.items()}
+    b = {m: c // cb for m, c in b.items()}
+    if a.keys() == {zero} or b.keys() == {zero}:
+        return {zero: content}
+    index = max(i for p in (a, b) for m in p for i, e in enumerate(m) if e)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(HEU_GCD_TRIES):
+        images = _evaluate_at(a, index, xi), _evaluate_at(b, index, xi)
+        g = _heu_gcd(*images) if all(images) else None
+        if g is not None:
+            h = _interpolate(g, index, xi)
+            c = math.gcd(*h.values())
+            h = {m: v // c for m, v in h.items()}
+            if _int_divides(h, a) and _int_divides(h, b):
+                return {m: v * content for m, v in h.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_at(p: dict, index: int, xi: int) -> dict:
+    """p with variable `index` set to the integer xi."""
+    powers = [1]
+    out: dict = {}
+    for m, c in p.items():
+        e = m[index]
+        if e:
+            while len(powers) <= e:
+                powers.append(powers[-1] * xi)
+            m = m[:index] + (0,) + m[index + 1:]
+            c *= powers[e]
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(g: dict, index: int, xi: int) -> dict:
+    """The polynomial whose value at variable `index` = xi is g, with every
+    coefficient a digit of the symmetric base-xi expansion of g's."""
+    half = xi // 2
+    out = {}
+    for m, c in g.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m[:index] + (e,) + m[index + 1:]] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _int_divides(h: dict, a: dict) -> bool:
+    """True iff the primitive integer h divides a, in Z[x] or, by Gauss's
+    lemma, in Q[x]: divide lex-leading terms, each quotient exponent within
+    the degrees of a less those of h."""
+    room = [max(ea) - max(eh) for ea, eh in zip(zip(*a), zip(*h))]
+    if min(room) < 0:
+        return False
+    hm = max(h)
+    hc = h[hm]
+    r = dict(a)
+    while r:
+        rm = max(r)
+        q, rem = divmod(r[rm], hc)
+        qm = tuple(x - y for x, y in zip(rm, hm))
+        if rem or any(not 0 <= e <= k for e, k in zip(qm, room)):
+            return False
+        for m, c in h.items():
+            m = tuple(map(add, qm, m))
+            s = r.get(m, 0) - q * c
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return True
+
+
+def _gcd_prs(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd() by primitive-part/content recursion on the last active
+    variable and a primitive PRS in it; exact, and slow on inputs with many
+    terms in three variables.  The fallback of the heuristic gcd."""
+    if a.is_zero() or b.is_zero():
+        return normalize_leading(a + b)
     used = a.variables_used() | b.variables_used()
     if not used:
         return Polynomial.constant(a.ring, 1)
     index = max(used)
     if a.degree_in(index) == 0 or b.degree_in(index) == 0:
         # one argument is free of the main variable: gcd divides contents
-        ca = _content_wrt(a, index) if a.degree_in(index) > 0 else a
-        cb = _content_wrt(b, index) if b.degree_in(index) > 0 else b
-        return gcd(ca, cb)
-    ca = _content_wrt(a, index)
-    cb = _content_wrt(b, index)
+        ca = _content_wrt(a, index, _gcd_prs) if a.degree_in(index) > 0 else a
+        cb = _content_wrt(b, index, _gcd_prs) if b.degree_in(index) > 0 else b
+        return _gcd_prs(ca, cb)
+    ca = _content_wrt(a, index, _gcd_prs)
+    cb = _content_wrt(b, index, _gcd_prs)
     pa = exact_divide(a, ca)
     pb = exact_divide(b, cb)
     # primitive PRS in the main variable
@@ -637,15 +749,15 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         r = pseudo_rem(f, g, index)
         if r.is_zero():
             if g.degree_in(index) > 0:
-                g = exact_divide(g, _content_wrt(g, index))
+                g = exact_divide(g, _content_wrt(g, index, _gcd_prs))
             break
         if r.degree_in(index) == 0:
             g = Polynomial.constant(a.ring, 1)
             break
-        r = exact_divide(r, _content_wrt(r, index))
+        r = exact_divide(r, _content_wrt(r, index, _gcd_prs))
         r = r * (Fraction(1) / _int_content(r))
         f, g = g, r
-    result = gcd(ca, cb) * g
+    result = _gcd_prs(ca, cb) * g
     return normalize_leading(result)
 
 
@@ -675,10 +787,11 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 # 1 in a variable in which the piece is primitive, or two terms whose exponent
 # difference is a primitive vector (the Newton polytope is a segment of
 # lattice length 1, so by Ostrowski's theorem any factorization has a monomial
-# factor, and the piece has none).  A piece without a certificate sends the
-# whole polynomial to sympy.  No gcd with a derivative is tried: on the
-# polynomials the pipeline factors it certifies few more of them and costs
-# more than sympy does.
+# factor, and the piece has none).  A polynomial with a piece that has no
+# certificate is split by its gcd with each divisor the caller names, and the
+# parts are factored in turn; only a part with neither a certificate nor a
+# split goes to sympy.  No gcd with a derivative is tried: on the polynomials
+# the pipeline factors it certifies few more of them.
 
 
 def _split_pair(a: Polynomial, b: Polynomial) -> Optional[list]:
@@ -737,6 +850,25 @@ def _dense(terms: Mapping[Monomial, Fraction], n: int) -> list:
     return [_dense(rows.get(e, {}), n - 1) for e in range(max(rows), -1, -1)]
 
 
+def _in_sympy_form(p: Polynomial, pieces) -> tuple:
+    """(content, [(factor, multiplicity)]) of a nonzero p, as sympy's
+    factor_list returns it, from its irreducible factors given as (f, mult)
+    with each f up to a constant."""
+    mults: dict = {}
+    for f, mult in pieces:
+        # primitive with integer coefficients and a positive lex-leading
+        # coefficient, as sympy returns its factors
+        content = _int_content(f)
+        f = f * (1 / (-content if f.terms[max(f.terms)] < 0 else content))
+        mults[f] = mults.get(f, 0) + mult
+    factors = sorted(mults.items(), key=lambda fm: (
+        fm[0].degree_in(0) + 1, fm[1], _dense(fm[0].terms, len(p.ring))))
+    content = p.terms[max(p.terms)]
+    for f, mult in factors:
+        content /= f.terms[max(f.terms)] ** mult
+    return content, factors
+
+
 def _factor_certified(p: Polynomial) -> Optional[tuple]:
     """factor() of a nonzero p, as sympy returns it, when every irreducible
     factor has a certificate; None otherwise."""
@@ -746,32 +878,39 @@ def _factor_certified(p: Polynomial) -> Optional[tuple]:
         Polynomial._raw(ring, {monomial_div(m, low): c for m, c in p.terms.items()}))
     if pieces is None:
         return None
-    mults = {Polynomial.variable(ring, i): e for i, e in enumerate(low) if e}
-    for f in pieces:
-        # primitive with integer coefficients and a positive lex-leading
-        # coefficient, as sympy returns its factors
-        content = _int_content(f)
-        f = f * (1 / (-content if f.terms[max(f.terms)] < 0 else content))
-        mults[f] = mults.get(f, 0) + 1
-    factors = sorted(mults.items(), key=lambda fm: (
-        fm[0].degree_in(0) + 1, fm[1], _dense(fm[0].terms, len(ring))))
-    content = p.terms[max(p.terms)]
-    for f, mult in factors:
-        content /= f.terms[max(f.terms)] ** mult
-    return content, factors
+    return _in_sympy_form(p, [(Polynomial.variable(ring, i), e) for i, e in enumerate(low) if e]
+                          + [(f, 1) for f in pieces])
 
 
-def factor(p: Polynomial) -> tuple:
+def _factor_by_divisors(p: Polynomial, divisors: Sequence[Polynomial]) -> Optional[tuple]:
+    """factor() of a nonzero p from the first divisor whose gcd with p is a
+    proper factor g: the factors of g and of p/g, each factored with the
+    same divisors; None when no divisor splits p."""
+    for d in divisors:
+        g = gcd(p, d)
+        if 0 < g.total_degree() < p.total_degree():
+            _, fg = factor(g, divisors)
+            _, fq = factor(exact_divide(p, g), divisors)
+            return _in_sympy_form(p, fg + fq)
+    return None
+
+
+def factor(p: Polynomial, divisors: Sequence[Polynomial] = ()) -> tuple:
     """(content, [(factor, multiplicity)]): p = content * prod(factor **
     multiplicity), factors irreducible over Q, primitive with integer
-    coefficients, in sympy's factor_list order.  The package's one use of
-    sympy, imported only for a polynomial with a factor that has no
-    certificate of irreducibility, so that commands which factor nothing
-    harder start without it."""
+    coefficients, in sympy's factor_list order.  A polynomial with a factor
+    that has no certificate of irreducibility is first split by its gcd with
+    each of the divisors (polynomials in p's ring that likely share factors
+    with p); they change the speed, never the result.  sympy, the package's
+    one use of it, is imported only for a part with neither a certificate
+    nor a split, so that commands which factor nothing harder start
+    without it."""
     if not p.is_zero():
-        certified = _factor_certified(p)
-        if certified is not None:
-            return certified
+        found = _factor_certified(p)
+        if found is None:
+            found = _factor_by_divisors(p, divisors)
+        if found is not None:
+            return found
     import sympy
 
     gens = [sympy.Symbol(name) for name in p.ring]

@@ -145,3 +145,60 @@ def test_command_loads_only_its_layers(layers, group):
     _, needed, forbidden = GROUPS[group]
     assert needed <= layers[group]
     assert not layers[group] & forbidden
+
+
+# the flat-leaf cases of tests/test_acceptance.py::test_criterion_7, then
+# one h*f, h*g pair for each common factor h of the exact-leaf benchmark
+# family, with the direct multiplicity each must give
+FLAT_CASES = [
+    ("x*(x-y^2)", "x*(x-2*y^2)", 2),
+    ("x", "y", 1),
+    ("x-y^2", "y-x^2", 1),
+    ("x^2*(x-y^2)", "x*(x-2*y^2)", 2),
+    ("x*(x-y^3)", "x*(x+y^3)", 3),
+    ("x*(y-x^2)", "x*(y+x^2)", 2),
+    ("y*(y-x^2)", "y*(y+x^2)", 2),
+    ("(y^2-x^3)*x", "(y^2-x^3)*y", 1),
+    ("(x-y^2)*(x-2*y^2)", "(x-y^2)*(x-3*y^2)", 2),
+    ("x^2*(x-y^2)", "x^2*(x-2*y^2)", 2),
+    ("(y^2-x^3)*(x-y^2)", "(y^2-x^3)*(x-2*y^2)", 2),
+    ("(x)*(y-2*x^3)", "(x)*(y+1/2*x^3)", 3),
+    ("(x-y^2)*(x-3/2*y^2)", "(x-y^2)*(x+2*y^2)", 2),
+    ("(y^2-x^3)*(y-3*x^2)", "(y^2-x^3)*(y+2/3*x^2)", 2),
+    ("(x^2)*(x-2*y^3)", "(x^2)*(x+3*y^3)", 3),
+    ("(x+y)*(y-2*x^2)", "(x+y)*(y-1/2*x^2)", 2),
+    ("(y)*(x-3*y)", "(y)*(x+y)", 1),
+]
+
+FLAT_PROBE = """
+import json, sys
+from leafmult.foliation import FoliationContext, VectorField
+from leafmult.pairs import nonisolated_bound
+from leafmult.poly import parse_polynomial
+
+XYZ = ("x", "y", "z")
+
+def vf(*texts):
+    return VectorField(XYZ, tuple(parse_polynomial(t, XYZ) for t in texts))
+
+out = []
+for f, g, _ in json.loads(sys.argv[1]):
+    ctx = FoliationContext(vf("1", "0", "0"), vf("0", "1", "0"), (0, 0, 0))
+    report = nonisolated_bound(parse_polynomial(f, XYZ), parse_polynomial(g, XYZ), ctx)
+    out.append((report.ledger.status, int(report.direct_value)))
+print(json.dumps({"results": out, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_flat_leaf_bounds_do_not_load_sympy():
+    """On the flat leaf every restriction is an exact polynomial; on these
+    cases its gcds with the other restrictions split it into certified
+    factors, so the whole pipeline runs without sympy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", FLAT_PROBE, json.dumps(FLAT_CASES)],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    probe = json.loads(out.stdout)
+    assert probe["results"] == [["point-excluded", k] for _, _, k in FLAT_CASES]
+    assert not probe["sympy"]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from leafmult.errors import DomainError, ParseError, RingMismatchError
 from leafmult.poly import (
     Polynomial,
+    _gcd_prs,
     exact_divide,
     gcd,
     normalize_leading,
@@ -211,6 +213,71 @@ class TestGcd:
         a = parse_polynomial("(x+y+z)^2*(x-z)", ring)
         b = parse_polynomial("(x+y+z)*(y+z)", ring)
         assert gcd(a, b) == parse_polynomial("x+y+z", ring)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(common * a, common * b), each of the three a nonzero rational times
+    small factors (1-3 terms) to powers 1-2: coprime pairs, monomial and
+    integer content, repeated factors and constants; either side may be
+    replaced by zero.  In 1-2 variables each takes 0-2 factors with
+    exponents <= 2; in 3 variables 0-1 factor with exponents <= 1, because
+    the reference PRS runs for seconds to minutes on some larger 3-variable
+    draws."""
+    ring = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    wide = len(ring) < 3
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(bool)
+    mono = st.tuples(*[st.integers(0, 2 if wide else 1)] * len(ring))
+    small = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(
+        lambda d: Polynomial(ring, d))
+
+    def product():
+        p = Polynomial.constant(ring, draw(coeff))
+        for f in draw(st.lists(small, max_size=2 if wide else 1)):
+            p = p * f ** draw(st.integers(1, 2))
+        return p
+
+    common = product()
+    a, b = common * product(), common * product()
+    zero = Polynomial.zero(ring)
+    return draw(st.sampled_from([(a, b), (a, b), (a, b), (a, zero), (zero, b), (zero, zero)]))
+
+
+def found_shape_inputs():
+    """Six products of three random 3-term factors in x, y, z with 25-36
+    terms, each with a partial derivative: the shape on which the primitive
+    PRS took from 0.05 s to more than 8 s."""
+    ring = ("x", "y", "z")
+    rng = random.Random(2026)
+    out = []
+    while len(out) < 6:
+        p = Polynomial.constant(ring, 1)
+        for _ in range(3):
+            p = p * Polynomial(ring, {tuple(rng.randint(0, 2) for _ in ring):
+                                      Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                      for _ in range(3)})
+        if 25 <= len(p.terms) <= 36:
+            out.append((p, p.derive(len(out) % 3)))
+    return out
+
+
+class TestHeuristicGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(gcd_pairs())
+    @example((P("x*z*(x+y)", ("x", "y", "z")), P("2*x*z*(x-y)", ("x", "y", "z"))))
+    @example((P("6*x^2*y"), P("4*x*y^3")))
+    @example((P("3"), P("-9/2")))
+    def test_equals_prs(self, pair):
+        a, b = pair
+        assert gcd(a, b) == _gcd_prs(a, b)
+
+    @pytest.mark.parametrize("a, b", found_shape_inputs())
+    def test_found_shape_under_a_second(self, a, b):
+        start = time.perf_counter()
+        g = gcd(a, b)
+        assert time.perf_counter() - start < 1.0
+        exact_divide(a, g)
+        exact_divide(b, g)
 
 
 class TestSquarefree:

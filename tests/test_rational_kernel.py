@@ -340,3 +340,39 @@ class TestCertifiedFactorMatchesSympy:
     ])
     def test_no_certificate_goes_to_sympy(self, text):
         assert _factor_certified(P(text)) is None
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """(p, q) = (c * h^a * f, h^b * g) with h, f, g drawn from
+    BIVARIATE_FACTORS (units included), a in 1..3 and b in 0..3."""
+    h, f, g = (draw(st.sampled_from(BIVARIATE_FACTORS)) for _ in range(3))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return draw(coeffs.filter(bool)) * h ** a * f, h ** b * g
+
+
+# shares no factor with any product of BIVARIATE_FACTORS
+COPRIME_DIVISOR = P("t1 + t2 + 7")
+
+
+class TestDivisorSplitMatchesSympy:
+    @settings(max_examples=120, deadline=None)
+    @given(shared_factor_pairs())
+    # the exact-leaf benchmark inputs (seed 1) on which sympy took longest:
+    # restrictions to the flat leaf that share a factor such as t1^3 - t2^2
+    @example((P("-1/2*t1^5 - t1^3*t2 + 1/2*t1^2*t2^2 + t2^3"),
+              P("1/2*t1^6 - 1/2*t1^3*t2^2 - t1^3*t2 + t2^3")))
+    @example((P("1/2*t1^6 - 1/2*t1^3*t2^2 - t1^3*t2 + t2^3"),
+              P("-3/2*t1^6 + 3/2*t1^3*t2^2 - t1^3*t2 + t2^3")))
+    @example((P("3/2*t1^5 - t1^3*t2 - 3/2*t1^2*t2^2 + t2^3"),
+              P("-1/2*t1^5 - t1^3*t2 + 1/2*t1^2*t2^2 + t2^3")))
+    @example((P("1/2*t1^3*t2^3 - 1/2*t2^5 - t1^4 + t1*t2^2"),
+              P("-2/3*t1^3*t2^3 + 2/3*t2^5 - t1^4 + t1*t2^2")))
+    @example((P("(t1^2 + t2^2)^2*(t1 - t2)"), P("(t1^2 + t2^2)*(1 + t1)")))
+    def test_same_content_and_factors(self, pair):
+        p, q = pair
+        ref_content, ref_factors = _ref_factor_list(p)
+        for divisors in ([q], [COPRIME_DIVISOR], [COPRIME_DIVISOR, q]):
+            content, factors = factor(p, divisors=divisors)
+            assert content == ref_content
+            assert [(dict(f.terms), m) for f, m in factors] == ref_factors
