@@ -13,10 +13,11 @@ the corner order (Nakayama).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import cached_property, partial
 from math import gcd, inf, lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -184,11 +185,15 @@ class BranchCycle:
     """A conjugacy class of branches: its defining germ factor over Q (in
     original leaf coordinates), its multiplicity as a repeated factor, and
     its parameterization, which holds the ramification index and the
-    coefficient field."""
+    coefficient field and is computed by parameterize on first read."""
 
     factor: Jet2
     multiplicity: int
-    param: BranchParam
+    parameterize: Callable[[], BranchParam] = dfield(repr=False, compare=False)
+
+    @cached_property
+    def param(self) -> BranchParam:
+        return self.parameterize()
 
     @property
     def ram_index(self) -> int:
@@ -292,8 +297,21 @@ def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
         factor_frame = Polynomial(LEAF_RING, W.terms)
         factor_orig = frame.pull_polynomial(factor_frame)
         jet = _cycle_factor_jet(source, frame, factor_orig, want)
-        cycles.append(BranchCycle(factor=jet, multiplicity=1, param=bp))
+        cycles.append(BranchCycle(jet, 1, lambda bp=bp: bp))
     return cycles
+
+
+def _exact_factor_cycles(fp: Polynomial, order: int, min_factor_prec: int) -> list:
+    """Cycles of an irreducible polynomial over Q, by Newton-Puiseux
+    expansion in a frame where it is regular in t2."""
+    sub = Jet2.from_polynomial(fp, order)
+    frame = choose_frame(sub)
+    w = jet_to_ypoly(frame.push(sub).truncate(max(order, fp.total_degree() + min_factor_prec)))
+    # factor precision is decoupled from the jet order: cycle jets carry
+    # producers, so deeper truncations are regenerated on demand instead of
+    # being paid for up front
+    x_prec = max(min_factor_prec, fp.total_degree() + 4, 8)
+    return _cycles_of_squarefree_ypoly(w, frame, x_prec, sub)
 
 
 def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
@@ -510,20 +528,19 @@ def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int,
         unit, local = _local_factors(exact, divisors)
         cycles = []
         for fp, mult in local:
-            sub = Jet2.from_polynomial(fp, work.order)
-            frame = choose_frame(sub)
-            w = jet_to_ypoly(frame.push(sub).truncate(
-                max(work.order, fp.total_degree() + min_factor_prec)))
-            # factor precision is decoupled from the jet order: cycle jets
-            # carry producers, so deeper truncations are regenerated on
-            # demand instead of being paid for up front
-            x_prec = max(min_factor_prec, fp.total_degree() + 4, 8)
-            sub_cycles = _cycles_of_squarefree_ypoly(w, frame, x_prec, sub)
+            expansion = partial(_exact_factor_cycles, fp, work.order, min_factor_prec)
+            # a single cycle of an irreducible polynomial is the polynomial
+            # itself: keep it exact
+            exact_factor = Jet2.from_polynomial(normalize_leading(fp), work.order)
+            if exact_factor.vanishing_order() == 1:
+                # a smooth germ is one cycle; the expansion runs only when
+                # its parameterization is read
+                cycles.append(BranchCycle(exact_factor, mult,
+                                          lambda expansion=expansion: expansion()[0].param))
+                continue
+            sub_cycles = expansion()
             if len(sub_cycles) == 1:
-                # a single cycle of an irreducible polynomial is the
-                # polynomial itself: keep it exact
-                sub_cycles[0].factor = Jet2.from_polynomial(
-                    normalize_leading(fp), work.order)
+                sub_cycles[0].factor = exact_factor
             for c in sub_cycles:
                 c.multiplicity = mult
             cycles.extend(sub_cycles)

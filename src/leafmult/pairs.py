@@ -9,6 +9,19 @@ of the chain is zero and the composed maps bound the original one.
 
 Every step re-verifies the pair containment and records the evidence
 behind its transfer factors, so a trace can be re-checked offline.
+
+Local membership is decided modulo m^{N+1} at the certificate order N,
+and it is exact once N reaches the colength of the local ideal
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 6.4: an
+ideal of colength mu contains m^mu).  One order serves the whole chain:
+- the radical, Poisson and Jacobian steps only append to the local
+  generators, so the local ideals of the chain increase;
+- the first local ideal is (f, g), or (fL, gL) on the isolated path,
+  where h_f is a unit; its colength is the direct value d;
+- so every local ideal of the chain has colength mu <= d and contains
+  m^d, and membership modulo m^{N+1} is exact once N >= d.
+A run certifies at order N > d, or N > bound when the direct value is
+unknown, and otherwise reruns at the order it needs.
 """
 
 from __future__ import annotations
@@ -495,19 +508,13 @@ def _nonisolated_bound_once(F, G, ctx, order, options, budget, t0) -> BoundRepor
     if not ledger.all_sound() and ledger.status == "point-excluded":
         ledger.status = "radical-partial"
     bound = ledger.composed_bound(0) if ledger.status == "point-excluded" else None
-    # Local membership certificates are truncation-limited: they become
-    # exact once the working order exceeds the multiplicity of the local
-    # ideal they certify against.  The i-th local ideal's multiplicity is
-    # bounded backward-composed from the chain end, and the first one by
-    # the direct value, so bootstrap the order past all of those.
+    # Every local ideal of the chain contains the first, whose colength is
+    # the direct value (module docstring), so membership modulo m^{order+1}
+    # is exact once order > direct.  Without a direct value the bound, which
+    # no transfer m -> a*m + b (a >= 1, b >= 0) lets an intermediate exceed,
+    # stands in for it.
     if bound is not None:
-        tail = 0
-        intermediate = 0
-        for step in reversed(ledger.steps[1:] if ledger.steps else []):
-            tail = step.apply(tail)
-            intermediate = max(intermediate, tail)
-        first = direct if direct not in (None, inf) else bound
-        needed = max(intermediate, first)
+        needed = bound if direct is None else direct
         if order <= needed:
             raise RegenerationRequest(needed + 4)
     trace["timings"] = {"seconds": time.monotonic() - t0}

@@ -279,7 +279,8 @@ _TRACE = {"manifest": dict, "report": {"inputs": {"F": str, "G": str}, "ledger":
 def verify_trace(trace: dict) -> list:
     """Re-check every certificate recorded in a bound trace: membership of
     radical exponents, recomputed brackets, derivative sets, local
-    exponent memberships, every transfer re-derived from its evidence, the
+    exponent memberships at a local order above the direct value (the
+    bound when it is null), every transfer re-derived from its evidence, the
     soundness of each step, the final exclusion of the base point, and the
     bound against the direct value.
 
@@ -295,6 +296,13 @@ def verify_trace(trace: dict) -> list:
     inputs = report["inputs"]
     steps = report["ledger"]["steps"]
     excluded_status = report.get("final_status") == "point-excluded"
+    direct = report.get("direct_value")
+    # a point-excluded trace claims a bound; its local memberships modulo
+    # m^{N+1} are exact once N is above the colength of the local ideal,
+    # which the direct value caps (pairs module docstring), else the bound
+    colength_cap = None
+    if excluded_status:
+        colength_cap = report.get("bound") if direct is None else direct
     ring = manifest.variables
     ctx = manifest.context()
     F = parse_polynomial(inputs["F"], ring)
@@ -366,8 +374,10 @@ def verify_trace(trace: dict) -> list:
             if ok and step["transfer"] != {"scale": scale, "offset": 0}:
                 ok, detail = False, "transfer does not match the exponent evidence"
             n = ev.get("certified_exponent")
+            order = ev["local_order"]
+            if ok and _typed(colength_cap, int) and order <= colength_cap:
+                ok, detail = False, f"local order {order} is not above {colength_cap}"
             if ok and n is not None:
-                order = ev["local_order"]
                 local = [Jet2.from_polynomial(parse_polynomial(t, T), order)
                          for t in ev["local_generators"]]
                 reduced = Jet2.from_polynomial(
@@ -391,7 +401,6 @@ def verify_trace(trace: dict) -> list:
             m = 0
             for step in reversed(steps):
                 m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
-        direct = report.get("direct_value")
         if m != bound:
             ok, detail = False, f"recomputed {m} != {bound}"
         elif not _typed(direct, (int, type(None))):

@@ -190,6 +190,9 @@ def _forge(report, forgery):
         steps[0]["transfer"]["scale"] = 1
     elif forgery == "unsound-step":
         steps[0]["sound"] = False
+    elif forgery == "local-order-at-direct":
+        # membership modulo m^3 does not decide an ideal of colength 2
+        jacobian["evidence"]["local_order"] = report["direct_value"]
     m = 0
     for step in steps[::-1]:
         m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
@@ -198,12 +201,16 @@ def _forge(report, forgery):
         report["direct_value"] = m + 1
     if forgery == "jacobian-K":
         report["direct_value"] = None
+    if forgery == "direct-null-at-bound":
+        # without a direct value the local order must be above the bound
+        report["direct_value"] = None
 
 
 class TestVerifyForgedTransfers:
     @pytest.mark.parametrize("forgery", ["e1", "jacobian-scale", "jacobian-K", "poisson-scale",
                                          "radical-weight", "unsound-step",
-                                         "direct-above-bound"])
+                                         "direct-above-bound", "local-order-at-direct",
+                                         "direct-null-at-bound"])
     def test_rejected(self, tmp_path, capsys, forgery):
         trace = tmp_path / "trace.json"
         path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
@@ -216,12 +223,19 @@ class TestVerifyForgedTransfers:
         _forge(data["report"], forgery)
         if forgery == "e1":
             assert data["report"]["bound"] == 0 < data["report"]["direct_value"]
+        if forgery == "local-order-at-direct":
+            assert data["report"]["direct_value"] == 2
+        if forgery == "direct-null-at-bound":
+            jacobian = [s for s in data["report"]["ledger"]["steps"] if s["kind"] == "jacobian"]
+            assert data["report"]["bound"] == jacobian[0]["evidence"]["local_order"] == 16
         trace.write_text(json.dumps(data))
         assert main(["verify", "--from-trace", str(trace)]) == 4
         out = capsys.readouterr().out
         # one line per step plus the final and bound lines, as before
         assert len(out.splitlines()) == lines
         assert out.count("FAIL") >= 1
+        if forgery in ("local-order-at-direct", "direct-null-at-bound"):
+            assert "FAIL step 1 [jacobian] (local order " in out
 
 
 # evidence keys nothing re-checks: deleting one leaves the trace valid

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafmult.errors import DomainError, HypothesisError
 from leafmult.germs import (
@@ -446,3 +447,90 @@ class TestExtensionFieldCycles:
         assert c.multiplicity == 1
         assert c.branch_count() == 2
         assert bs.mu == 4
+
+
+def _expanded_exact_cycles(jet, min_factor_prec=4):
+    """The exact path of germ_cycles with every irreducible factor expanded
+    by Newton-Puiseux, smooth ones included."""
+    from leafmult.germs import (
+        _cycles_of_squarefree_ypoly,
+        _local_factors,
+        choose_frame,
+        jet_to_ypoly,
+    )
+    order = jet.order
+    _, local = _local_factors(jet.as_exact_polynomial())
+    cycles = []
+    for fp, mult in local:
+        sub = Jet2.from_polynomial(fp, order)
+        frame = choose_frame(sub)
+        w = jet_to_ypoly(frame.push(sub).truncate(max(order, fp.total_degree() + min_factor_prec)))
+        x_prec = max(min_factor_prec, fp.total_degree() + 4, 8)
+        sub_cycles = _cycles_of_squarefree_ypoly(w, frame, x_prec, sub)
+        if len(sub_cycles) == 1:
+            sub_cycles[0].factor = Jet2.from_polynomial(normalize_leading(fp), order)
+        for c in sub_cycles:
+            c.multiplicity = mult
+        cycles.extend(sub_cycles)
+    cycles.sort(key=lambda c: (c.order_at_origin(), str(c.factor.to_polynomial())))
+    return cycles
+
+
+_COEFFS = st.sampled_from([Fraction(n, d) for n, d in ((1, 1), (-1, 1), (2, 1), (-2, 1),
+                                                        (1, 2), (-3, 2), (3, 1))])
+
+
+@st.composite
+def _smooth_factor(draw):
+    if draw(st.booleans()):
+        # v - a*w^k + c*t1*t2
+        v, w = draw(st.sampled_from([("t1", "t2"), ("t2", "t1")]))
+        a, k = draw(_COEFFS), draw(st.integers(1, 3))
+        c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]))
+        return parse_polynomial(f"{v} - ({a})*{w}^{k} + ({c})*t1*t2", T)
+    return parse_polynomial(f"t1 + ({draw(_COEFFS)})*t2", T)
+
+
+_local_factor = st.one_of(_smooth_factor(), st.just(parse_polynomial("t2^2 - t1^3", T)))
+_unit = st.sampled_from([parse_polynomial(t, T) for t in ("1", "3", "1 + t1", "2 - t1*t2 + t2^2")])
+
+
+class TestSmoothFactorShortcut:
+    """A smooth exact factor is one cycle without a Newton-Puiseux
+    expansion; its parameterization is expanded when first read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_local_factor, st.integers(1, 2)), min_size=1, max_size=3),
+           _unit)
+    def test_matches_the_expansion_of_every_factor(self, factors, unit):
+        p = unit
+        for fp, e in factors:
+            p = p * fp ** e
+        jet = Jet2.from_polynomial(p, 16)
+        got = germ_cycles(jet).cycles
+        want = _expanded_exact_cycles(jet)
+        assert len(got) == len(want)
+        for c, r in zip(got, want):
+            assert c.factor.to_polynomial() == r.factor.to_polynomial()
+            assert c.factor.order == r.factor.order
+            assert c.multiplicity == r.multiplicity
+            assert c.describe() == r.describe()
+
+    def test_expansion_runs_when_the_parameterization_is_read(self, monkeypatch):
+        import leafmult.germs as germs
+        calls = []
+        real = germs.expand
+
+        def counting(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(germs, "expand", counting)
+        bs = germ_cycles(J("(t1-t2^2)*(t2^2-t1^3)", 16))
+        assert len(calls) == 1   # the cusp, which is not smooth
+        smooth, = [c for c in bs.cycles if c.order_at_origin() == 1]
+        assert smooth.factor.to_polynomial() == normalize_leading(parse_polynomial("t1 - t2^2", T))
+        param = smooth.param
+        assert len(calls) == 2
+        assert smooth.param is param and smooth.ram_index == 1 == smooth.field_degree
+        assert len(calls) == 2

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from leafmult.errors import HypothesisError
+from leafmult.errors import HypothesisError, InconclusiveError
 from leafmult.foliation import FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
 from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation
@@ -326,6 +326,56 @@ def _steps(report):
     return [(s.kind, *s.transfer) for s in report.ledger.steps]
 
 
+R, JAC, PO = "radical", "jacobian", "poisson"
+
+
+class TestCertificateOrder:
+    """The certificate order comes from the direct value: one run at the
+    default jet order certifies bounds far above it (pairs module
+    docstring)."""
+
+    @pytest.mark.parametrize("leaf, f, g, bound, steps", [
+        (flat3, "(y^2-x^3)*(x-y)", "(y^2-x^3)*(x+3*y)", 320,
+         [(R, 4, 0), (JAC, 1, 0), (R, 16, 0), (PO, 1, 1), (R, 4, 0), (PO, 1, 1), (R, 1, 0)]),
+        (flat3, "(y^2-x^3)*(y-x^3)", "(y^2-x^3)*(y+2/3*x^3)", 180,
+         [(R, 4, 0), (JAC, 1, 0), (R, 9, 0), (PO, 1, 1), (R, 4, 0), (PO, 1, 1), (R, 1, 0)]),
+        (exp_leaf, "(z-1)*(x-y^3)", "(z-1)*(x+y^3)", 189,
+         [(R, 9, 0), (PO, 1, 1), (R, 4, 0), (JAC, 1, 0), (R, 1, 0), (PO, 1, 1), (R, 4, 0),
+          (PO, 1, 1), (R, 1, 0)]),
+    ])
+    def test_one_run_at_the_default_order(self, monkeypatch, leaf, f, g, bound, steps):
+        import leafmult.pairs as pairs
+        orders = []
+        real = pairs._nonisolated_bound_once
+
+        def spy(F, G, ctx, order, *rest):
+            orders.append(order)
+            return real(F, G, ctx, order, *rest)
+
+        monkeypatch.setattr(pairs, "_nonisolated_bound_once", spy)
+        ctx = leaf()
+        F, G = P(f), P(g)
+        report = nonisolated_bound(F, G, ctx)
+        assert orders == [ctx.default_jet_order(F, G)]
+        assert report.trace["jet_order"] == ctx.default_jet_order(F, G)
+        assert report.ledger.status == "point-excluded"
+        assert report.bound == bound
+        assert _steps(report) == steps
+
+    def test_bound_stands_in_for_an_unknown_direct_value(self, monkeypatch):
+        import leafmult.pairs as pairs
+
+        def inconclusive(f, g, budget=None):
+            raise InconclusiveError("no direct value")
+
+        monkeypatch.setattr(pairs, "local_multiplicity", inconclusive)
+        report = nonisolated_bound(P("x*(x-y^2)"), P("x*(x-2*y^2)"), flat3())
+        assert report.ledger.status == "point-excluded"
+        assert report.direct_value is None
+        # order 16 is not above the bound 16, so the run is redone at 32
+        assert (report.bound, report.trace["jet_order"]) == (16, 32)
+
+
 def _without_timings(data):
     if isinstance(data, dict):
         return {k: _without_timings(v) for k, v in data.items() if k != "timings"}
@@ -408,24 +458,41 @@ class TestBranchSplits:
 
 
 class TestChainInvariants:
-    def test_monotone_chain_and_pair_preservation(self):
+    def test_monotone_chain_and_pair_preservation(self, monkeypatch):
+        self._check_chain(monkeypatch, flat3(), "x*(x-y^2)", "x*(x-2*y^2)", 14)
+
+    def test_monotone_chain_on_the_exponential_leaf(self, monkeypatch):
+        self._check_chain(monkeypatch, exp_leaf(), "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)", 16)
+
+    @staticmethod
+    def _check_chain(monkeypatch, ctx, f, g, order):
         # every produced chain is increasing on both sides: old global
         # generators stay members, old local generators stay in the new
         # local ideal
+        import leafmult.pairs as pairs
         from leafmult.germs import local_membership, split_common
         from leafmult.ideals import member
-        ctx = flat3()
-        F, G = P("x*(x-y^2)"), P("x*(x-2*y^2)")
-        s = split_common(ctx.leaf_jet(F, 14), ctx.leaf_jet(G, 14))
-        state = make_pair(ideal("x*(x-y^2)", "x*(x-2*y^2)"), [s.f, s.g], ctx)
-        chain = [state]
-        state, steps, _ = isolated_locus_reduction(state)
-        chain.append(state)
+        chain = []
+        real = pairs.verify_pair
+
+        def recording(pair):
+            chain.append(pair)
+            real(pair)
+
+        # every extension that changes the pair verifies it, so this sees
+        # each pair of the chain in turn
+        monkeypatch.setattr(pairs, "verify_pair", recording)
+        F, G = P(f), P(g)
+        s = split_common(ctx.leaf_jet(F, order), ctx.leaf_jet(G, order))
+        state = make_pair(IdealPresentation(XYZ, (F, G)), [s.f, s.g], ctx)
+        state, _, _ = isolated_locus_reduction(state)
         state, _ = jacobian_extension(state, F)
-        chain.append(state)
-        state, steps2, _ = isolated_locus_reduction(state)
-        chain.append(state)
+        isolated_locus_reduction(state)
+        assert len(chain) >= 5
         for before, after in zip(chain, chain[1:]):
+            # the premise of the certificate order (pairs module docstring):
+            # a step only appends local generators
+            assert after.local_gens[:len(before.local_gens)] == before.local_gens
             for g in before.ideal.generators:
                 assert member(g, after.ideal), (str(g), str(after.ideal))
             for jet in before.local_gens:
