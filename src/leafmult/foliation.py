@@ -81,7 +81,8 @@ class FoliationContext:
 
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
-    derivatives are memoized per (F, a, b); the flow jets (the leaf jets of
+    derivatives are memoized per (F, a, b); leaf jets per (F, order) (a Jet2
+    is immutable, so sharing it is safe); the flow jets (the leaf jets of
     the coordinate functions x_i) and their truncated powers per truncation
     order; budget-free local standard bases per generator set and order.
     """
@@ -108,6 +109,11 @@ class FoliationContext:
         self._flows: dict = {}  # order -> (phi_i as Polynomial in LEAF_RING, ...)
         self._powers: dict = {}  # (order, i, e) -> phi_i^e truncated at order
         self._bases: dict = {}
+        self._jets: dict = {}  # (f, order) -> Jet2
+        # coordinates whose levels have not vanished yet, among the first
+        # _levels_seen levels (see _flow_degree)
+        self._open_coordinates = list(range(len(self.ring)))
+        self._levels_seen = 0
 
     def _independent_at_point(self) -> bool:
         a = self.v1.evaluate(self.point)
@@ -176,6 +182,25 @@ class FoliationContext:
                     coeffs[(a, b)] = v / (factorial(a) * factorial(b))
         return Polynomial(LEAF_RING, coeffs)
 
+    def _flow_degree(self, levels: int) -> Optional[int]:
+        """D = max_i D_i, where D_i + 1 is the first level at which every
+        V1^a V2^b x_i (a + b = level) vanishes identically; None while some
+        coordinate has a nonzero derivative on each of the first `levels`
+        levels.  Then Phi_t(q) is polynomial in t of degree at most D at
+        every point q.  Each level is examined once per context; on the
+        exponential leaf no level of z vanishes, so D stays unknown."""
+        while self._open_coordinates and self._levels_seen < levels:
+            level = self._levels_seen = self._levels_seen + 1
+            self._open_coordinates = [
+                i for i in self._open_coordinates
+                if self._level_is_nonzero(Polynomial.variable(self.ring, i), level)]
+        return None if self._open_coordinates else self._levels_seen - 1
+
+    def _level_is_nonzero(self, f: Polynomial, level: int) -> bool:
+        # V1^level first: on the exponential leaf the flow jets hold it already
+        return any(not self.iterated_derivative(f, a, level - a).is_zero()
+                   for a in range(level, -1, -1))
+
     def _flow_power(self, index: int, e: int, order: int) -> Polynomial:
         """phi_index^e truncated at order, by square-and-multiply on memoized
         halves; zero as soon as e * ord(phi_index) exceeds order, so the
@@ -211,7 +236,8 @@ class FoliationContext:
         return Polynomial(LEAF_RING, acc)
 
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:
-        """Jet of F restricted to the leaf through p, in flow coordinates.
+        """Jet of F restricted to the leaf through p, in flow coordinates,
+        memoized per (F, order).
 
         When the Lie series terminates (all level-k derivatives vanish
         identically for some k <= order) the jet is tagged as an exact
@@ -221,22 +247,35 @@ class FoliationContext:
         has a nonzero coefficient of total degree order, no level k <= order
         vanishes identically: the level after one that does is made of its
         V1 and V2 derivatives and vanishes too, up to level order.  Then the
-        series does not terminate within order.  Otherwise the levels of
-        iterated derivatives are built up to the first one that vanishes
+        series does not terminate within order.  Otherwise, when the flows
+        are polynomial of degree at most D (`_flow_degree`), F o Phi_t(q)
+        has t-degree at most deg F * D at every point q, so level
+        deg F * D + 1 vanishes identically; if that level is at most order
+        the series terminates.  Failing both, the levels of iterated
+        derivatives are built up to the first one that vanishes
         identically, if any.
         """
+        key = (f, order)
+        jet = self._jets.get(key)
+        if jet is None:
+            jet = self._jets[key] = self._leaf_jet(f, order)
+        return jet
+
+    def _leaf_jet(self, f: Polynomial, order: int) -> Jet2:
         if f.ring != self.ring:
             raise DomainError("polynomial ring does not match context ring")
         if order < 0:
             raise DomainError("jet order must be >= 0")
         composed = self._compose_flow(f, order)
-        producer = cached_producer(lambda n: self.leaf_jet(f, n))
         if not any(a + b == order for (a, b) in composed.terms):
+            degree = self._flow_degree(order)
+            if degree is not None and f.total_degree() * degree + 1 <= order:
+                return Jet2.from_polynomial(composed, order)
             for level in range(order + 1):
                 if all([self.iterated_derivative(f, a, level - a).is_zero()
                         for a in range(level + 1)]):
                     return Jet2.from_polynomial(composed, order)
-        return Jet2(order, composed, producer)
+        return Jet2(order, composed, cached_producer(lambda n: self.leaf_jet(f, n)))
 
     def poisson(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Leafwise Poisson bracket V1(f) V2(g) - V2(f) V1(g)."""

@@ -9,6 +9,7 @@ violation is a release blocker, not a tolerance question.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from math import inf
@@ -265,24 +266,26 @@ def _typed(value, shape) -> bool:
 # a forged trace cannot ask for g^huge.  The other evidence keys (radical
 # status, worst-case factor, basis, removed branches) are informational.
 _EXPONENT = range(1, _MAX_EXPONENT + 1)
+_ORDER = range(0, sys.maxsize)  # a jet order is a natural number
 _STEP = {"transfer": {"scale": int, "offset": int}, "degrees": {"before": int, "after": int}}
 _EVIDENCE = {
     "radical": {"generators": [str], "exponents": [_EXPONENT], "weight": int},
     "poisson": {"F": str, "G": str, "bracket": str},
     "jacobian": {"F": str, "k": _EXPONENT, "K": int, "mu": int,
                  "certified_exponent": (int, type(None)), "derivatives": [str],
-                 "reduced_factor": str, "local_generators": [str], "local_order": int},
+                 "reduced_factor": str, "local_generators": [str], "local_order": _ORDER},
 }
 _TRACE = {"manifest": dict, "report": {"inputs": {"F": str, "G": str}, "ledger": {"steps": list}}}
 
 
 def verify_trace(trace: dict) -> list:
     """Re-check every certificate recorded in a bound trace: membership of
-    radical exponents, recomputed brackets, derivative sets, local
-    exponent memberships at a local order above the direct value (the
-    bound when it is null), every transfer re-derived from its evidence, the
-    soundness of each step, the final exclusion of the base point, and the
-    bound against the direct value.
+    radical exponents, recomputed brackets, derivative sets and the
+    containment of their restrictions in the local ideal, local exponent
+    memberships at a local order above the direct value (the bound when it
+    is null), every transfer re-derived from its evidence, the soundness of
+    each step, the final exclusion of the base point, and the bound against
+    the direct value.
 
     A trace without its manifest, report, inputs or ledger raises
     ParseError; a step with a missing or ill-typed field fails its own
@@ -377,11 +380,19 @@ def verify_trace(trace: dict) -> list:
             order = ev["local_order"]
             if ok and _typed(colength_cap, int) and order <= colength_cap:
                 ok, detail = False, f"local order {order} is not above {colength_cap}"
-            if ok and n is not None:
+            if ok:
                 local = [Jet2.from_polynomial(parse_polynomial(t, T), order)
                          for t in ev["local_generators"]]
                 reduced = Jet2.from_polynomial(
                     parse_polynomial(ev["reduced_factor"], T), order)
+                # the step's one containment claim: the derivatives, added
+                # globally, restrict into the local ideal with the reduced factor
+                for t in ev["derivatives"]:
+                    d = ctx.leaf_jet(parse_polynomial(t, ring), order)
+                    if not local_membership(d, local + [reduced], order):
+                        ok, detail = False, f"restriction of {t} is not in the local ideal"
+                        break
+            if ok and n is not None:
                 if not local_membership(reduced ** n, local, order):
                     ok, detail = False, "certified exponent fails re-verification"
             checks.append(TraceCheck(idx, kind, ok, detail))

@@ -193,6 +193,10 @@ def _forge(report, forgery):
     elif forgery == "local-order-at-direct":
         # membership modulo m^3 does not decide an ideal of colength 2
         jacobian["evidence"]["local_order"] = report["direct_value"]
+    elif forgery == "jacobian-local-generators":
+        # t1 still passes the certified exponent, but 2*x - y^2 restricts
+        # to 2*t1 - t2^2, outside (t1)
+        jacobian["evidence"]["local_generators"] = ["t1"]
     m = 0
     for step in steps[::-1]:
         m = step["transfer"]["scale"] * m + step["transfer"]["offset"]
@@ -210,7 +214,7 @@ class TestVerifyForgedTransfers:
     @pytest.mark.parametrize("forgery", ["e1", "jacobian-scale", "jacobian-K", "poisson-scale",
                                          "radical-weight", "unsound-step",
                                          "direct-above-bound", "local-order-at-direct",
-                                         "direct-null-at-bound"])
+                                         "direct-null-at-bound", "jacobian-local-generators"])
     def test_rejected(self, tmp_path, capsys, forgery):
         trace = tmp_path / "trace.json"
         path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-2*y^2)")
@@ -236,6 +240,9 @@ class TestVerifyForgedTransfers:
         assert out.count("FAIL") >= 1
         if forgery in ("local-order-at-direct", "direct-null-at-bound"):
             assert "FAIL step 1 [jacobian] (local order " in out
+        if forgery == "jacobian-local-generators":
+            assert "FAIL step 1 [jacobian] (restriction of " in out
+            assert out.count("FAIL") == 1
 
 
 # evidence keys nothing re-checks: deleting one leaves the trace valid

@@ -280,3 +280,82 @@ class TestComposedLeafJets:
         jet = COMMUTING_PAIRS[leaf]().leaf_jet(f, 8)
         assert time.perf_counter() - start < 2.0
         assert_same_jet(jet, reference_leaf_jet(COMMUTING_PAIRS[leaf](), f, 8))
+
+
+def quadratic_flow_leaf():
+    """V1 = d/dx + y d/dz, V2 = d/dy + x d/dz: z moves along the flows as
+    z + y*t1 + x*t2 + t1*t2, so the flows are polynomial of degree 2."""
+    return FoliationContext(vf(XYZ, "1", "0", "y"), vf(XYZ, "0", "1", "x"), (1, 2, -1))
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+def sheared_leaf():
+    """V1 = d/dx + y d/dz, V2 = d/dw: z moves as z + y*t1, so D = 1."""
+    return FoliationContext(vf(XYZW, "1", "0", "y", "0"), vf(XYZW, "0", "0", "0", "1"),
+                            (0, 0, 0, 0))
+
+
+# leaf -> the degree D of its flows, None when they are not polynomial
+FLOW_DEGREES = {flat3: 1, quadratic_flow_leaf: 2, exp_leaf: None}
+
+
+class TestLeafJetMemo:
+    def test_same_object_within_a_context_only(self):
+        ctx = exp_leaf()
+        f = parse_polynomial("x*z - y^2", XYZ)
+        jet = ctx.leaf_jet(f, 5)
+        assert ctx.leaf_jet(f, 5) is jet
+        other = exp_leaf().leaf_jet(f, 5)
+        assert other is not jet
+        assert_same_jet(other, jet)
+
+    def test_regeneration_returns_the_memoized_jet(self):
+        ctx = exp_leaf()
+        f = parse_polynomial("z", XYZ)
+        jet = ctx.leaf_jet(f, 3)
+        assert jet.as_exact_polynomial() is None
+        assert jet.regenerate(8) is ctx.leaf_jet(f, 8)
+
+
+class TestExactTagFromFlowDegree:
+    @pytest.mark.parametrize("leaf", list(FLOW_DEGREES), ids=lambda leaf: leaf.__name__)
+    def test_flow_degree(self, leaf):
+        assert leaf()._flow_degree(8) == FLOW_DEGREES[leaf]
+
+    def test_decided_without_derivatives_of_f(self):
+        # z - x*y is constant on every leaf; deg F * D + 1 = 5
+        f = parse_polynomial("z - x*y", XYZ)
+        ctx = quadratic_flow_leaf()
+        assert ctx.leaf_jet(f, 5).as_exact_polynomial() == Polynomial.constant(("t1", "t2"), -3)
+        assert not any(key[0] == f for key in ctx._memo)
+        # below level 5 the level loop decides, as before
+        ctx = quadratic_flow_leaf()
+        assert ctx.leaf_jet(f, 2).as_exact_polynomial() == Polynomial.constant(("t1", "t2"), -3)
+        assert any(key[0] == f for key in ctx._memo)
+
+    def test_top_coefficient_vanishing_at_p_only(self):
+        # at y = 0 the t1 coefficient of z vanishes, but V1(z) = y does not
+        ctx = sheared_leaf()
+        z = parse_polynomial("z", XYZW)
+        assert ctx._flow_degree(4) == 1
+        jet = ctx.leaf_jet(z, 1)
+        assert jet.poly.is_zero() and jet.as_exact_polynomial() is None
+        assert_same_jet(jet, reference_leaf_jet(sheared_leaf(), z, 1))
+        assert ctx.leaf_jet(z, 2).as_exact_polynomial() is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(FLOW_DEGREES)),
+           st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                           st.integers(-3, 3).filter(bool), max_size=4),
+           st.integers(0, 9))
+    def test_matches_the_level_loop(self, leaf, terms, order):
+        # orders run below and above deg F * D + 1 (up to 13 here)
+        f = Polynomial(XYZ, terms)
+        ctx = leaf()
+        jet = ctx.leaf_jet(f, order)
+        ref = reference_leaf_jet(leaf(), f, order)
+        assert_same_jet(jet, ref)
+        if FLOW_DEGREES[leaf] is None:
+            assert ctx._flow_degree(order) is None

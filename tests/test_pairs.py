@@ -472,23 +472,17 @@ class TestChainInvariants:
         import leafmult.pairs as pairs
         from leafmult.germs import local_membership, split_common
         from leafmult.ideals import member
-        chain = []
-        real = pairs.verify_pair
-
-        def recording(pair):
-            chain.append(pair)
-            real(pair)
-
-        # every extension that changes the pair verifies it, so this sees
-        # each pair of the chain in turn
-        monkeypatch.setattr(pairs, "verify_pair", recording)
+        chain = record_pairs(monkeypatch)
         F, G = P(f), P(g)
         s = split_common(ctx.leaf_jet(F, order), ctx.leaf_jet(G, order))
-        state = make_pair(IdealPresentation(XYZ, (F, G)), [s.f, s.g], ctx)
+        state = pairs.make_pair(IdealPresentation(XYZ, (F, G)), [s.f, s.g], ctx)
         state, _, _ = isolated_locus_reduction(state)
         state, _ = jacobian_extension(state, F)
         isolated_locus_reduction(state)
         assert len(chain) >= 5
+        for pair in chain:
+            # the radical and Poisson steps no longer check this themselves
+            pairs.verify_pair(pair)
         for before, after in zip(chain, chain[1:]):
             # the premise of the certificate order (pairs module docstring):
             # a step only appends local generators
@@ -497,6 +491,59 @@ class TestChainInvariants:
                 assert member(g, after.ideal), (str(g), str(after.ideal))
             for jet in before.local_gens:
                 assert local_membership(jet, after.local_gens, before.cert_order)
+
+
+def record_pairs(monkeypatch) -> list:
+    """Record, in order, every pair that make_pair and the three extensions
+    return from now on."""
+    import leafmult.pairs as pairs
+    chain = []
+
+    def recording(real):
+        def run(*args, **kwargs):
+            out = real(*args, **kwargs)
+            chain.append(out if isinstance(out, NoetherianPair) else out[0])
+            return out
+        return run
+
+    for name in ("make_pair", "radical_extension", "poisson_extension",
+                 "jacobian_extension"):
+        monkeypatch.setattr(pairs, name, recording(getattr(pairs, name)))
+    return chain
+
+
+# tests/test_acceptance.py::test_criterion_7
+SOUNDNESS_CATALOG = [
+    ("flat", "x*(x-y^2)", "x*(x-2*y^2)"),
+    ("flat", "x", "y"),
+    ("flat", "x-y^2", "y-x^2"),
+    ("flat", "x^2*(x-y^2)", "x*(x-2*y^2)"),
+    ("flat", "x*(x-y^3)", "x*(x+y^3)"),
+    ("flat", "x*(y-x^2)", "x*(y+x^2)"),
+    ("flat", "y*(y-x^2)", "y*(y+x^2)"),
+    ("flat", "(y^2-x^3)*x", "(y^2-x^3)*y"),
+    ("flat", "(x-y^2)*(x-2*y^2)", "(x-y^2)*(x-3*y^2)"),
+    ("exp", "z-1", "y"),
+    ("exp", "z-1", "x+y"),
+    ("flat", "x^2*(x-y^2)", "x^2*(x-2*y^2)"),
+    ("flat", "(y^2-x^3)*(x-y^2)", "(y^2-x^3)*(x-2*y^2)"),
+    ("exp", "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)"),
+]
+
+
+class TestContainmentByConstruction:
+    """Only make_pair and the Jacobian step check the pair containment; every
+    pair the pipeline builds satisfies it all the same."""
+
+    @pytest.mark.parametrize("leaf,f,g", SOUNDNESS_CATALOG)
+    def test_every_returned_pair_is_a_pair(self, monkeypatch, leaf, f, g):
+        import leafmult.pairs as pairs
+        chain = record_pairs(monkeypatch)
+        report = nonisolated_bound(P(f), P(g), {"flat": flat3, "exp": exp_leaf}[leaf]())
+        assert report.ledger.status == "point-excluded"
+        assert len(chain) >= 3
+        for pair in chain:
+            pairs.verify_pair(pair)
 
 
 class TestLocalBasisMemo:
