@@ -17,6 +17,9 @@ from .jets import LEAF_RING, Jet2, cached_producer
 from .poly import Polynomial
 
 DEFAULT_EXTRA_ORDER = 4
+# no bound run certifies at a higher jet order, so a trace verifier can
+# refuse a larger one before it builds a leaf jet at that order
+MAX_CERT_ORDER = 256
 
 
 @dataclass(frozen=True)

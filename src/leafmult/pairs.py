@@ -27,7 +27,7 @@ ideal of colength mu contains m^mu).  One order serves the whole chain:
 - so every local ideal of the chain has colength mu <= d and contains
   m^d, and membership modulo m^{N+1} is exact once N >= d.
 A run certifies at order N > d, or N > bound when the direct value is
-unknown, and otherwise reruns at the order it needs.
+unknown, and otherwise reruns at the order it needs, up to MAX_CERT_ORDER.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     InconclusiveError,
     RegenerationRequest,
 )
-from .foliation import FoliationContext
+from .foliation import MAX_CERT_ORDER, FoliationContext
 from .germs import (
     branch_product,
     cycles_on,
@@ -445,6 +445,9 @@ def nonisolated_bound(F: Polynomial, G: Polynomial, ctx: FoliationContext,
     order = options.jet_order or ctx.default_jet_order(F, G)
     last_exc = None
     for attempt in range(REGENERATION_RETRIES):
+        if order > MAX_CERT_ORDER:
+            raise InconclusiveError(
+                f"jet order {order} is above the certificate order cap {MAX_CERT_ORDER}")
         try:
             return _nonisolated_bound_once(F, G, ctx, order, options, budget, t0)
         except RegenerationRequest as e:

@@ -9,7 +9,6 @@ violation is a release blocker, not a tolerance question.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from math import inf
@@ -29,6 +28,7 @@ from .ideals import (
 )
 from .jets import Jet2
 from .localbasis import local_membership, local_quotient_dimension
+from .foliation import MAX_CERT_ORDER
 from .manifest import ProblemManifest
 from .poly import Polynomial, monomial_divides, parse_polynomial
 
@@ -262,11 +262,12 @@ def _typed(value, shape) -> bool:
     return isinstance(value, shape) and not isinstance(value, bool)
 
 
-# What each step kind's check reads, with its shape; exponents are capped so
-# a forged trace cannot ask for g^huge.  The other evidence keys (radical
-# status, worst-case factor, basis, removed branches) are informational.
+# What each step kind's check reads, with its shape; exponents and the local
+# order are capped so a forged trace cannot ask for g^huge or for a leaf jet
+# of huge order.  The other evidence keys (radical status, worst-case factor,
+# basis, removed branches) are informational.
 _EXPONENT = range(1, _MAX_EXPONENT + 1)
-_ORDER = range(0, sys.maxsize)  # a jet order is a natural number
+_ORDER = range(0, MAX_CERT_ORDER + 1)  # a jet order the pipeline can certify at
 _STEP = {"transfer": {"scale": int, "offset": int}, "degrees": {"before": int, "after": int}}
 _EVIDENCE = {
     "radical": {"generators": [str], "exponents": [_EXPONENT], "weight": int},

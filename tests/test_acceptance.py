@@ -22,6 +22,7 @@ from leafmult.pairs import (
     isolated_locus_reduction,
     make_pair,
     nonisolated_bound,
+    verify_pair,
 )
 from leafmult.poly import Polynomial, parse_polynomial
 from leafmult.verify import run_suite
@@ -183,7 +184,7 @@ def test_criterion_6_isolated_regression(criterion):
     criterion["ok"] = True
 
 
-def test_criterion_7_soundness_sweep(criterion):
+def test_criterion_7_soundness_sweep(criterion, returned_pairs):
     criterion["id"] = (7, "soundness sweep over the manifest catalog")
     flat = flat3()
     expl = exp_leaf()
@@ -205,9 +206,15 @@ def test_criterion_7_soundness_sweep(criterion):
     ]
     assert len(catalog) >= 10
     for ctx, ftext, gtext, expected in catalog:
+        returned_pairs.clear()
         report = nonisolated_bound(P(ftext), P(gtext), ctx)
         assert report.ledger.status == "point-excluded", (ftext, gtext)
         assert report.direct_value == expected, (ftext, gtext, report.direct_value)
         assert report.bound is not None
         assert report.direct_value <= report.bound, (ftext, gtext)
+        # only make_pair and the Jacobian step check the pair containment;
+        # every pair the pipeline builds satisfies it all the same
+        assert len(returned_pairs) >= 3, (ftext, gtext)
+        for pair in returned_pairs:
+            verify_pair(pair)
     criterion["ok"] = True

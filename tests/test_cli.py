@@ -6,6 +6,7 @@ import pytest
 
 from leafmult.cli import main
 from leafmult.extension import WITNESS_JET_ORDER
+from leafmult.foliation import MAX_CERT_ORDER, FoliationContext
 from leafmult.manifest import ProblemManifest, load_trace
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -243,6 +244,35 @@ class TestVerifyForgedTransfers:
         if forgery == "jacobian-local-generators":
             assert "FAIL step 1 [jacobian] (restriction of " in out
             assert out.count("FAIL") == 1
+
+    @pytest.mark.parametrize("local_order", [MAX_CERT_ORDER + 1, 10 ** 6])
+    def test_local_order_above_the_cap(self, tmp_path, capsys, monkeypatch, local_order):
+        # on the exponential leaf a leaf jet's cost grows with its order, so a
+        # forged local order must fail its step before any jet is built at it
+        trace = tmp_path / "trace.json"
+        path = write_manifest(tmp_path, v1=["1", "0", "z"], point=["0", "0", "1"],
+                              f="(z-1)*(x-y^2)", g="(z-1)*(x-2*y^2)")
+        assert main(["bound", "--manifest", path, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        steps = data["report"]["ledger"]["steps"]
+        lines = len(steps) + 2
+        idx = [s["kind"] for s in steps].index("jacobian")
+        steps[idx]["evidence"]["local_order"] = local_order
+        trace.write_text(json.dumps(data))
+        orders = []
+        real = FoliationContext.leaf_jet
+
+        def recording(self, f, order):
+            orders.append(order)
+            return real(self, f, order)
+
+        monkeypatch.setattr(FoliationContext, "leaf_jet", recording)
+        capsys.readouterr()
+        assert main(["verify", "--from-trace", str(trace)]) == 4
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
+        assert f"FAIL step {idx} [jacobian] (missing or ill-typed step field)" in out
+        assert max(orders, default=0) <= MAX_CERT_ORDER
 
 
 # evidence keys nothing re-checks: deleting one leaves the trace valid

@@ -2,14 +2,15 @@ import time
 
 import pytest
 
-from leafmult.errors import HypothesisError, InconclusiveError
-from leafmult.foliation import FoliationContext, VectorField
+from leafmult.errors import HypothesisError, InconclusiveError, RegenerationRequest
+from leafmult.foliation import MAX_CERT_ORDER, FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
 from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation
 from leafmult.jets import Jet2
 from leafmult.pairs import (
     BoundLedger,
     NoetherianPair,
+    PipelineOptions,
     find_transverse_pair,
     isolated_locus_reduction,
     jacobian_extension,
@@ -375,6 +376,30 @@ class TestCertificateOrder:
         # order 16 is not above the bound 16, so the run is redone at 32
         assert (report.bound, report.trace["jet_order"]) == (16, 32)
 
+    def test_no_run_above_the_certificate_order_cap(self, monkeypatch):
+        import leafmult.pairs as pairs
+        orders = []
+        real = pairs._nonisolated_bound_once
+
+        def spy(F, G, ctx, order, *rest):
+            orders.append(order)
+            return real(F, G, ctx, order, *rest)
+
+        def regenerate(F, G, ctx, order, *rest):
+            orders.append(order)
+            raise RegenerationRequest(MAX_CERT_ORDER + 1)
+
+        F, G = P("x*(x-y^2)"), P("x*(x-2*y^2)")
+        monkeypatch.setattr(pairs, "_nonisolated_bound_once", spy)
+        at_cap = PipelineOptions(jet_order=MAX_CERT_ORDER)
+        assert nonisolated_bound(F, G, flat3(), at_cap).bound == 16
+        with pytest.raises(InconclusiveError, match="certificate order cap"):
+            nonisolated_bound(F, G, flat3(), PipelineOptions(jet_order=MAX_CERT_ORDER + 1))
+        monkeypatch.setattr(pairs, "_nonisolated_bound_once", regenerate)
+        with pytest.raises(InconclusiveError, match="certificate order cap"):
+            nonisolated_bound(F, G, flat3())
+        assert max(orders) == MAX_CERT_ORDER
+
 
 def _without_timings(data):
     if isinstance(data, dict):
@@ -458,28 +483,31 @@ class TestBranchSplits:
 
 
 class TestChainInvariants:
-    def test_monotone_chain_and_pair_preservation(self, monkeypatch):
-        self._check_chain(monkeypatch, flat3(), "x*(x-y^2)", "x*(x-2*y^2)", 14)
+    def test_monotone_chain_and_pair_preservation(self, returned_pairs):
+        self._check_chain(returned_pairs, flat3(), "x*(x-y^2)", "x*(x-2*y^2)", 14)
 
-    def test_monotone_chain_on_the_exponential_leaf(self, monkeypatch):
-        self._check_chain(monkeypatch, exp_leaf(), "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)", 16)
+    def test_monotone_chain_on_the_exponential_leaf(self, returned_pairs):
+        self._check_chain(returned_pairs, exp_leaf(), "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)", 16)
 
     @staticmethod
-    def _check_chain(monkeypatch, ctx, f, g, order):
+    def _check_chain(chain, ctx, f, g, order):
         # every produced chain is increasing on both sides: old global
         # generators stay members, old local generators stay in the new
         # local ideal
         import leafmult.pairs as pairs
         from leafmult.germs import local_membership, split_common
         from leafmult.ideals import member
-        chain = record_pairs(monkeypatch)
         F, G = P(f), P(g)
         s = split_common(ctx.leaf_jet(F, order), ctx.leaf_jet(G, order))
         state = pairs.make_pair(IdealPresentation(XYZ, (F, G)), [s.f, s.g], ctx)
         state, _, _ = isolated_locus_reduction(state)
-        state, _ = jacobian_extension(state, F)
+        state, step = pairs.jacobian_extension(state, F)
         isolated_locus_reduction(state)
         assert len(chain) >= 5
+        # the Jacobian pair, which appends the reduced factor locally, is
+        # recorded, so the checks below cover the step on both sides
+        assert any(pair is state for pair in chain)
+        assert str(state.local_gens[-1].to_polynomial()) == step.evidence["reduced_factor"]
         for pair in chain:
             # the radical and Poisson steps no longer check this themselves
             pairs.verify_pair(pair)
@@ -491,59 +519,6 @@ class TestChainInvariants:
                 assert member(g, after.ideal), (str(g), str(after.ideal))
             for jet in before.local_gens:
                 assert local_membership(jet, after.local_gens, before.cert_order)
-
-
-def record_pairs(monkeypatch) -> list:
-    """Record, in order, every pair that make_pair and the three extensions
-    return from now on."""
-    import leafmult.pairs as pairs
-    chain = []
-
-    def recording(real):
-        def run(*args, **kwargs):
-            out = real(*args, **kwargs)
-            chain.append(out if isinstance(out, NoetherianPair) else out[0])
-            return out
-        return run
-
-    for name in ("make_pair", "radical_extension", "poisson_extension",
-                 "jacobian_extension"):
-        monkeypatch.setattr(pairs, name, recording(getattr(pairs, name)))
-    return chain
-
-
-# tests/test_acceptance.py::test_criterion_7
-SOUNDNESS_CATALOG = [
-    ("flat", "x*(x-y^2)", "x*(x-2*y^2)"),
-    ("flat", "x", "y"),
-    ("flat", "x-y^2", "y-x^2"),
-    ("flat", "x^2*(x-y^2)", "x*(x-2*y^2)"),
-    ("flat", "x*(x-y^3)", "x*(x+y^3)"),
-    ("flat", "x*(y-x^2)", "x*(y+x^2)"),
-    ("flat", "y*(y-x^2)", "y*(y+x^2)"),
-    ("flat", "(y^2-x^3)*x", "(y^2-x^3)*y"),
-    ("flat", "(x-y^2)*(x-2*y^2)", "(x-y^2)*(x-3*y^2)"),
-    ("exp", "z-1", "y"),
-    ("exp", "z-1", "x+y"),
-    ("flat", "x^2*(x-y^2)", "x^2*(x-2*y^2)"),
-    ("flat", "(y^2-x^3)*(x-y^2)", "(y^2-x^3)*(x-2*y^2)"),
-    ("exp", "(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)"),
-]
-
-
-class TestContainmentByConstruction:
-    """Only make_pair and the Jacobian step check the pair containment; every
-    pair the pipeline builds satisfies it all the same."""
-
-    @pytest.mark.parametrize("leaf,f,g", SOUNDNESS_CATALOG)
-    def test_every_returned_pair_is_a_pair(self, monkeypatch, leaf, f, g):
-        import leafmult.pairs as pairs
-        chain = record_pairs(monkeypatch)
-        report = nonisolated_bound(P(f), P(g), {"flat": flat3, "exp": exp_leaf}[leaf]())
-        assert report.ledger.status == "point-excluded"
-        assert len(chain) >= 3
-        for pair in chain:
-            pairs.verify_pair(pair)
 
 
 class TestLocalBasisMemo:
