@@ -35,7 +35,7 @@ from .localbasis import (  # local_membership is re-exported
     local_membership,
     mora_divide,
 )
-from .poly import Polynomial, factor, normalize_leading
+from .poly import Polynomial, _over_common_denominator, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
@@ -339,10 +339,10 @@ def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
 def _int_slice(coeffs: dict) -> tuple:
     """(numerators by t2-degree, common denominator) of {t2-degree: Fraction},
     the numerators sharing no factor with the denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
+    sparse, den = _over_common_denominator(list(coeffs.values()))
     nums = [0] * (max(coeffs, default=-1) + 1)
-    for b, c in coeffs.items():
-        nums[b] = c.numerator * (den // c.denominator)
+    for b, n in zip(coeffs, sparse):
+        nums[b] = n
     return nums, den
 
 

@@ -14,12 +14,12 @@ tag, and germ-level code uses it to take truncation-free paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .errors import DomainError, InconclusiveError
-from .poly import Polynomial
+from .poly import Polynomial, _over_common_denominator
 
 LEAF_RING = ("t1", "t2")
 
@@ -49,9 +49,8 @@ def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
     """p(m00*t1 + m01*t2, m10*t1 + m11*t2), one homogeneous component at a
     time in integer arithmetic: with the entries over a common denominator
     q, the term t1^a*t2^b becomes q^-(a+b) * (p0*t1 + p1*t2)^a * (p2*t1 + p3*t2)^b."""
-    entries = [Fraction(m) for m in (m00, m01, m10, m11)]
-    q = lcm(*(m.denominator for m in entries))
-    p0, p1, p2, p3 = (int(m * q) for m in entries)
+    (p0, p1, p2, p3), q = _over_common_denominator(
+        [Fraction(m) for m in (m00, m01, m10, m11)])
     rows: dict[tuple, list] = {}
 
     def row(x: int, y: int, n: int) -> list:
@@ -68,10 +67,9 @@ def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
     terms = {}
     for d in sorted(forms):
         form = forms[d]
-        den = lcm(*(c.denominator for c in form.values()))
+        nums, den = _over_common_denominator(list(form.values()))
         out = [0] * (d + 1)
-        for (a, b), c in form.items():
-            n = c.numerator * (den // c.denominator)
+        for (a, b), n in zip(form, nums):
             right = row(p2, p3, b)
             for i, x in row(p0, p1, a):
                 nx = n * x

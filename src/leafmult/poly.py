@@ -593,6 +593,13 @@ def _content_wrt(p: Polynomial, index: int, gcd_of=None) -> Polynomial:
     return cont
 
 
+def _over_common_denominator(values) -> tuple:
+    """(numerators, den) with each value = numerator / den, den the lcm of
+    the denominators, for a sequence of Fractions."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _int_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integer-coefficient and primitive."""
     from math import gcd as igcd
@@ -895,18 +902,42 @@ def _factor_by_divisors(p: Polynomial, divisors: Sequence[Polynomial]) -> Option
     return None
 
 
+def _factor_quadratic(p: Polynomial) -> Optional[tuple]:
+    """factor() of a nonzero p of degree 2 in its one variable: with the
+    coefficients a, b, c cleared to integers, two linear factors
+    2a*x + b -+ sqrt(b^2 - 4ac) when the discriminant is a square, and p
+    itself otherwise; None for any other p."""
+    used = p.variables_used()
+    if len(used) != 1:
+        return None
+    i, = used
+    if p.degree_in(i) != 2:
+        return None
+    by_degree = {m[i]: c for m, c in p.terms.items()}
+    (a, b, c), _ = _over_common_denominator([by_degree.get(e, Fraction(0)) for e in (2, 1, 0)])
+    disc = b * b - 4 * a * c
+    root = math.isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return _in_sympy_form(p, [(p, 1)])
+    x = Polynomial.variable(p.ring, i)
+    return _in_sympy_form(p, [(x * (2 * a) + (b - root), 1), (x * (2 * a) + (b + root), 1)])
+
+
 def factor(p: Polynomial, divisors: Sequence[Polynomial] = ()) -> tuple:
     """(content, [(factor, multiplicity)]): p = content * prod(factor **
     multiplicity), factors irreducible over Q, primitive with integer
-    coefficients, in sympy's factor_list order.  A polynomial with a factor
-    that has no certificate of irreducibility is first split by its gcd with
-    each of the divisors (polynomials in p's ring that likely share factors
-    with p); they change the speed, never the result.  sympy, the package's
-    one use of it, is imported only for a part with neither a certificate
-    nor a split, so that commands which factor nothing harder start
-    without it."""
+    coefficients, in sympy's factor_list order.  A quadratic in one
+    variable is decided by its discriminant.  Any other polynomial with a
+    factor that has no certificate of irreducibility is first split by its
+    gcd with each of the divisors (polynomials in p's ring that likely share
+    factors with p); they change the speed, never the result.  sympy, the
+    package's one use of it, is imported only for a part with neither a
+    certificate nor a split, so that commands which factor nothing harder
+    start without it."""
     if not p.is_zero():
         found = _factor_certified(p)
+        if found is None:
+            found = _factor_quadratic(p)
         if found is None:
             found = _factor_by_divisors(p, divisors)
         if found is not None:

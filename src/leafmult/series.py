@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError, InconclusiveError, RegenerationRequest
-from .poly import Polynomial, factor
+from .poly import Polynomial, _over_common_denominator, factor
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +458,39 @@ def _trager_squarefree(E: ExtField, f) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _qq_product(a: tuple, b: tuple, prec: int) -> tuple:
+    """The terms below prec of the product of two sorted, nonzero term
+    tuples over QQ.  A single term shifts and scales the other operand.
+    Otherwise each operand goes over one common denominator, the integer
+    numerators of a are convolved, term by term, with the dense numerator
+    list of b, and each output exponent becomes one Fraction."""
+    if not a or not b:
+        return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (e0, c0), = a
+        if c0 == 1:
+            return tuple((e0 + e, c) for e, c in b if e0 + e < prec)
+        return tuple((e0 + e, c0 * c) for e, c in b if e0 + e < prec)
+    a_nums, a_den = _over_common_denominator([c for _, c in a])
+    b_nums, b_den = _over_common_denominator([c for _, c in b])
+    b0 = b[0][0]
+    lo = a[0][0] + b0
+    dense = [0] * (b[-1][0] - b0 + 1)
+    for (e, _), n in zip(b, b_nums):
+        dense[e - b0] = n
+    acc = [0] * max(prec - lo, 0)
+    for (e, _), n in zip(a, a_nums):
+        m = min(len(dense), prec - e - b0)
+        if m <= 0:
+            break
+        i = e + b0 - lo
+        acc[i:i + m] = map(add, acc[i:i + m], map(n.__mul__, dense[:m]))
+    den = a_den * b_den
+    return tuple((lo + i, Fraction(n, den)) for i, n in enumerate(acc) if n)
+
+
 @dataclass(frozen=True)
 class XSeries:
     """Truncated Laurent series: coefficients for exponents < prec."""
@@ -529,6 +563,8 @@ class XSeries:
     def __mul__(self, other: "XSeries") -> "XSeries":
         K = self.field
         prec = min(self.prec + other.ord_known(), other.prec + self.ord_known())
+        if K is QQ:
+            return XSeries(K, _qq_product(self.coeffs, other.coeffs, prec), prec)
         acc = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
@@ -550,11 +586,16 @@ class XSeries:
     def inverse(self) -> "XSeries":
         """Inverse of a series with known nonzero lowest term.
 
-        With u = s^-k * self = c0 + u_1 s + ..., the coefficients of u^-1
-        follow from the triangular recurrence r_0 = 1/c0,
-        r_n = -(1/c0) * sum_{1 <= i <= n} u_i r_{n-i} (von zur Gathen &
-        Gerhard, Modern Computer Algebra, 9.1); the inverse modulo s^prec
-        is unique, so this is the series Newton iteration converges to.
+        With u = s^-k * self = c0 + u_1 s + ..., the inverse of u modulo
+        s^prec is unique, so both iterations below give it (von zur Gathen &
+        Gerhard, Modern Computer Algebra, 9.1).  Over QQ, Newton iteration
+        r <- r - r (u r - 1) from r = 1/c0 doubles the number of correct
+        terms each round with two products on the integer kernel of
+        `__mul__`.  Over an extension field, where each product is a double
+        loop of field operations, the triangular recurrence r_0 = 1/c0,
+        r_n = -(1/c0) * sum_{1 <= i <= n} u_i r_{n-i} is cheaper: one field
+        product per stored term of u and term of the inverse.  A single
+        term c0 s^k maps straight to c0^-1 s^-k.
 
         Every XSeries stores only exponents below prec (`make` drops the
         rest, and arithmetic, `scale` and `inverse` go through it or keep
@@ -567,6 +608,19 @@ class XSeries:
         k = self.coeffs[0][0]
         inv0 = K.inv(self.coeffs[0][1])
         prec = self.prec - k  # the precision of u, at least 1
+        if len(self.coeffs) == 1:
+            return XSeries(K, ((-k, inv0),), prec - k)
+        if K is QQ:
+            u = self.shift(-k)
+            r = XSeries(K, ((0, inv0),), 1)
+            while r.prec < prec:
+                r = XSeries(K, r.coeffs, min(2 * r.prec, prec))
+                # u r = 1 + O(s^n) for the n terms r had: its first term is
+                # 1, and the correction starts at s^n, past every term of r
+                error = u.truncate(r.prec) * r
+                correction = r * XSeries(K, error.coeffs[1:], r.prec)
+                r = XSeries(K, r.coeffs + (-correction).coeffs, r.prec)
+            return r.shift(-k)
         tail = [(e - k, c) for e, c in self.coeffs[1:]]  # u_i, i >= 1
         r = [inv0]
         for n in range(1, prec):

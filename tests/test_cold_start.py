@@ -1,6 +1,6 @@
 """Cold start: sympy loads only when a polynomial of total degree >= 2 must
-be factored and no factor has a certificate of irreducibility; no command
-on the shipped manifests needs it.  A command loads only the leafmult
+be factored, no factor has a certificate of irreducibility and it is not a
+quadratic in one variable; no command on the shipped manifests needs it.  A command loads only the leafmult
 layers it runs: `import leafmult` loads none, and each command group runs
 in an interpreter of its own to show which ones it adds.  The commands run
 in fresh interpreters, because other tests import sympy and every layer
@@ -170,7 +170,17 @@ FLAT_CASES = [
     ("(y)*(x-3*y)", "(y)*(x+y)", 1),
 ]
 
-FLAT_PROBE = """
+# the exponential-leaf cases of tests/test_acceptance.py::test_criterion_7
+EXP_CASES = [
+    ("z-1", "y", 1),
+    ("z-1", "x+y", 1),
+    ("(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)", 2),
+]
+# (V1, V2, base point) of each leaf
+FLAT_LEAF = (("1", "0", "0"), ("0", "1", "0"), (0, 0, 0))
+EXP_LEAF = (("1", "0", "z"), ("0", "1", "0"), (0, 0, 1))
+
+LEAF_PROBE = """
 import json, sys
 from leafmult.foliation import FoliationContext, VectorField
 from leafmult.pairs import nonisolated_bound
@@ -178,27 +188,41 @@ from leafmult.poly import parse_polynomial
 
 XYZ = ("x", "y", "z")
 
-def vf(*texts):
+def vf(texts):
     return VectorField(XYZ, tuple(parse_polynomial(t, XYZ) for t in texts))
 
+v1, v2, point = json.loads(sys.argv[2])
 out = []
 for f, g, _ in json.loads(sys.argv[1]):
-    ctx = FoliationContext(vf("1", "0", "0"), vf("0", "1", "0"), (0, 0, 0))
+    ctx = FoliationContext(vf(v1), vf(v2), tuple(point))
     report = nonisolated_bound(parse_polynomial(f, XYZ), parse_polynomial(g, XYZ), ctx)
     out.append((report.ledger.status, int(report.direct_value)))
 print(json.dumps({"results": out, "sympy": "sympy" in sys.modules}))
 """
 
 
+def _bounds_in_fresh_interpreter(cases, leaf) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", LEAF_PROBE, json.dumps(cases), json.dumps(leaf)],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
 def test_flat_leaf_bounds_do_not_load_sympy():
     """On the flat leaf every restriction is an exact polynomial; on these
     cases its gcds with the other restrictions split it into certified
     factors, so the whole pipeline runs without sympy."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", FLAT_PROBE, json.dumps(FLAT_CASES)],
-                         env=env, capture_output=True, text=True, timeout=300, check=True)
-    probe = json.loads(out.stdout)
+    probe = _bounds_in_fresh_interpreter(FLAT_CASES, FLAT_LEAF)
     assert probe["results"] == [["point-excluded", k] for _, _, k in FLAT_CASES]
+    assert not probe["sympy"]
+
+
+def test_exponential_leaf_bounds_do_not_load_sympy():
+    """On the exponential leaf the Newton-Puiseux expansion factors edge
+    polynomials in one variable; the ones these cases meet are quadratics,
+    which poly.factor decides by their discriminant."""
+    probe = _bounds_in_fresh_interpreter(EXP_CASES, EXP_LEAF)
+    assert probe["results"] == [["point-excluded", k] for _, _, k in EXP_CASES]
     assert not probe["sympy"]

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from leafmult.germs import (
     split_common,
     split_on_variety,
 )
+from leafmult.foliation import FoliationContext, VectorField
 from leafmult.jets import Jet2
 from leafmult.poly import Polynomial, normalize_leading, parse_polynomial
 
@@ -534,3 +537,29 @@ class TestSmoothFactorShortcut:
         assert len(calls) == 2
         assert smooth.param is param and smooth.ram_index == 1 == smooth.field_degree
         assert len(calls) == 2
+
+
+PINNED_GERMS = json.loads((Path(__file__).resolve().parent / "data"
+                           / "pinned_germ_cycles.json").read_text())
+XYZ = ("x", "y", "z")
+
+
+def exponential_leaf():
+    def vf(*texts):
+        return VectorField(XYZ, tuple(parse_polynomial(t, XYZ) for t in texts))
+    return FoliationContext(vf("1", "0", "z"), vf("0", "1", "0"), (0, 0, 1))
+
+
+class TestPinnedGermCycles:
+    """germ_cycles(...).describe() of restrictions to the exponential leaf,
+    pinned from the Fraction series kernel: the restrictions of F and G in
+    the transcendental-leaf benchmark inputs of seed 1 at their default jet
+    order, and (z-1-y)*x, (z-1-y)*y at orders 12, 24, 48 and 96.  Every
+    Puiseux expansion, series product and inverse behind them must give
+    the same branches, term for term."""
+
+    @pytest.mark.parametrize("entry", PINNED_GERMS,
+                             ids=[f"{e['poly']}@{e['order']}" for e in PINNED_GERMS])
+    def test_describe_matches_pin(self, entry):
+        jet = exponential_leaf().leaf_jet(parse_polynomial(entry["poly"], XYZ), entry["order"])
+        assert germ_cycles(jet).describe() == entry["describe"]

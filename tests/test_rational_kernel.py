@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from leafmult.errors import CertificateError, DomainError
 from leafmult.germs import _local_factors, weierstrass_jet
 from leafmult.jets import LEAF_RING, Jet2
-from leafmult.poly import Polynomial, _factor_certified, factor, parse_polynomial
+from leafmult.poly import (
+    Polynomial, _factor_certified, _factor_quadratic, factor, parse_polynomial)
 from leafmult.series import (
     QQ,
     _poly_divmod,
@@ -352,6 +353,43 @@ def shared_factor_pairs(draw):
 
 
 # shares no factor with any product of BIVARIATE_FACTORS
+@st.composite
+def one_variable_quadratics(draw):
+    """c * (a1*v + b1) * (a2*v + b2), the second factor the first one half
+    the time (a repeated root), or a*v^2 + b*v + c with any b and c; v one
+    variable of a ring of 1-3 variables."""
+    ring = draw(st.sampled_from([("x",), LEAF_RING, ("x", "y", "z")]))
+    v = Polynomial.variable(ring, draw(st.integers(0, len(ring) - 1)))
+    wide = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    lead = wide.filter(bool)
+    if draw(st.booleans()):
+        first = v * draw(lead) + draw(wide)
+        second = first if draw(st.booleans()) else v * draw(lead) + draw(wide)
+        return first * second * draw(lead)
+    return v * v * draw(lead) + v * draw(wide) + draw(wide)
+
+
+class TestQuadraticMatchesSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(one_variable_quadratics())
+    @example(P("t2^2 - 2"))                    # irrational roots
+    @example(P("4*x^2 - 4*x + 1", ("x",)))     # a repeated root
+    @example(P("x^2 + 2*x + 1", ("x",)))
+    @example(P("x^2 - 3/2*x + 1/2", ("x",)))   # two rational roots
+    @example(P("-3/4*z^2 - 1/5", ("x", "y", "z")))  # no real root
+    def test_same_content_and_factors(self, p):
+        content, factors = factor(p)
+        ref_content, ref_factors = _ref_factor_list(p)
+        assert content == ref_content
+        assert [(dict(f.terms), m) for f, m in factors] == ref_factors
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_variable_quadratics())
+    def test_decided_without_sympy(self, p):
+        # a quadratic with a monomial factor has a certificate first
+        assert _factor_certified(p) is not None or _factor_quadratic(p) is not None
+
+
 COPRIME_DIVISOR = P("t1 + t2 + 7")
 
 

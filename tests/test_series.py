@@ -111,9 +111,46 @@ class TestSolve:
         assert residual.is_zero_known()
 
 
+def reference_product(a, b):
+    """The schoolbook convolution XSeries.__mul__ ran over every field before
+    it had an integer kernel over QQ: one field product per pair of terms
+    below the cut-off."""
+    K = a.field
+    prec = min(a.prec + b.ord_known(), b.prec + a.ord_known())
+    acc = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            e = e1 + e2
+            if e >= prec:
+                continue
+            v = K.mul(c1, c2)
+            acc[e] = K.add(acc[e], v) if e in acc else v
+    return XSeries.make(K, acc, prec)
+
+
+def reference_inverse(series):
+    """The triangular recurrence r_0 = 1/c0, r_n = -(1/c0) sum u_i r_{n-i}
+    that XSeries.inverse ran over every field before its QQ path became
+    Newton iteration on the integer product."""
+    K = series.field
+    k = series.coeffs[0][0]
+    inv0 = K.inv(series.coeffs[0][1])
+    prec = series.prec - k
+    tail = [(e - k, c) for e, c in series.coeffs[1:]]
+    r = [inv0]
+    for n in range(1, prec):
+        acc = K.zero
+        for i, c in tail:
+            if i <= n:
+                acc = K.add(acc, K.mul(c, r[n - i]))
+        r.append(K.neg(K.mul(inv0, acc)))
+    return XSeries.make(K, {n - k: c for n, c in enumerate(r)}, prec - k)
+
+
 def newton_inverse(series):
     """The Newton iteration r <- r (2 - u r) that XSeries.inverse ran before
-    the triangular recurrence; kept as the reference it must agree with."""
+    the triangular recurrence, on the reference product so that it shares
+    no kernel with the code under test."""
     K = series.field
     if not series.coeffs:
         raise DomainError("inverse of a series with no known terms")
@@ -129,7 +166,7 @@ def newton_inverse(series):
     two = XSeries.const(K, K.coerce(2), prec)
     known = 1
     while known < prec:
-        r = (r * (two - unit.truncate(prec) * r)).truncate(prec)
+        r = reference_product(r, two - reference_product(unit.truncate(prec), r)).truncate(prec)
         known *= 2
     return r.shift(-k)
 
@@ -171,6 +208,66 @@ class TestInverseMatchesNewton:
         assert inv.prec == ref.prec
         k = s.ord_known()
         assert s * inv == XSeries.const(s.field, 1, s.prec - k)
+
+
+# denominators past 600 bits, as Puiseux expansions on the exponential leaf
+# reach (681 bits on the benchmark's seed-1 inputs)
+huge_rationals = st.builds(F, st.integers(-2 ** 700, 2 ** 700).filter(bool),
+                           st.integers(2 ** 600, 2 ** 700))
+
+
+@st.composite
+def kernel_series(draw, nonzero=False):
+    """A series over QQ with lowest exponent k in -6..6, known to
+    prec - k = 1..40 terms: no term, a single term, or a sparse or dense
+    tail, with small or huge coefficients."""
+    coeff = st.one_of(small_rationals.filter(bool), huge_rationals)
+    k = draw(st.integers(-6, 6))
+    known = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    shape = draw(st.sampled_from(["single", "sparse", "dense"] + ([] if nonzero else ["none"])))
+    if shape == "none":
+        return XSeries.zero(QQ, k + known)
+    terms = {k: draw(coeff)}
+    if shape == "sparse":
+        terms.update(draw(st.dictionaries(st.integers(k + 1, k + known), coeff, max_size=4)))
+    elif shape == "dense":
+        terms.update({e: draw(coeff) for e in range(k + 1, k + known)})
+    return XSeries.make(QQ, terms, k + known)
+
+
+HUGE = F(3 ** 430 + 1, 2 ** 681)
+
+
+class TestKernelMatchesReference:
+    """XSeries.__mul__ and inverse over QQ run on integer numerators; they
+    must give what the Fraction reference gives, term for term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_series(), kernel_series())
+    def test_product(self, a, b):
+        got, ref = a * b, reference_product(a, b)
+        assert got.coeffs == ref.coeffs
+        assert got.prec == ref.prec
+
+    @settings(max_examples=120, deadline=None)
+    @given(kernel_series(nonzero=True))
+    def test_inverse(self, s):
+        got, ref = s.inverse(), reference_inverse(s)
+        assert got.coeffs == ref.coeffs
+        assert got.prec == ref.prec
+
+    @pytest.mark.parametrize("s", [
+        XSeries.make(QQ, {-3: HUGE}, -2),                          # prec - k = 1
+        XSeries.make(QQ, {-3: HUGE, -2: F(1, 3)}, 4),              # negative k
+        XSeries.make(QQ, {2: F(-5, 7)}, 9),                        # a single term
+        XSeries.make(QQ, {0: F(1), 17: HUGE}, 30),                 # a sparse tail
+        XSeries.make(QQ, {e: HUGE / (e + 1) for e in range(24)}, 24),  # a dense tail
+    ])
+    def test_shapes(self, s):
+        for other in (s, s.shift(5), XSeries.make(QQ, {1: F(2), 3: HUGE}, 12)):
+            assert (s * other).coeffs == reference_product(s, other).coeffs
+        assert s.inverse().coeffs == reference_inverse(s).coeffs
+        assert s.inverse().prec == reference_inverse(s).prec
 
 
 def _series_ops(children):
