@@ -1,10 +1,10 @@
 """Cold start: sympy loads only when a polynomial of total degree >= 2 must
 be factored, no factor has a certificate of irreducibility and it is not a
-quadratic in one variable; no command on the shipped manifests needs it.  A command loads only the leafmult
-layers it runs: `import leafmult` loads none, and each command group runs
-in an interpreter of its own to show which ones it adds.  The commands run
-in fresh interpreters, because other tests import sympy and every layer
-into this one."""
+quadratic in one variable; no command on the shipped manifests needs it.  A
+command loads only the leafmult layers it runs: `import leafmult` loads
+none, and each command group runs in an interpreter of its own to show
+which ones it adds.  The commands run in fresh interpreters, because
+other tests import sympy and every layer into this one."""
 
 import json
 import os
@@ -221,8 +221,9 @@ def test_flat_leaf_bounds_do_not_load_sympy():
 
 def test_exponential_leaf_bounds_do_not_load_sympy():
     """On the exponential leaf the Newton-Puiseux expansion factors edge
-    polynomials in one variable; the ones these cases meet are quadratics,
-    which poly.factor decides by their discriminant."""
+    polynomials in one variable; each one these cases meet has a
+    certificate or is a quadratic, which poly.factor decides by its
+    discriminant."""
     probe = _bounds_in_fresh_interpreter(EXP_CASES, EXP_LEAF)
     assert probe["results"] == [["point-excluded", k] for _, _, k in EXP_CASES]
     assert not probe["sympy"]

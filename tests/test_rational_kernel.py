@@ -352,7 +352,6 @@ def shared_factor_pairs(draw):
     return draw(coeffs.filter(bool)) * h ** a * f, h ** b * g
 
 
-# shares no factor with any product of BIVARIATE_FACTORS
 @st.composite
 def one_variable_quadratics(draw):
     """c * (a1*v + b1) * (a2*v + b2), the second factor the first one half
@@ -390,6 +389,7 @@ class TestQuadraticMatchesSympy:
         assert _factor_certified(p) is not None or _factor_quadratic(p) is not None
 
 
+# shares no factor with any product of BIVARIATE_FACTORS
 COPRIME_DIVISOR = P("t1 + t2 + 7")
 
 
