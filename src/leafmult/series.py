@@ -470,7 +470,7 @@ def _qq_product(a: tuple, b: tuple, prec: int) -> tuple:
         a, b = b, a
     if len(a) == 1:
         (e0, c0), = a
-        if c0 == 1:
+        if c0 == 1:  # Fraction * 1 still pays a gcd per term
             return tuple((e0 + e, c) for e, c in b if e0 + e < prec)
         return tuple((e0 + e, c0 * c) for e, c in b if e0 + e < prec)
     a_nums, a_den = _over_common_denominator([c for _, c in a])
@@ -587,15 +587,11 @@ class XSeries:
         """Inverse of a series with known nonzero lowest term.
 
         With u = s^-k * self = c0 + u_1 s + ..., the inverse of u modulo
-        s^prec is unique, so both iterations below give it (von zur Gathen &
-        Gerhard, Modern Computer Algebra, 9.1).  Over QQ, Newton iteration
-        r <- r - r (u r - 1) from r = 1/c0 doubles the number of correct
-        terms each round with two products on the integer kernel of
-        `__mul__`.  Over an extension field, where each product is a double
-        loop of field operations, the triangular recurrence r_0 = 1/c0,
-        r_n = -(1/c0) * sum_{1 <= i <= n} u_i r_{n-i} is cheaper: one field
-        product per stored term of u and term of the inverse.  A single
-        term c0 s^k maps straight to c0^-1 s^-k.
+        s^prec is unique (von zur Gathen & Gerhard, Modern Computer Algebra,
+        9.1).  Newton iteration r <- r - r (u r - 1) from r = 1/c0 doubles
+        the number of correct terms each round with two products, over every
+        field; over QQ those products run on the integer kernel of
+        `__mul__`.  A single term c0 s^k maps straight to c0^-1 s^-k.
 
         Every XSeries stores only exponents below prec (`make` drops the
         rest, and arithmetic, `scale` and `inverse` go through it or keep
@@ -610,30 +606,16 @@ class XSeries:
         prec = self.prec - k  # the precision of u, at least 1
         if len(self.coeffs) == 1:
             return XSeries(K, ((-k, inv0),), prec - k)
-        if K is QQ:
-            u = self.shift(-k)
-            r = XSeries(K, ((0, inv0),), 1)
-            while r.prec < prec:
-                r = XSeries(K, r.coeffs, min(2 * r.prec, prec))
-                # u r = 1 + O(s^n) for the n terms r had: its first term is
-                # 1, and the correction starts at s^n, past every term of r
-                error = u.truncate(r.prec) * r
-                correction = r * XSeries(K, error.coeffs[1:], r.prec)
-                r = XSeries(K, r.coeffs + (-correction).coeffs, r.prec)
-            return r.shift(-k)
-        tail = [(e - k, c) for e, c in self.coeffs[1:]]  # u_i, i >= 1
-        r = [inv0]
-        for n in range(1, prec):
-            acc = K.zero
-            for i, c in tail:
-                if i > n:
-                    break
-                rn = r[n - i]
-                if not K.is_zero(rn):
-                    acc = K.add(acc, K.mul(c, rn))
-            r.append(K.neg(K.mul(inv0, acc)) if not K.is_zero(acc) else K.zero)
-        return XSeries(K, tuple((n - k, c) for n, c in enumerate(r) if not K.is_zero(c)),
-                       prec - k)
+        u = self.shift(-k)
+        r = XSeries(K, ((0, inv0),), 1)
+        while r.prec < prec:
+            r = XSeries(K, r.coeffs, min(2 * r.prec, prec))
+            # u r = 1 + O(s^n) for the n terms r had: its first term is
+            # 1, and the correction starts at s^n, past every term of r
+            error = u.truncate(r.prec) * r
+            correction = r * XSeries(K, error.coeffs[1:], r.prec)
+            r = XSeries(K, r.coeffs + (-correction).coeffs, r.prec)
+        return r.shift(-k)
 
     def __str__(self):
         K = self.field

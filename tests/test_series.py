@@ -130,8 +130,8 @@ def reference_product(a, b):
 
 def reference_inverse(series):
     """The triangular recurrence r_0 = 1/c0, r_n = -(1/c0) sum u_i r_{n-i}
-    that XSeries.inverse ran over every field before its QQ path became
-    Newton iteration on the integer product."""
+    that XSeries.inverse ran over every field before it became Newton
+    iteration on the product."""
     K = series.field
     k = series.coeffs[0][0]
     inv0 = K.inv(series.coeffs[0][1])
@@ -199,6 +199,7 @@ class TestInverseMatchesNewton:
     @given(laurent_series(SQRT2_SQRT3))
     def test_two_level_tower(self, s):
         self.check(s)
+        assert s.inverse().coeffs == reference_inverse(s).coeffs
 
     @staticmethod
     def check(s):
