@@ -426,7 +426,8 @@ def weierstrass_jet(f: Jet2) -> tuple:
         coeffs = {(0, b): c for b, c in sorted(lead.items())}
         for a, (nums, den) in slice_map.items():
             coeffs.update(((a, b), Fraction(n, den)) for b, n in enumerate(nums) if n)
-        return Jet2(jet_order, coeffs)
+        # the terms are nonzero Fractions on distinct integer monomials
+        return Jet2(jet_order, Polynomial._raw(LEAF_RING, coeffs))
 
     # the top-mu t2-band of each U slice lies beyond what the truncation of
     # f determines, so U is only certified to order - mu
@@ -495,7 +496,19 @@ def germ_cycles(f: Jet2, min_factor_prec: int = 4,
                 divisors: Sequence[Polynomial] = ()) -> PuiseuxBranchSet:
     """Branch decomposition of a nonzero germ vanishing at the origin.  An
     exact germ is factored over Q with the given divisors (poly.factor);
-    they change the speed, never the result."""
+    they change the speed, never the result.  So the branch set is memoized
+    on the jet object by min_factor_prec alone (a raise is not), and its
+    cycle factors keep what their producers regenerated."""
+    memo = getattr(f, "branch_sets", None)
+    if memo is None:
+        memo = f.branch_sets = {}
+    if min_factor_prec not in memo:
+        memo[min_factor_prec] = _germ_cycles_uncached(f, min_factor_prec, divisors)
+    return memo[min_factor_prec]
+
+
+def _germ_cycles_uncached(f: Jet2, min_factor_prec: int,
+                          divisors: Sequence[Polynomial]) -> PuiseuxBranchSet:
     if f.is_zero():
         raise DomainError("cannot decompose the zero germ")
     order = f.order

@@ -530,12 +530,28 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     first, per-generator exponents for the second).  Status "exact" when J
     is additionally certified radical (principal / zero-dimensional /
     linear / monomial cases), else "partial".
+
+    A candidate with no power in I up to EXPONENT_CAP is searched once per
+    call; a repeat charges the budget the steps that search spent (as a
+    Groebner cache hit does).
     """
     if ideal.is_zero_ideal():
         return ideal, RadicalCertificate(), "exact"
     budget = budget or Budget()
     J = ideal
     exponents: dict[Polynomial, int] = {g: 1 for g in ideal.generators}
+    rejected: dict[Polynomial, int] = {}  # candidate -> steps its search spent
+
+    def exponent(c: Polynomial) -> Optional[int]:
+        if c in rejected:
+            if rejected[c]:
+                budget.spend(rejected[c], "reduction")
+            return None
+        used_before = budget.used
+        e = nullstellensatz_exponent(c, ideal, budget=budget)
+        if e is None:
+            rejected[c] = budget.used - used_before
+        return e
 
     for _round in range(20):
         gbJ = groebner(J, DEGREVLEX, budget)
@@ -567,7 +583,7 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
                 continue
             if normal_form(c, gbJ, budget).is_zero():
                 continue
-            e = nullstellensatz_exponent(c, ideal, budget=budget)
+            e = exponent(c)
             if e is None:
                 continue
             exponents[c] = e
@@ -584,7 +600,7 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     for g in J.generators:
         e = exponents.get(g)
         if e is None:
-            e = nullstellensatz_exponent(g, ideal, budget=budget)
+            e = exponent(g)
         if e is None:
             capped = True
             e = EXPONENT_CAP

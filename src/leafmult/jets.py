@@ -79,14 +79,15 @@ def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
         for j, n in enumerate(out):
             if n:
                 terms[(d - j, j)] = Fraction(n, den)
-    return Polynomial(LEAF_RING, terms)
+    return Polynomial._raw(LEAF_RING, terms)
 
 
 class Jet2:
     """(order, poly, producer): poly is a Polynomial in LEAF_RING with no
-    term of total degree above order."""
+    term of total degree above order.  `branch_sets` is the memo of
+    germs.germ_cycles, unset until the jet is first decomposed."""
 
-    __slots__ = ("order", "poly", "producer")
+    __slots__ = ("order", "poly", "producer", "branch_sets")
 
     def __init__(self, order: int, coeffs: Mapping | Polynomial,
                  producer: Optional[Callable] = None):

@@ -60,10 +60,15 @@ class BranchParam:
 def _power(K, base, n: int):
     if n < 0:
         return _power(K, K.inv(base), -n)
-    acc = K.one
+    return _powers(K, base, n)[-1]
+
+
+def _powers(K, base, n: int) -> list:
+    """[base^0, ..., base^n], n >= 0."""
+    out = [K.one]
     for _ in range(n):
-        acc = K.mul(acc, base)
-    return acc
+        out.append(K.mul(out[-1], base))
+    return out
 
 
 def _polygon(points):
@@ -220,29 +225,32 @@ def _bezout(e: int, q: int):
 
 
 def _transform(g: YPoly, K2, lam, c0, q: int, e: int, dline: int) -> YPoly:
-    """g(lam*s^e, s^q (c0 + y1)) / s^dline over K2, as a YPoly in y1."""
+    """g(lam*s^e, s^q (c0 + y1)) / s^dline over K2, as a YPoly in y1.
+
+    The powers of lam are built once per transform, and the binomial
+    weights comb(j, i)*c0^(j-i) once per column."""
     K = g.field
-    acc: list[dict] = []
+    exps = [o for c in g.coeffs for o, _ in c.coeffs]
+    if exps and min(exps) < 0:
+        raise DomainError("Puiseux transform of a series with a negative exponent")
+    lam_powers = _powers(K2, lam, max(exps, default=0))
+    c0_powers = _powers(K2, c0, len(g.coeffs))
+    acc: list[dict] = [{} for _ in g.coeffs]
     prec_bound = None
     for j, c in enumerate(g.coeffs):
         this_prec = e * c.prec + q * j - dline
         prec_bound = this_prec if prec_bound is None else min(prec_bound, this_prec)
         if not c.coeffs:
             continue
-        c0_powers = [K2.one]
-        while len(c0_powers) <= j:
-            c0_powers.append(K2.mul(c0_powers[-1], c0))
+        weights = [K2.mul(K2.coerce(Fraction(comb(j, i))), c0_powers[j - i])
+                   for i in range(j + 1)]
         for o, coeff in c.coeffs:
             up = K2.coerce(coeff) if K is not K2 else coeff
-            base = K2.mul(up, _power(K2, lam, o))
+            base = K2.mul(up, lam_powers[o])
             s_exp = e * o + q * j - dline
-            for i in range(j + 1):
-                val = K2.mul(base, K2.coerce(Fraction(comb(j, i))))
-                val = K2.mul(val, c0_powers[j - i])
-                while len(acc) <= i:
-                    acc.append({})
+            for i, w in enumerate(weights):
                 d = acc[i]
-                d[s_exp] = K2.add(d.get(s_exp, K2.zero), val)
+                d[s_exp] = K2.add(d.get(s_exp, K2.zero), K2.mul(base, w))
     prec_bound = max(prec_bound if prec_bound is not None else 1, 1)
     cols = []
     for i, d in enumerate(acc):
@@ -273,9 +281,7 @@ def factor_from_param(bp: BranchParam, x_prec: int) -> Optional[Polynomial]:
     powers = [XSeries.const(K, K.one, s_prec)]
     for _ in range(D):
         powers.append(powers[-1] * bp.series)
-    lam_pows = [K.one]
-    for _ in range(x_prec):
-        lam_pows.append(K.mul(lam_pows[-1], bp.lam))
+    lam_pows = _powers(K, bp.lam, x_prec)
     unknowns = [(j, k) for j in range(D) for k in range(x_prec)]
     col_of = {jk: idx for idx, jk in enumerate(unknowns)}
     n_cols = len(unknowns)

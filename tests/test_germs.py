@@ -539,6 +539,50 @@ class TestSmoothFactorShortcut:
         assert len(calls) == 2
 
 
+class TestBranchSetMemo:
+    """germ_cycles keeps its result on the jet, by min_factor_prec; the
+    divisors are not part of the key, since they never change the result."""
+
+    def test_second_call_returns_the_same_set(self):
+        jet = exponential_leaf().leaf_jet(parse_polynomial("(z-1-y)*x", XYZ), 12)
+        bs = germ_cycles(jet)
+        assert germ_cycles(jet) is bs
+        assert germ_cycles(jet, min_factor_prec=5) is not bs
+        fresh = exponential_leaf().leaf_jet(parse_polynomial("(z-1-y)*x", XYZ), 12)
+        assert fresh == jet and fresh is not jet
+        assert germ_cycles(fresh).describe() == bs.describe()
+
+    def test_exact_jet_with_divisors(self):
+        jet = J("t1*(t1-t2^2)*(t2^2-t1^3)", 16)
+        bs = germ_cycles(jet, divisors=(parse_polynomial("t1-t2^2", T),))
+        assert germ_cycles(jet) is bs
+        assert bs.describe() == germ_cycles(J("t1*(t1-t2^2)*(t2^2-t1^3)", 16)).describe()
+
+    def test_a_call_that_raises_raises_again(self):
+        from leafmult.errors import InconclusiveError
+        jet = Jet2(2, {(2, 0): Fraction(1), (0, 3): Fraction(1)})  # no producer
+        for _ in range(2):
+            with pytest.raises(InconclusiveError, match="no producer"):
+                germ_cycles(jet)
+        assert not jet.branch_sets
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(_local_factor, st.integers(1, 2)), min_size=1, max_size=3),
+           _unit, st.lists(st.lists(_local_factor, min_size=1, max_size=2), max_size=2))
+    def test_divisors_change_the_speed_never_the_result(self, factors, unit, divisors):
+        p = unit
+        for fp, e in factors:
+            p = p * fp ** e
+        ds = []
+        for group in divisors:
+            d = Polynomial.constant(T, 1)
+            for fp in group:
+                d = d * fp
+            ds.append(d)
+        with_divisors = germ_cycles(Jet2.from_polynomial(p, 16), divisors=ds)
+        assert with_divisors.describe() == germ_cycles(Jet2.from_polynomial(p, 16)).describe()
+
+
 PINNED_GERMS = json.loads((Path(__file__).resolve().parent / "data"
                            / "pinned_germ_cycles.json").read_text())
 XYZ = ("x", "y", "z")

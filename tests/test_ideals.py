@@ -423,3 +423,31 @@ class TestAttemptRadical:
         probes = [P("x"), P("y"), P("x+y"), P("x*y-x"), P("x+1"), P("y^2-2")]
         for f in probes:
             assert radical_membership(f, I) == member(f, J)
+
+    def test_rejected_candidate_searched_once_and_charged_again(self, monkeypatch):
+        # z - 1 has no power in I and comes back in every round; its search
+        # runs once, and each repeat charges the steps a new search would
+        # (57 steps in all, as when every repeat was searched again)
+        import leafmult.ideals as ideals
+        xyz = ("x", "y", "z")
+        I = ideal("(z-1)*(y-x^2)", "(z-1)*(y+x^2)", ring=xyz)
+        calls = []
+        real = ideals.nullstellensatz_exponent
+
+        def counting(g, ideal, budget=None):
+            calls.append(g)
+            return real(g, ideal, budget)
+
+        monkeypatch.setattr(ideals, "nullstellensatz_exponent", counting)
+        _GB_CACHE.clear()
+        budget = Budget()
+        J, cert, status = attempt_radical(I, budget)
+        assert budget.used == 57
+        assert set(J.generators) == {P("x*z-x", xyz), P("y*z-y", xyz)}
+        assert cert.exponents == (2, 1) and status == "partial"
+        assert calls.count(P("z-1", xyz)) == 1
+        assert len(calls) == len(set(calls))
+        for cap in (55, 56):
+            with pytest.raises(BudgetExceededError):
+                attempt_radical(I, Budget(cap=cap))
+        assert attempt_radical(I, Budget(cap=57))[0] == J

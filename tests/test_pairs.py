@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -553,3 +555,29 @@ class TestLocalBasisMemo:
         assert fresh.local_basis() == basis
         assert fresh.local_basis() is not basis
         assert len(computed) == 3
+
+
+PINNED_OUTPUTS = json.loads((Path(__file__).resolve().parent / "data"
+                             / "pinned_transcendental_outputs.json").read_text())
+
+
+class TestPinnedTranscendentalOutputs:
+    """nonisolated_bound on the 14 exponential-leaf inputs of the
+    transcendental-leaf benchmark workload, seed 1, in a fresh context with
+    a cold Groebner cache: the report without its timings, or the exception
+    type and text, as pinned.  These runs decompose the same leaf jet more
+    than once and search the same rejected radical candidate in several
+    rounds."""
+
+    @pytest.mark.parametrize("entry", PINNED_OUTPUTS,
+                             ids=[f"{e['f']}|{e['g']}" for e in PINNED_OUTPUTS])
+    def test_output_matches_pin(self, entry):
+        _GB_CACHE.clear()
+        try:
+            report = nonisolated_bound(P(entry["f"]), P(entry["g"]), exp_leaf()).describe()
+        except Exception as e:
+            got = {"error": [type(e).__name__, str(e)]}
+        else:
+            report.pop("timings")
+            got = {"report": json.loads(json.dumps(report))}
+        assert {"f": entry["f"], "g": entry["g"], **got} == entry
