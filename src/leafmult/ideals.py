@@ -497,17 +497,18 @@ class RadicalCertificate:
         return sum(e - 1 for e in self.exponents) + 1
 
 
-def _is_certified_radical(J: IdealPresentation, budget) -> bool:
+def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable) -> bool:
     """Conservative syntactic radicality tests for the implemented classes:
     unit, principal squarefree, linear, squarefree monomial generators,
-    or zero-dimensional with all eliminants squarefree."""
+    or zero-dimensional with all eliminants squarefree.  squarefree_of is
+    the caller's memoized squarefree part."""
     gb = groebner(J, DEGREVLEX, budget)
     basis = gb.basis
     if gb.is_unit_ideal():
         return True
     if len(basis) == 1:
         g = basis[0]
-        return squarefree_part(g) == normalize_leading(g)
+        return squarefree_of(g) == normalize_leading(g)
     if all(g.total_degree() <= 1 for g in basis):
         return True
     if all(len(g.terms) == 1 and all(e <= 1 for m in g.terms for e in m) for g in basis):
@@ -517,7 +518,7 @@ def _is_certified_radical(J: IdealPresentation, budget) -> bool:
             el = eliminant(J, var, budget)
             if el is None:
                 return False
-            if squarefree_part(el) != normalize_leading(el):
+            if squarefree_of(el) != normalize_leading(el):
                 return False
         return True
     return False
@@ -533,7 +534,8 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
 
     A candidate with no power in I up to EXPONENT_CAP is searched once per
     call; a repeat charges the budget the steps that search spent (as a
-    Groebner cache hit does).
+    Groebner cache hit does).  A squarefree part, which spends no budget,
+    is also computed once per call.
     """
     if ideal.is_zero_ideal():
         return ideal, RadicalCertificate(), "exact"
@@ -541,6 +543,13 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     J = ideal
     exponents: dict[Polynomial, int] = {g: 1 for g in ideal.generators}
     rejected: dict[Polynomial, int] = {}  # candidate -> steps its search spent
+    squarefree: dict[Polynomial, Polynomial] = {}
+
+    def squarefree_of(p: Polynomial) -> Polynomial:
+        s = squarefree.get(p)
+        if s is None:
+            s = squarefree[p] = squarefree_part(p)
+        return s
 
     def exponent(c: Polynomial) -> Optional[int]:
         if c in rejected:
@@ -559,23 +568,23 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
             break
         candidates = []
         for g in gbJ.basis:
-            candidates.append(squarefree_part(g))
+            candidates.append(squarefree_of(g))
         for g1, g2 in itertools.combinations(gbJ.basis, 2):
             d = poly_gcd(g1, g2)
             if not d.is_constant():
                 candidates.append(d)
-                candidates.append(squarefree_part(d))
+                candidates.append(squarefree_of(d))
         if len(gbJ.basis) > 2:
             d = gbJ.basis[0]
             for g in gbJ.basis[1:]:
                 d = poly_gcd(d, g)
             if not d.is_constant():
-                candidates.append(squarefree_part(d))
+                candidates.append(squarefree_of(d))
         if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
             for var in range(len(J.ring)):
                 el = eliminant(J, var, budget)
                 if el is not None:
-                    candidates.append(squarefree_part(el))
+                    candidates.append(squarefree_of(el))
         grew = False
         for c in candidates:
             c = normalize_leading(c)
@@ -610,5 +619,5 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     for g in ideal.generators:
         if not normal_form(g, gbJ, budget).is_zero():
             raise DomainError("radical closure lost a generator")  # pragma: no cover
-    status = "exact" if not capped and _is_certified_radical(J, budget) else "partial"
+    status = "exact" if not capped and _is_certified_radical(J, budget, squarefree_of) else "partial"
     return J, RadicalCertificate(tuple(cert_exps), capped), status

@@ -28,6 +28,13 @@ ideal of colength mu contains m^mu).  One order serves the whole chain:
   m^d, and membership modulo m^{N+1} is exact once N >= d.
 A run certifies at order N > d, or N > bound when the direct value is
 unknown, and otherwise reruns at the order it needs, up to MAX_CERT_ORDER.
+
+Three decisions are made without computing a basis:
+- a transverse search finds nothing when the pairwise brackets of the
+  generators all vanish, since the bracket is bilinear and antisymmetric;
+- a bracket nonzero at the base point p lies outside rad(I) when every
+  generator of I vanishes at p, since rad(I) vanishes on V(I);
+- a nonzero rational multiple of a local generator is a local member.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import random
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 from typing import Optional, Sequence
 
@@ -126,7 +134,20 @@ class NoetherianPair:
     def local_member(self, jet: Jet2) -> bool:
         """Membership in the local ideal, certified up to cert_order (or the
         probe's own stored order when it cannot regenerate)."""
+        if self._multiple_of_generator(jet):
+            return True
         return corner_member(jet, self.local_basis(), self.cert_order)
+
+    def _multiple_of_generator(self, jet: Jet2) -> bool:
+        """jet is a nonzero rational multiple of a local generator stored at
+        the same order, so it is a member without a standard basis.  A probe
+        that would regenerate above its stored order is left to Mora, since
+        the multiple holds only for the stored truncation."""
+        if jet.can_regenerate() and jet.order < self.cert_order:
+            return False
+        terms = jet.poly.terms
+        return any(g.order == jet.order and _proportional(terms, g.poly.terms)
+                   for g in self.local_gens)
 
     def describe(self) -> dict:
         return {
@@ -136,6 +157,15 @@ class NoetherianPair:
             "radical_exact": self.radical_exact,
             "nonisolated_certified": self.nonisolated_certified,
         }
+
+
+def _proportional(a: dict, b: dict) -> bool:
+    """a = c*b, as term maps, for a rational c != 0."""
+    if not a or a.keys() != b.keys():
+        return False
+    m = next(iter(b))
+    c = a[m] / b[m]
+    return all(a[k] == c * v for k, v in b.items())
 
 
 def make_pair(ideal: IdealPresentation, local_gens: Sequence[Jet2],
@@ -383,21 +413,36 @@ def find_transverse_pair(pair: NoetherianPair,
                          salt: int = 0, budget: Optional[Budget] = None):
     """Random rational combinations F, G of the generators whose bracket
     escapes the radical; None when all retries fail (evidence that every
-    intersection is non-isolated)."""
+    intersection is non-isolated).
+
+    The bracket is bilinear and antisymmetric, so a draw's bracket is a
+    combination of the generators' pairwise brackets, and when these all
+    vanish no draw can succeed.  When every generator vanishes at the base
+    point p, a bracket nonzero at p does not vanish on V(I) and so lies
+    outside rad(I) without a Rabinowitsch basis."""
     gens = pair.ideal.generators
     if not gens:
         raise DomainError("transverse search needs a nonzero ideal")
+    pairwise = ((i, j, pair.ctx.poisson(gens[i], gens[j]))
+                for i, j in combinations(range(len(gens)), 2))
+    brackets = [(i, j, bij) for i, j, bij in pairwise if not bij.is_zero()]
+    if not brackets:
+        return None
+    zero = Polynomial.zero(pair.ideal.ring)
+    point_on_variety = not pair.point_excluded()
     rng = options.rng_for("transverse", salt)
     for _ in range(TRANSVERSE_RETRIES):
         a = [Fraction(rng.randint(-3, 3)) for _ in gens]
         b = [Fraction(rng.randint(-3, 3)) for _ in gens]
-        F = sum((c * g for c, g in zip(a, gens)), Polynomial.zero(pair.ideal.ring))
-        G = sum((c * g for c, g in zip(b, gens)), Polynomial.zero(pair.ideal.ring))
+        F = sum((c * g for c, g in zip(a, gens)), zero)
+        G = sum((c * g for c, g in zip(b, gens)), zero)
         if F.is_zero() or G.is_zero():
             continue
-        bracket = pair.ctx.poisson(F, G)
+        bracket = sum(((a[i] * b[j] - a[j] * b[i]) * bij for i, j, bij in brackets), zero)
         if bracket.is_zero():
             continue
+        if point_on_variety and bracket.evaluate(pair.ctx.point):
+            return F, G
         if not radical_membership(bracket, pair.ideal, budget):
             return F, G
     return None

@@ -86,7 +86,7 @@ class Polynomial:
     iff their rings and term maps coincide.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_str")
 
     def __init__(self, ring: Sequence[str], terms: Mapping[Monomial, Fraction] | Iterable = ()):
         ring = tuple(ring)
@@ -113,6 +113,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", acc)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_str", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -288,6 +289,7 @@ class Polynomial:
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_str", None)
         return p
 
     # -- calculus and evaluation ----------------------------------------
@@ -357,6 +359,13 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
+        # rendered once: presentations sort their generators by it, and
+        # traces render the same polynomials again
+        if self._str is None:
+            object.__setattr__(self, "_str", self._render())
+        return self._str
+
+    def _render(self) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -618,7 +627,7 @@ def normalize_leading(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     _, lc = max(p.terms.items(), key=lambda t: degrevlex_key(t[0]))
-    return p * (Fraction(1) / lc)
+    return p if lc == 1 else p * (Fraction(1) / lc)
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

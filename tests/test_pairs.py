@@ -1,15 +1,19 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from leafmult.errors import HypothesisError, InconclusiveError, RegenerationRequest
 from leafmult.foliation import MAX_CERT_ORDER, FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
-from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation
+from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation, radical_membership
 from leafmult.jets import Jet2
+from leafmult.localbasis import corner_member
 from leafmult.pairs import (
+    TRANSVERSE_RETRIES,
     BoundLedger,
     NoetherianPair,
     PipelineOptions,
@@ -21,7 +25,7 @@ from leafmult.pairs import (
     poisson_extension,
     radical_extension,
 )
-from leafmult.poly import parse_polynomial
+from leafmult.poly import Polynomial, parse_polynomial
 
 XYZ = ("x", "y", "z")
 T = ("t1", "t2")
@@ -154,6 +158,165 @@ class TestFindTransversePair:
                          [ctx.leaf_jet(P("x-y^2"), 10), ctx.leaf_jet(P("y-x^2"), 10)],
                          ctx)
         assert find_transverse_pair(pair) is not None
+
+
+def _reference_transverse_pair(pair, options=PipelineOptions(), salt=0, budget=None):
+    """The transverse search with no answer known in advance: every draw's
+    bracket from poisson, every decision from a Rabinowitsch basis."""
+    gens = pair.ideal.generators
+    rng = options.rng_for("transverse", salt)
+    for _ in range(TRANSVERSE_RETRIES):
+        a = [Fraction(rng.randint(-3, 3)) for _ in gens]
+        b = [Fraction(rng.randint(-3, 3)) for _ in gens]
+        F = sum((c * g for c, g in zip(a, gens)), Polynomial.zero(pair.ideal.ring))
+        G = sum((c * g for c, g in zip(b, gens)), Polynomial.zero(pair.ideal.ring))
+        if F.is_zero() or G.is_zero():
+            continue
+        bracket = pair.ctx.poisson(F, G)
+        if bracket.is_zero():
+            continue
+        if not radical_membership(bracket, pair.ideal, budget):
+            return F, G
+    return None
+
+
+@st.composite
+def transverse_cases(draw):
+    """(ctx, ideal, salt): 1-4 small generators on the flat or the
+    exponential leaf, half the time shifted to vanish at the base point."""
+    ctx = draw(st.sampled_from([flat3, exp_leaf]))()
+    mono = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda m: sum(m) <= 2)
+    coeff = st.integers(-2, 2).filter(bool)
+    gen = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda d: Polynomial(XYZ, d))
+    gens = draw(st.lists(gen, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens = [g - g.evaluate(ctx.point) for g in gens]
+    ideal_ = IdealPresentation(XYZ, tuple(gens))
+    assume(not ideal_.is_zero_ideal())
+    return ctx, ideal_, draw(st.integers(0, 3))
+
+
+def _count_decisions(monkeypatch):
+    """Count poisson and radical_membership calls from here on."""
+    import leafmult.pairs as pairs
+    calls = {"poisson": 0, "radical_membership": 0}
+    poisson, membership = FoliationContext.poisson, pairs.radical_membership
+
+    def counted_poisson(ctx, f, g):
+        calls["poisson"] += 1
+        return poisson(ctx, f, g)
+
+    def counted_membership(*args, **kwargs):
+        calls["radical_membership"] += 1
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(FoliationContext, "poisson", counted_poisson)
+    monkeypatch.setattr(pairs, "radical_membership", counted_membership)
+    return calls
+
+
+class TestTransverseShortcuts:
+    """find_transverse_pair returns what the search without shortcuts
+    returns, and skips the work whose answer it knows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(transverse_cases())
+    def test_matches_the_reference(self, case):
+        ctx, ideal_, salt = case
+        pair = NoetherianPair(ideal_, (), ctx, 8)
+        options = PipelineOptions(seed=salt)
+        assert find_transverse_pair(pair, options, salt) == \
+            _reference_transverse_pair(pair, options, salt)
+
+    @pytest.mark.parametrize("leaf", [flat3, exp_leaf])
+    def test_one_generator_computes_no_bracket(self, monkeypatch, leaf):
+        calls = _count_decisions(monkeypatch)
+        pair = NoetherianPair(ideal("x*(x-y^2)"), (), leaf(), 8)
+        assert find_transverse_pair(pair) is None
+        assert calls == {"poisson": 0, "radical_membership": 0}
+
+    def test_bracket_nonzero_at_the_point_needs_no_basis(self, monkeypatch):
+        calls = _count_decisions(monkeypatch)
+        pair = NoetherianPair(ideal("x-y^2", "y-x^2"), (), flat3(), 8)
+        found = find_transverse_pair(pair)
+        assert calls["radical_membership"] == 0
+        assert found is not None and found == _reference_transverse_pair(pair)
+
+    def test_ideal_excluding_the_point_still_decides_by_basis(self, monkeypatch):
+        calls = _count_decisions(monkeypatch)
+        # V(x-1, y) misses p = 0, so a bracket nonzero at p proves nothing
+        pair = NoetherianPair(ideal("x-1", "y"), (), flat3(), 8)
+        assert pair.point_excluded()
+        assert find_transverse_pair(pair) is not None
+        assert calls["radical_membership"] >= 1
+
+    def test_budget_of_a_bracket_decided_at_the_point(self):
+        _GB_CACHE.clear()
+        budget = Budget(cap=10 ** 7)
+        report = nonisolated_bound(P("x-y^2"), P("y-x^2"), flat3(), budget=budget)
+        assert report.bound == 1
+        # deciding the bracket 1 - 4*x*y by a Rabinowitsch basis spends 56
+        assert budget.used == 35
+
+
+@st.composite
+def generator_probes(draw):
+    """(local generators, order, probe): the probe is a nonzero rational
+    multiple of one generator, or has its support with coefficients
+    scaled term by term."""
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda m: 0 < sum(m) <= 3)
+    coeff = st.integers(-3, 3).filter(bool)
+    leaf_poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(
+        lambda d: Polynomial(T, d))
+    order = draw(st.integers(4, 8))
+    gens = tuple(Jet2.from_polynomial(p, order)
+                 for p in draw(st.lists(leaf_poly, min_size=1, max_size=3)))
+    c = draw(st.fractions(-5, 5, max_denominator=4).filter(bool))
+    probe = draw(st.sampled_from(gens)) * c
+    if draw(st.booleans()):
+        scaled = {m: v * (k + 1) for k, (m, v) in enumerate(sorted(probe.poly.terms.items()))}
+        probe = Jet2.from_polynomial(Polynomial(T, scaled), order)
+    return gens, order, probe
+
+
+class TestGeneratorMultiples:
+    """A multiple of a local generator is a local member without a standard
+    basis; every other probe goes through Mora."""
+
+    @pytest.mark.parametrize("c", [-1, Fraction(1, 3), 7])
+    def test_multiples_need_no_basis(self, c):
+        ctx = flat3()
+        gens = (J("t1-t2^2"), J("t1^2-2*t2^3"))
+        pair = NoetherianPair(ideal("x-y^2"), gens, ctx, 14)
+        assert all(pair.local_member(g * c) for g in gens)
+        assert not ctx._bases
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_probes())
+    def test_agrees_with_corner_member(self, case):
+        gens, order, probe = case
+        pair = NoetherianPair(IdealPresentation(XYZ), gens, flat3(), order)
+        assert pair.local_member(probe) == \
+            corner_member(probe, pair.local_basis(), pair.cert_order)
+
+    def test_other_probes_go_through_mora(self, monkeypatch):
+        import leafmult.pairs as pairs
+        calls = []
+        monkeypatch.setattr(pairs, "corner_member",
+                            lambda *args: calls.append(args) or corner_member(*args))
+        ctx = flat3()
+        pair = NoetherianPair(ideal("x-y^2"), (J("t1-t2^2"),), ctx, 14)
+        # same support, coefficients not proportional
+        assert not pair.local_member(J("t1-2*t2^2"))
+        assert len(calls) == 1 and ctx._bases
+        # a multiple of a generator at its stored order 10 that regenerates,
+        # at the certificate order 14, to a germ outside the local ideal
+        germ = parse_polynomial("2*t1^2-2*t2^3+t2^11", T)
+        probe = Jet2(10, parse_polynomial("2*t1^2-2*t2^3", T),
+                     producer=lambda n: Jet2.from_polynomial(germ, n))
+        pair = NoetherianPair(ideal("x^2-y^3"), (J("t1^2-t2^3", order=10),), ctx, 14)
+        assert not pair.local_member(probe)
+        assert len(calls) == 2
 
 
 class TestIsolatedLocusReduction:
@@ -557,27 +720,47 @@ class TestLocalBasisMemo:
         assert len(computed) == 3
 
 
-PINNED_OUTPUTS = json.loads((Path(__file__).resolve().parent / "data"
-                             / "pinned_transcendental_outputs.json").read_text())
+def _pinned(name):
+    return json.loads((Path(__file__).resolve().parent / "data" / name).read_text())
+
+
+def _pinned_output(entry, ctx):
+    """nonisolated_bound in a fresh context with a cold Groebner cache: the
+    report without its timings, or the exception type and text."""
+    _GB_CACHE.clear()
+    try:
+        report = nonisolated_bound(P(entry["f"]), P(entry["g"]), ctx).describe()
+    except Exception as e:
+        got = {"error": [type(e).__name__, str(e)]}
+    else:
+        report.pop("timings")
+        got = {"report": json.loads(json.dumps(report))}
+    return {"f": entry["f"], "g": entry["g"], **got}
+
+
+PINNED_OUTPUTS = _pinned("pinned_transcendental_outputs.json")
+PINNED_EXACT_OUTPUTS = _pinned("pinned_exact_outputs.json")
 
 
 class TestPinnedTranscendentalOutputs:
-    """nonisolated_bound on the 14 exponential-leaf inputs of the
-    transcendental-leaf benchmark workload, seed 1, in a fresh context with
-    a cold Groebner cache: the report without its timings, or the exception
-    type and text, as pinned.  These runs decompose the same leaf jet more
-    than once and search the same rejected radical candidate in several
-    rounds."""
+    """The 14 exponential-leaf inputs of the transcendental-leaf benchmark
+    workload, seed 1, give the pinned outputs.  These runs decompose the
+    same leaf jet more than once and search the same rejected radical
+    candidate in several rounds."""
 
     @pytest.mark.parametrize("entry", PINNED_OUTPUTS,
                              ids=[f"{e['f']}|{e['g']}" for e in PINNED_OUTPUTS])
     def test_output_matches_pin(self, entry):
-        _GB_CACHE.clear()
-        try:
-            report = nonisolated_bound(P(entry["f"]), P(entry["g"]), exp_leaf()).describe()
-        except Exception as e:
-            got = {"error": [type(e).__name__, str(e)]}
-        else:
-            report.pop("timings")
-            got = {"report": json.loads(json.dumps(report))}
-        assert {"f": entry["f"], "g": entry["g"], **got} == entry
+        assert _pinned_output(entry, exp_leaf()) == entry
+
+
+class TestPinnedExactOutputs:
+    """The 47 flat-leaf inputs of the exact-leaf benchmark workload, seed 1,
+    give the pinned outputs.  Their transverse searches run on one-generator
+    ideals and on brackets decided at the base point, and their pairs test
+    multiples of their own local generators."""
+
+    @pytest.mark.parametrize("entry", PINNED_EXACT_OUTPUTS,
+                             ids=[f"{e['f']}|{e['g']}" for e in PINNED_EXACT_OUTPUTS])
+    def test_output_matches_pin(self, entry):
+        assert _pinned_output(entry, flat3()) == entry

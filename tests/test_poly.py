@@ -109,6 +109,31 @@ monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(monos, coeffs, max_size=5).map(lambda d: Polynomial(RING, d))
 
 
+class TestReuse:
+    """A polynomial renders once, and a monic one is its own normalization."""
+
+    @given(polys, polys)
+    def test_cached_rendering_is_a_fresh_one(self, a, b):
+        built = [a, Polynomial._raw(RING, dict(a.terms)), a + b, a - b, a * b, -a,
+                 a * Fraction(2, 3), a.derive(0), a.truncated(2)]
+        for p in built:
+            first = str(p)
+            assert str(p) is first
+            assert first == p._render()
+        # building from an operand leaves its rendering as it was
+        assert str(a) == a._render() and str(b) == b._render()
+
+    @given(polys)
+    def test_monic_is_returned_unchanged(self, p):
+        n = normalize_leading(p)
+        assert normalize_leading(n) is n
+
+    def test_monic_examples(self):
+        p = P("x^2 - 3*y + 1/2")
+        assert normalize_leading(p) is p
+        assert normalize_leading(P("-2*x^2 + y")) == P("x^2 - 1/2*y")
+
+
 class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, polys)
