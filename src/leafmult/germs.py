@@ -280,6 +280,16 @@ def _local_factors(p: Polynomial, divisors: Sequence[Polynomial] = ()):
     return unit, local
 
 
+def _exact_local_factors(jet: Jet2, divisors: Sequence[Polynomial] = ()):
+    """_local_factors of an exact jet's polynomial, memoized on the jet.
+    The divisors change the speed, never the result, so they are not part
+    of the key."""
+    memo = getattr(jet, "local_factors", None)
+    if memo is None:
+        memo = jet.local_factors = _local_factors(jet.as_exact_polynomial(), divisors)
+    return memo
+
+
 def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
                                 source: Jet2) -> list:
     """Expand a y-squarefree, y-regular piece into cycles (multiplicity 1)."""
@@ -538,7 +548,7 @@ def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int,
     if mu == 0:
         return PuiseuxBranchSet([], 0, work.order, Frame(), source)
     if exact is not None:
-        unit, local = _local_factors(exact, divisors)
+        _, local = _exact_local_factors(source, divisors)
         cycles = []
         for fp, mult in local:
             expansion = partial(_exact_factor_cycles, fp, work.order, min_factor_prec)
@@ -724,8 +734,8 @@ def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
     """split_common of two exact germs from their factorizations over Q;
     each polynomial is factored with the other as divisor, so a common
     factor is split off by a gcd before anything is left to sympy."""
-    _, lf = _local_factors(pf, (pg,))
-    _, lg = _local_factors(pg, (pf,))
+    _, lf = _exact_local_factors(fL, (pg,))
+    _, lg = _exact_local_factors(gL, (pf,))
     gdict = {normalize_leading(p): m for p, m in lg}
     h_f_poly = Polynomial.constant(LEAF_RING, 1)
     h_g_poly = Polynomial.constant(LEAF_RING, 1)

@@ -341,11 +341,42 @@ def extend_ring(ideal: IdealPresentation):
 
 def radical_membership(f: Polynomial, ideal: IdealPresentation,
                        budget: Optional[Budget] = None) -> bool:
-    """f in rad(I) iff 1 in <I, 1 - t*f> in the ring extended by t."""
+    """Whether f lies in rad(I).
+
+    Let S be the variables that f and the reduced degrevlex basis of I use.
+    When the basis has a leading pure power of every variable of S, I is
+    zero-dimensional in S: the basis lies in Q[S], so it is a Groebner
+    basis of I_S = I ∩ Q[S], and rad(I_S*Q[x]) ∩ Q[S] = rad(I_S).  Then f
+    is in rad(I) iff its class is nilpotent in A = Q[S]/I_S, and in an
+    algebra of dimension D (the staircase count) a nilpotent b has b^D = 0,
+    since bA ⊋ b^2 A ⊋ ... decreases strictly until it reaches 0.  So f^D
+    is reduced modulo the basis, squaring with a normal form after each
+    product.  Any other ideal is decided by the Rabinowitsch trick: f in
+    rad(I) iff 1 in <I, 1 - t*f> in the ring extended by t (Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, 4.2).
+
+    The basis of I is read under a counter of its own with the budget's
+    cap, and charged to the budget as a cache hit only when the quotient
+    decides, so the trick spends what it spent alone."""
     if f.is_zero():
         return True
     if ideal.is_zero_ideal():
         return False
+    gb = groebner(ideal, DEGREVLEX, None if budget is None else Budget(budget.cap))
+    support = sorted(set().union(f.variables_used(), *(g.variables_used() for g in gb.basis)))
+    dim = staircase_count([tuple(m[i] for i in support) for m in gb.leading_monomials()],
+                          len(support))
+    if dim is not inf:
+        groebner(ideal, DEGREVLEX, budget)  # a hit: charges what the basis cost
+        power = normal_form(Polynomial.constant(ideal.ring, 1), gb, budget)
+        base = normal_form(f, gb, budget)
+        while dim:
+            if dim & 1:
+                power = normal_form(power * base, gb, budget)
+            dim >>= 1
+            if dim:
+                base = normal_form(base * base, gb, budget)
+        return power.is_zero()
     new_ring, lifted, t_index = extend_ring(ideal)
     var_map = list(range(len(ideal.ring)))
     f_lift = f.map_ring(new_ring, var_map)

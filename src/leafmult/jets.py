@@ -85,9 +85,11 @@ def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
 class Jet2:
     """(order, poly, producer): poly is a Polynomial in LEAF_RING with no
     term of total degree above order.  `branch_sets` is the memo of
-    germs.germ_cycles, unset until the jet is first decomposed."""
+    germs.germ_cycles, unset until the jet is first decomposed, and
+    `local_factors` that of an exact jet's factorization over Q, unset
+    until it is first factored."""
 
-    __slots__ = ("order", "poly", "producer", "branch_sets")
+    __slots__ = ("order", "poly", "producer", "branch_sets", "local_factors")
 
     def __init__(self, order: int, coeffs: Mapping | Polynomial,
                  producer: Optional[Callable] = None):

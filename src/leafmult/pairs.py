@@ -29,11 +29,15 @@ ideal of colength mu contains m^mu).  One order serves the whole chain:
 A run certifies at order N > d, or N > bound when the direct value is
 unknown, and otherwise reruns at the order it needs, up to MAX_CERT_ORDER.
 
-Three decisions are made without computing a basis:
+Four decisions are made without computing a new basis:
 - a transverse search finds nothing when the pairwise brackets of the
   generators all vanish, since the bracket is bilinear and antisymmetric;
 - a bracket nonzero at the base point p lies outside rad(I) when every
   generator of I vanishes at p, since rad(I) vanishes on V(I);
+- a bracket lies in rad(I) iff its D-th power reduces to zero modulo the
+  reduced basis of I, when I is zero-dimensional in the variables that
+  basis and the bracket use and D is its staircase count
+  (ideals.radical_membership), so no Rabinowitsch basis is built;
 - a nonzero rational multiple of a local generator is a local member.
 """
 

@@ -583,6 +583,51 @@ class TestBranchSetMemo:
         assert with_divisors.describe() == germ_cycles(Jet2.from_polynomial(p, 16)).describe()
 
 
+def _count_factorizations(monkeypatch):
+    """The polynomials germs factors over Q from here on."""
+    import leafmult.germs as germs
+    factored = []
+    real = germs._local_factors
+
+    def counting(p, divisors=()):
+        factored.append(p)
+        return real(p, divisors)
+
+    monkeypatch.setattr(germs, "_local_factors", counting)
+    return factored
+
+
+class TestExactFactorMemo:
+    """An exact jet is factored over Q once: split_common and then
+    split_on_variety read the factorization kept on the jet, whatever
+    divisors each passed."""
+
+    def test_split_then_variety_factor_each_jet_once(self, monkeypatch):
+        factored = _count_factorizations(monkeypatch)
+        fL, gL = J("t1*(t1-t2^2)", 14), J("t1*(t1-2*t2^2)", 14)
+        split_common(fL, gL)
+        split_on_variety(fL, [fL, gL], 14)
+        split_on_variety(gL, [fL, gL], 14)
+        assert factored == [fL.as_exact_polynomial(), gL.as_exact_polynomial()]
+        fresh = J("t1*(t1-t2^2)", 14)
+        assert germ_cycles(fresh).describe() == germ_cycles(fL).describe()
+        assert len(factored) == 3
+
+    @pytest.mark.parametrize("f,g", [
+        ("x*(x-y^2)", "x*(x-2*y^2)"),
+        ("(y^2-x^3)*(x-1/2*y^3)", "(y^2-x^3)*(x+2/3*y^3)"),
+    ])
+    def test_one_factorization_per_exact_restriction(self, monkeypatch, f, g):
+        from leafmult.pairs import nonisolated_bound
+        factored = _count_factorizations(monkeypatch)
+        def vf(*texts):
+            return VectorField(XYZ, tuple(parse_polynomial(t, XYZ) for t in texts))
+        ctx = FoliationContext(vf("1", "0", "0"), vf("0", "1", "0"), (0, 0, 0))
+        nonisolated_bound(parse_polynomial(f, XYZ), parse_polynomial(g, XYZ), ctx)
+        # the restrictions of F and G, each factored once
+        assert len(factored) == len(set(factored)) == 2
+
+
 PINNED_GERMS = json.loads((Path(__file__).resolve().parent / "data"
                            / "pinned_germ_cycles.json").read_text())
 XYZ = ("x", "y", "z")

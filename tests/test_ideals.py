@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import inf
@@ -256,6 +257,123 @@ class TestRadicalMembership:
     def test_binomial_cube_oracle(self):
         f = P("x+y")
         assert member(f ** 3, ideal("x^2", "y^2"))
+
+
+def _rabinowitsch_membership(f, I, budget=None):
+    """radical_membership as a Rabinowitsch basis alone: f in rad(I) iff 1
+    in <I, 1 - t*f> in the ring extended by t."""
+    if f.is_zero():
+        return True
+    if I.is_zero_ideal():
+        return False
+    new_ring = I.ring + ("_t",)
+    var_map = list(range(len(I.ring)))
+    t = Polynomial.variable(new_ring, len(I.ring))
+    trick = IdealPresentation(new_ring, tuple(g.map_ring(new_ring, var_map) for g in I.generators)
+                              + (Polynomial.constant(new_ring, 1) - t * f.map_ring(new_ring, var_map),))
+    return groebner(trick, DEGREVLEX, budget).is_unit_ideal()
+
+
+XYZ = ("x", "y", "z")
+
+
+@st.composite
+def _small_poly(draw, variables, max_degree):
+    """A polynomial in XYZ on the given variable indices, of total degree at
+    most max_degree (zero when max_degree < 0)."""
+    monos = [m for m in itertools.product(range(max_degree + 1), repeat=3)
+             if sum(m) <= max_degree and all(i in variables for i, e in enumerate(m) if e)]
+    if not monos:
+        return Polynomial.zero(XYZ)
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool),
+                                 max_size=3))
+    return Polynomial(XYZ, terms)
+
+
+@st.composite
+def radical_cases(draw):
+    """(f, I): I is zero-dimensional in x, y with z free, or in x, y, z, or
+    a few generators over x, y, z with no such structure; in x, y sometimes
+    squared (not radical); sometimes made the unit ideal.  f lies in the
+    base ideal (so in rad(I)), is arbitrary on the ideal's variables, uses
+    z, or is a constant."""
+    kind = draw(st.sampled_from(["xy", "xyz", "free"]))
+    variables = {"xy": (0, 1), "xyz": (0, 1, 2), "free": (0, 1, 2)}[kind]
+    base = []
+    if kind == "free":
+        base = draw(st.lists(_small_poly(variables, 2), min_size=1, max_size=2))
+    else:
+        for i in variables:
+            d = draw(st.integers(1, 2 if kind == "xyz" else 3))
+            pure = Polynomial.monomial(XYZ, tuple(d if j == i else 0 for j in range(3)))
+            base.append(pure + draw(_small_poly(variables, d - 1)))
+        base += draw(st.lists(_small_poly(variables, 2), max_size=1))
+    B = IdealPresentation(XYZ, tuple(base))
+    if B.is_zero_ideal():
+        B = IdealPresentation(XYZ, (Polynomial.variable(XYZ, 0),))
+    I = B
+    # squared in three variables or from cubics, the Rabinowitsch basis can
+    # take minutes
+    if kind == "xy" and B.max_degree() <= 2 and draw(st.booleans()):
+        I = ideal_power(B, 2)
+    if draw(st.integers(0, 9)) == 0:
+        I = I.extended([Polynomial.constant(XYZ, 1)])
+    f_kind = draw(st.sampled_from(["member", "any", "uses z", "constant"]))
+    if f_kind == "member":
+        f = sum((draw(_small_poly(variables, 1)) * g for g in B.generators), Polynomial.zero(XYZ))
+    elif f_kind == "any":
+        f = draw(_small_poly(variables, 2))
+    elif f_kind == "uses z":
+        f = draw(_small_poly((0, 1, 2), 2)) + Polynomial.variable(XYZ, 2)
+    else:
+        f = Polynomial.constant(XYZ, draw(st.integers(-2, 2)))
+    return f, I
+
+
+class TestRadicalMembershipByPower:
+    """radical_membership decides in the quotient algebra where the basis
+    of I is zero-dimensional in the variables it and f use, with the answer
+    of a Rabinowitsch basis; elsewhere it spends what that basis spends."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(radical_cases())
+    def test_matches_the_rabinowitsch_basis(self, case):
+        f, I = case
+        _GB_CACHE.clear()
+        budget = Budget(cap=10 ** 7)
+        got = radical_membership(f, I, budget)
+        built_t = any("_t" in key[0].ring for key in _GB_CACHE)
+        ref_budget = Budget(cap=10 ** 7)
+        assert got == _rabinowitsch_membership(f, I, ref_budget)
+        if built_t:
+            assert budget.used == ref_budget.used
+
+    @pytest.mark.parametrize("f,gens,expected", [
+        ("x+y", ("x^2", "y^2"), True),
+        ("x*y-y", ("x^2", "y^3-x*y"), True),
+        ("y-1", ("x^2", "y^2"), False),
+        ("3", ("x^2", "y^2"), False),
+        ("3", ("x^2", "x-1"), True),
+    ])
+    def test_zero_dimensional_in_its_variables_builds_no_extended_basis(self, f, gens, expected):
+        _GB_CACHE.clear()
+        assert radical_membership(P(f, XYZ), ideal(*gens, ring=XYZ)) is expected
+        assert not any("_t" in key[0].ring for key in _GB_CACHE)
+
+    def test_free_variable_takes_the_rabinowitsch_basis(self):
+        _GB_CACHE.clear()
+        assert not radical_membership(P("z", XYZ), ideal("x^2", "y^2", ring=XYZ))
+        assert any("_t" in key[0].ring for key in _GB_CACHE)
+
+    def test_quotient_charges_the_same_on_a_cold_and_a_warm_cache(self):
+        I, f = ideal("x^2", "y^3-x*y", ring=XYZ), P("x*y-y", XYZ)
+        _GB_CACHE.clear()
+        cold, warm = Budget(), Budget()
+        assert radical_membership(f, I, cold)
+        assert radical_membership(f, I, warm)
+        assert warm.used == cold.used > 0
+        with pytest.raises(BudgetExceededError):
+            radical_membership(f, I, Budget(cap=cold.used - 1))
 
 
 class TestLeadingTermIdeal:

@@ -259,6 +259,33 @@ class TestTransverseShortcuts:
         assert budget.used == 35
 
 
+class TestBracketsDecidedInTheQuotient:
+    """On these inputs the radical ideals of the chain are zero-dimensional
+    in x, y with z free, so every transverse check is decided by a power of
+    the bracket modulo the basis, and no basis is built with the extra
+    variable _t of the Rabinowitsch trick."""
+
+    @pytest.mark.parametrize("f,g", [
+        ("(y^2-x^3)*(x-y^2)", "(y^2-x^3)*(x-2*y^2)"),
+        ("(y^2-x^3)*(x-1/2*y^3)", "(y^2-x^3)*(x+2/3*y^3)"),
+    ])
+    def test_no_extended_basis(self, monkeypatch, f, g):
+        calls = _count_decisions(monkeypatch)
+        _GB_CACHE.clear()
+        nonisolated_bound(P(f), P(g), flat3())
+        assert calls["radical_membership"] >= 1
+        assert not any("_t" in key[0].ring for key in _GB_CACHE)
+
+    def test_budget_of_brackets_decided_by_a_power(self):
+        _GB_CACHE.clear()
+        budget = Budget(cap=10 ** 7)
+        report = nonisolated_bound(P("(y^2-x^3)*(x-1/2*y^3)"), P("(y^2-x^3)*(x+2/3*y^3)"),
+                                   flat3(), budget=budget)
+        assert report.direct_value == 3
+        # deciding its brackets by Rabinowitsch bases spent 670
+        assert budget.used == 542
+
+
 @st.composite
 def generator_probes(draw):
     """(local generators, order, probe): the probe is a nonzero rational

@@ -76,7 +76,9 @@ class TestEvaluate:
         assert (P("x-y") * P("x+y")).evaluate([3, 3]) == 0
 
     def test_exact_fractions(self):
-        assert P("1/3*x").evaluate([Fraction(1, 2)]) if False else True
+        assert P("1/3*x").evaluate([Fraction(1, 2), 0]) == Fraction(1, 6)
+        with pytest.raises(DomainError):
+            P("1/3*x").evaluate([Fraction(1, 2)])
         assert P("1/3*x + y").evaluate([Fraction(3, 4), Fraction(1, 4)]) == Fraction(1, 2)
 
 
