@@ -28,7 +28,7 @@ from .errors import (
     RegenerationRequest,
 )
 from .ideals import Budget
-from .jets import LEAF_RING, Jet2, cached_producer, linear_substitution
+from .jets import LEAF_RING, Jet2, _capped_order, cached_producer, linear_substitution
 from .localbasis import (  # local_membership is re-exported
     StabilizationCertificate,
     corner_colength,
@@ -122,7 +122,7 @@ def jet_inverse(j: Jet2, order: Optional[int] = None) -> Jet2:
     """Multiplicative inverse of a unit jet, by Newton iteration."""
     if not j.is_unit():
         raise DomainError("jet inverse requires a unit (nonzero value at the origin)")
-    order = j.order if order is None else order
+    order = _capped_order(j.order if order is None else order, [j])
     work = j.at_order(order)
     inv0 = Jet2.constant(Fraction(1) / work.value_at_origin(), order)
     two = Jet2.constant(2, order)
@@ -138,27 +138,25 @@ def jet_inverse(j: Jet2, order: Optional[int] = None) -> Jet2:
 
 
 def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]:
-    """Quotient a/b as germs, certified up to the working order; None when b
-    does not divide a at that order."""
+    """Quotient a/b as germs at the working order N, capped at the stored
+    order of an operand that cannot regenerate; None when b does not divide
+    a modulo m^{N+1}.
+
+    Every quotient term is lm(h)/lm(b) for some deg lm(h) <= N, so the
+    quotient has no term above N - ord(b) and equals a/b through that
+    degree.  It is stored at order N all the same."""
     if b.is_zero():
         raise DomainError("division by the zero germ")
-    order = min(a.order, b.order) if order is None else order
+    order = _capped_order(min(a.order, b.order) if order is None else order, [a, b])
     if b.is_unit():
         return (a.truncate(order) * jet_inverse(b, order)).truncate(order)
-    rem, u, (q,) = mora_divide(a.at_order(order).poly, [b.at_order(order).poly], order)
+    rem, q = mora_divide(a.at_order(order).poly, b.at_order(order).poly, order)
     if not rem.is_zero():
         return None
-    if u.constant_value() == 0:
-        raise CertificateError("Mora division produced a non-unit multiplier")
     pa, pb = a.as_exact_polynomial(), b.as_exact_polynomial()
-    if pa is not None and pb is not None and u.is_constant():
-        # the corner quotient is the polynomial quotient only if it divides
-        exact = q * (Fraction(1) / u.constant_value())
-        if exact * pb == pa:
-            return Jet2.from_polynomial(exact, order)
-    u_jet = Jet2.from_polynomial(u, order)
-    q_jet = Jet2.from_polynomial(q, order)
-    result = (q_jet * jet_inverse(u_jet, order)).truncate(order)
+    # the corner quotient is the polynomial quotient only if it divides
+    if pa is not None and pb is not None and q * pb == pa:
+        return Jet2.from_polynomial(q, order)
     prod = None
     if a.producer is not None and b.producer is not None:
         def produce(n):
@@ -167,7 +165,7 @@ def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]
                 raise InconclusiveError("divisibility lost at higher order")
             return out
         prod = cached_producer(produce)
-    return Jet2(order, result.poly, prod)
+    return Jet2(order, q, prod)
 
 
 def germ_divides(a: Jet2, b: Jet2, order: Optional[int] = None) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InconclusiveError
 from .poly import Polynomial, _over_common_denominator
@@ -35,6 +35,12 @@ def cached_producer(fn: Callable[[int], "Jet2"]) -> Callable[[int], "Jet2"]:
         return hit
 
     return produce
+
+
+def _capped_order(order: int, jets: Sequence["Jet2"]) -> int:
+    """order, lowered to the stored order of every jet that cannot
+    regenerate: a producer-less jet caps what can be certified."""
+    return min([order] + [j.order for j in jets if not j.can_regenerate()])
 
 
 def _poly_producer(p: Polynomial):

@@ -1,4 +1,4 @@
-"""Local standard bases in two variables via Mora's tangent-cone normal form.
+"""Local standard bases in two variables on the highest corner.
 
 Leading terms are taken under the local order (1 largest, then lower total
 degree first), so the staircase of leading monomials counts the dimension
@@ -12,14 +12,22 @@ S-polynomial and from every reduction step, which is reduction by the
 monomials of degree N+1 (Singular's highest corner; Greuel and Pfister,
 *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
 
+Plain reduction terminates on the corner.  A step subtracts from h a
+monomial multiple of a reducer whose leading monomial divides lm(h); every
+other term of the product is smaller than lm(h) in the local order, and
+the terms above N are dropped.  So each step lowers lm(h) among the
+(N+1)(N+2)/2 monomials of degree <= N, and a normal form or a division
+takes at most that many steps.  The reducer is the first of least total
+degree in pool order, which the callers keep canonical.
+
 Memberships.  The local order is degree-compatible, so the leading
 monomial of a series with a term of degree <= N lies among its terms of
 least degree, and the leading ideal of I + m^{N+1} is L(I) + m^{N+1}.  The
-truncated weak normal form r of f has no term above N, and u*f - r lies in
-I + m^{N+1} for a unit u.  If r is nonzero, its leading monomial has
-degree <= N and lies outside L(I), so r, and with it f, lies outside
-I + m^{N+1}.  Hence r = 0 exactly when f lies in I + m^{N+1}.  Any standard
-basis of I + m^{N'+1} with N' >= N gives the same decision at N.
+normal form r of f has no term above N, and f - r lies in I + m^{N+1}.  If
+r is nonzero, its leading monomial has degree <= N and lies outside L(I),
+so r, and with it f, lies outside I + m^{N+1}.  Hence r = 0 exactly when f
+lies in I + m^{N+1}.  Any standard basis of I + m^{N'+1} with N' >= N
+gives the same decision at N.
 
 Colengths, closed by Nakayama.  If every monomial of some degree k <= N is
 a leading monomial of I + m^{N+1}, then m^k lies in I + m^{N+1}, inside
@@ -33,14 +41,6 @@ reads "no closure at N = max(d, 1)^2" as infinite.  It doubles N up to
 that order rather than starting there: the corner's cost grows fast with N
 (a degree-7 pair of colength 5 closes at N = 8 in milliseconds and takes
 19 s at N = 28).
-
-Mora's ecart rule and appended reducers stay.  Plain reduction on the
-corner terminates too (the leading monomial falls through the finite set
-of monomials of degree <= N) but climbs degree by degree: t1 against
-t1 - t1^2 at N = 40 takes 40 steps, not 2.  On the flat-leaf pair
-(y^2-x^3)*(y+1/2*x^2) | (y^2-x^3)*(y-3/2*x^2) at order 84 it took 7.45 s
-against 0.21 s, and an exact-leaf benchmark pass (seed 1) 7.8 s against
-1.6 s, with 2.1% of its cases past the deadline.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .ideals import (
     monic,
     staircase_count,
 )
-from .jets import Jet2
+from .jets import Jet2, _capped_order
 from .poly import (
     Monomial,
     Polynomial,
@@ -72,99 +72,80 @@ from .poly import (
 LOCAL_ORDER = MonomialOrder("local")
 
 
-def _struct_key(p: Polynomial):
-    """Deterministic tie-break without stringifying coefficients (whose
-    integers can be enormous on deep jets)."""
-    return tuple(sorted(p.terms.items()))
-
-
 class _Lead:
-    """A pool polynomial with its leading term and its Mora selection key
-    (ecart, total degree, structural tie-break), computed once when it joins
-    the pool.  `cofactors` rides along for mora_divide."""
+    """A pool polynomial with its leading term and total degree, computed
+    once when it joins the pool."""
 
-    __slots__ = ("poly", "lm", "lc", "degree", "ecart", "key", "cofactors")
+    __slots__ = ("poly", "lm", "lc", "degree")
 
-    def __init__(self, poly: Polynomial, lead=None, cofactors=None):
-        lm, lc = lead or leading_term(poly, LOCAL_ORDER)
-        degree = poly.total_degree()
-        self.poly, self.lm, self.lc, self.degree = poly, lm, lc, degree
-        self.ecart = degree - monomial_degree(lm)
-        self.key = (self.ecart, degree, _struct_key(poly))
-        self.cofactors = cofactors
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+        self.lm, self.lc = leading_term(poly, LOCAL_ORDER)
+        self.degree = poly.total_degree()
 
 
 def _select(pool: list, lm: Monomial) -> Optional[_Lead]:
-    """The first pool entry of least key whose leading monomial divides lm."""
+    """The first pool entry of least total degree whose leading monomial
+    divides lm."""
     best = None
     for e in pool:
-        if monomial_divides(e.lm, lm) and (best is None or e.key < best.key):
+        if monomial_divides(e.lm, lm) and (best is None or e.degree < best.degree):
             best = e
     return best
 
 
 def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial], order: int,
                      budget: Optional[Budget] = None) -> Polynomial:
-    """Mora's weak normal form modulo m^{order+1}: for some unit u,
-    u*f - result lies in <gens> + m^{order+1}, and the result has no term
-    of degree above order.  Zero iff f is a member when gens is a standard
-    basis (module docstring)."""
+    """Normal form of f modulo m^{order+1}: f - result lies in
+    <gens> + m^{order+1}, and the result has no term of degree above order.
+    Zero iff f is a member when gens is a standard basis (module
+    docstring)."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
     pool = [_Lead(g) for g in (g.truncated(order) for g in gens) if not g.is_zero()]
-    return _reduce(f.truncated(order), pool, budget, order, "mora")[0]
+    return _reduce(f.truncated(order), pool, budget, order, "mora")
 
 
-def mora_divide(f: Polynomial, divisors: Sequence[Polynomial], order: int,
-                budget: Optional[Budget] = None):
-    """Mora reduction with cofactor tracking modulo m^{order+1}.
+def mora_divide(f: Polynomial, divisor: Polynomial, order: int,
+                budget: Optional[Budget] = None) -> tuple:
+    """Division of f by divisor modulo m^{order+1}.
 
-    Returns (remainder, u, quotients) with
-    u*f = sum(quotients[i]*divisors[i]) + remainder  mod m^{order+1},
-    every part free of terms above order, and u a unit of the local ring
-    (nonzero constant term).  With a single divisor this realizes division
-    of germs."""
+    Returns (remainder, quotient) with
+    f = quotient*divisor + remainder  mod m^{order+1}, both free of terms
+    above order.  This realizes division of germs."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora divide")
-    one, zero = Polynomial.constant(f.ring, 1), Polynomial.zero(f.ring)
-    divisors = [g.truncated(order) for g in divisors]
-    # cofactors of a pool entry: (u, quotient list)
-    pool = [_Lead(g, cofactors=(zero, [one if i == j else zero
-                                       for j in range(len(divisors))]))
-            for i, g in enumerate(divisors) if not g.is_zero()]
-    h, (u, quots) = _reduce(f.truncated(order), pool, budget, order, "mora divide",
-                            (one, [zero] * len(divisors)))
-    return h, u, [-q for q in quots]
+    divisor = divisor.truncated(order)
+    pool = [] if divisor.is_zero() else [_Lead(divisor)]
+    quotient: dict = {}
+    rem = _reduce(f.truncated(order), pool, budget, order, "mora divide", quotient)
+    return rem, Polynomial(f.ring, quotient)
 
 
-def _reduce(h: Polynomial, pool: list, budget: Budget, order: int, stage: str,
-            cofactors=None) -> tuple:
-    """(Mora's weak normal form of h, cofactors) on a pool of entries, h
-    already truncated at order; appends to the pool.  cofactors, when
-    given, are (u, quotients) with h = u*f + sum(quotients*divisors), and
-    come back updated for the result."""
+def _reduce(h: Polynomial, pool: Sequence[_Lead], budget: Budget, order: int,
+            stage: str, quotient: Optional[dict] = None) -> Polynomial:
+    """Normal form of h on a pool of entries, h already truncated at order.
+    Each step subtracts c*x^shift times an entry.  quotient, when given for
+    a pool of one entry, collects {shift: c} over the steps; no shift
+    repeats, since each step lowers lm(h)."""
     while not h.is_zero():
         lm_h, lc_h = leading_term(h, LOCAL_ORDER)
         g = _select(pool, lm_h)
         if g is None:
             break
-        if g.ecart and g.ecart > h.total_degree() - monomial_degree(lm_h):
-            pool.append(_Lead(h, (lm_h, lc_h), cofactors))
         shift, c = monomial_div(lm_h, g.lm), lc_h / g.lc
         # a product that stays within the corner needs no per-term test
         cap = None if monomial_degree(shift) + g.degree <= order else order
         h = h.sub_mul(shift, c, g.poly, cap)
-        if cofactors is not None:
-            (u_h, q_h), (u_g, q_g) = cofactors, g.cofactors
-            cofactors = (u_h.sub_mul(shift, c, u_g, order),
-                         [a.sub_mul(shift, c, b, order) for a, b in zip(q_h, q_g)])
+        if quotient is not None:
+            quotient[shift] = c
         budget.spend(1, stage)
-    return h, cofactors
+    return h
 
 
 def standard_basis(gens: Sequence[Polynomial], order: int,
                    budget: Optional[Budget] = None) -> list:
-    """Buchberger loop with Mora normal form modulo m^{order+1}; no pair
+    """Buchberger loop with the corner normal form modulo m^{order+1}; no pair
     criteria beyond deduplication (the product criterion is unsafe for
     local orders).  Pairs are taken in (lcm degree, (i, j)) order.
 
@@ -196,7 +177,7 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
         s = _s_polynomial(a.poly, a.lm, a.lc, b.poly, b.lm, b.lc).truncated(order)
-        h = _reduce(s, list(pool), budget, order, "mora")[0]
+        h = _reduce(s, pool, budget, order, "mora")
         if not h.is_zero():
             new = _Lead(monic(h, LOCAL_ORDER))
             for k, e in enumerate(pool):
@@ -282,7 +263,7 @@ def corner_member(f: Jet2, basis: Sequence[Polynomial], order: int,
     regenerate."""
     if f.is_zero():
         return True
-    order = order if f.can_regenerate() else min(order, f.order)
+    order = _capped_order(order, [f])
     return mora_normal_form(f.regenerate(order).poly, basis, order, budget).is_zero()
 
 
@@ -290,8 +271,8 @@ def local_membership(f: Jet2, gens: Sequence[Jet2], order: Optional[int] = None,
                      budget: Optional[Budget] = None) -> bool:
     """f in the local ideal generated by gens, certified up to the order."""
     live = [g for g in gens if not g.is_zero()]
-    order = order or max([f.order] + [g.order for g in live])
-    # producer-less jets cap the certifiable order
-    order = min([order] + [j.order for j in [f] + live if not j.can_regenerate()])
+    if order is None:
+        order = max([f.order] + [g.order for g in live])
+    order = _capped_order(order, [f] + live)
     basis = standard_basis([g.regenerate(order).poly for g in live], order, budget)
     return corner_member(f, basis, order, budget)

@@ -74,7 +74,7 @@ from .ideals import (
     member,
     radical_membership,
 )
-from .jets import Jet2
+from .jets import Jet2, _capped_order
 from .localbasis import corner_member
 from .poly import Polynomial
 
@@ -180,10 +180,7 @@ def make_pair(ideal: IdealPresentation, local_gens: Sequence[Jet2],
     local_gens = tuple(local_gens)
     if cert_order is None:
         cert_order = max((j.order for j in local_gens), default=8)
-    # a producer-less generator caps what the pair can honestly certify
-    for j in local_gens:
-        if not j.can_regenerate():
-            cert_order = min(cert_order, j.order)
+    cert_order = _capped_order(cert_order, local_gens)
     pair = NoetherianPair(ideal, local_gens, ctx, cert_order)
     verify_pair(pair)
     return pair
@@ -491,7 +488,7 @@ def nonisolated_bound(F: Polynomial, G: Polynomial, ctx: FoliationContext,
     common branches removed.  Falls back to the isolated path automatically
     when the restrictions share no branch through p."""
     t0 = time.monotonic()
-    order = options.jet_order or ctx.default_jet_order(F, G)
+    order = ctx.default_jet_order(F, G) if options.jet_order is None else options.jet_order
     last_exc = None
     for attempt in range(REGENERATION_RETRIES):
         if order > MAX_CERT_ORDER:

@@ -95,6 +95,13 @@ class TestBound:
         path = write_manifest(tmp_path, f="x*(x-y^2)", g="x*(x-y^2)")
         assert main(["bound", "--manifest", path]) == 2
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_low_jet_order_is_used(self, capsys, order):
+        # order 0 is an order, not "unset": it must not fall back to the
+        # default order, where this manifest succeeds
+        assert main(["bound", "--manifest", E1, "--jet-order", order]) == 2
+        assert "vanishes at this order" in capsys.readouterr().err
+
 
 FLAT_PAIR = dict(FLAT, f="x*(x-y^2)", g="x*(x-2*y^2)")
 E1 = str(MANIFESTS / "e1-tangent-parabolas.json")

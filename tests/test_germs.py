@@ -1,11 +1,11 @@
 import json
 import random
 from fractions import Fraction
-from math import inf
+from math import factorial, inf
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leafmult.errors import DomainError, HypothesisError
 from leafmult.germs import (
@@ -28,6 +28,12 @@ from leafmult.jets import Jet2
 from leafmult.poly import Polynomial, normalize_leading, parse_polynomial
 
 T = ("t1", "t2")
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4,
+).map(lambda d: Polynomial(T, d))
 
 
 def J(text, order=12):
@@ -58,6 +64,12 @@ class TestJetInverse:
     def test_product_is_one(self):
         j = J("1+2*t1-t2+t1*t2", 8)
         assert (j * jet_inverse(j)).to_polynomial() == Polynomial.constant(T, 1)
+
+    def test_stored_order_caps_a_jet_without_producer(self):
+        # 1 + t1 is known only to order 3, so its inverse is too
+        inv = jet_inverse(Jet2(3, parse_polynomial("1+t1", T)), 8)
+        assert inv.order == 3
+        assert inv.to_polynomial() == parse_polynomial("1-t1+t1^2-t1^3", T)
 
 
 class TestGermDivide:
@@ -96,6 +108,31 @@ class TestGermDivide:
         q = germ_divide(h, hp)
         assert q is not None
         assert (q - hp).is_zero_up_to(10)
+
+    def test_stored_order_caps_a_dividend_without_producer(self):
+        # t1*e^t1 is known only to order 6: the quotient by t1 is stated at
+        # order 6, not at the order asked for
+        a = Jet2(6, {(k + 1, 0): Fraction(1, factorial(k)) for k in range(6)})
+        q = germ_divide(a, J("t1"), 10)
+        assert q.order == 6
+        assert q.to_polynomial() == Polynomial(T, {(k, 0): Fraction(1, factorial(k))
+                                                   for k in range(6)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, st.integers(0, 8), st.booleans(), st.booleans())
+    # the quotient of an earlier kernel had a stray -9/4*t1^2 from its unit
+    @example(parse_polynomial("3/2*t1^3 + 3/2*t1*t2 + t2", T),
+             parse_polynomial("1/3*t1^2*t2^2 + 3/2*t1 - 1", T), 2, True, True)
+    def test_quotient_is_exact_through_n_minus_ord_b(self, b, c, n, exact_a, exact_b):
+        # a = b*c: every quotient term is lm(h)/lm(b) with deg lm(h) <= n, so
+        # the quotient is c through degree n - ord(b) and zero above
+        assume(not b.truncated(n).is_zero())
+        a_jet = Jet2.from_polynomial(b * c, n) if exact_a else Jet2(n, b * c)
+        b_jet = Jet2.from_polynomial(b, n) if exact_b else Jet2(n, b)
+        q = germ_divide(a_jet, b_jet, n)
+        if q.as_exact_polynomial() is None:
+            ord_b = min(sum(m) for m in b.terms)
+            assert q.to_polynomial() == c.truncated(n - ord_b)
 
 
 class TestLocalMultiplicity:
@@ -153,6 +190,11 @@ class TestLocalMembership:
     def test_nonmember(self):
         assert not local_membership(J("t2"), [J("t1+t1^2")])
         assert not local_membership(J("t1"), [J("t1^2"), J("t2^2")])
+
+    def test_order_zero_is_an_order(self):
+        # t1 lies in (t1^2) + m but not in (t1^2) + m^2
+        assert local_membership(J("t1"), [J("t1^2")], 0)
+        assert not local_membership(J("t1"), [J("t1^2")], 1)
 
 
 class TestNewtonPuiseux:
