@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisError
 from .jets import LEAF_RING, Jet2, cached_producer
-from .poly import Polynomial
+from .poly import Polynomial, _canonical
 
 DEFAULT_EXTRA_ORDER = 4
 # no bound run certifies at a higher jet order, so a trace verifier can
@@ -77,6 +77,12 @@ def check_commute(v1: VectorField, v2: VectorField) -> CommutationReport:
         if not comp.is_zero():
             return CommutationReport(False, i, comp)
     return CommutationReport(True)
+
+
+def _term_list(p: Polynomial) -> list:
+    """The terms of p as a sorted list of (monomial, Fraction), a canonical
+    sort key."""
+    return [(m, Fraction(c, p.den)) for m, c in sorted(p.num.items())]
 
 
 class FoliationContext:
@@ -150,7 +156,7 @@ class FoliationContext:
         truncated membership decisions, so the memo is keyed by the set of
         generators, and the basis is computed from them in a canonical
         order."""
-        gens = tuple(sorted(set(polys), key=lambda p: sorted(p.terms.items())))
+        gens = tuple(sorted(set(polys), key=_term_list))
         key = (gens, order)
         basis = self._bases.get(key)
         if basis is None:
@@ -211,7 +217,7 @@ class FoliationContext:
         phi = self._flow_jets(order)[index]
         if e == 1:
             return phi
-        low = min((a + b for (a, b) in phi.terms), default=order + 1)
+        low = min((a + b for (a, b) in phi.num), default=order + 1)
         if low * e > order:
             return Polynomial.zero(LEAF_RING)
         key = (order, index, e)
@@ -227,16 +233,28 @@ class FoliationContext:
     def _compose_flow(self, f: Polynomial, order: int) -> Polynomial:
         """F(phi) truncated at order: the coefficients of the leaf jet of F.
         F o Phi_t(p) is the Lie series of F along the commuting flows, and
-        its truncation depends only on the truncations of the x_i o Phi_t."""
+        its truncation depends only on the truncations of the x_i o Phi_t.
+        Each term of F enters with its integer numerator, over the lcm of
+        the terms' denominators, and the sum is divided by F's denominator
+        once.  A monomial keeps the place where it first appears, also when
+        its coefficient cancels on the way."""
         acc: dict = {}
-        for mono, c in f.terms.items():
+        den = 1
+        for mono, c in f.num.items():
             term = Polynomial.constant(LEAF_RING, c)
             for i, e in enumerate(mono):
                 if e and term:
                     term = term.mul(self._flow_power(i, e, order), order)
-            for m, v in term.terms.items():
-                acc[m] = acc.get(m, 0) + v
-        return Polynomial(LEAF_RING, acc)
+            common = lcm(den, term.den)
+            if common != den:
+                k = common // den
+                for m in acc:
+                    acc[m] *= k
+                den = common
+            k = den // term.den
+            for m, v in term.num.items():
+                acc[m] = acc.get(m, 0) + v * k
+        return _canonical(LEAF_RING, {m: v for m, v in acc.items() if v}, den * f.den)
 
     def leaf_jet(self, f: Polynomial, order: int) -> Jet2:
         """Jet of F restricted to the leaf through p, in flow coordinates,
@@ -270,7 +288,7 @@ class FoliationContext:
         if order < 0:
             raise DomainError("jet order must be >= 0")
         composed = self._compose_flow(f, order)
-        if not any(a + b == order for (a, b) in composed.terms):
+        if not any(a + b == order for (a, b) in composed.num):
             degree = self._flow_degree(order)
             if degree is not None and f.total_degree() * degree + 1 <= order:
                 return Jet2.from_polynomial(composed, order)

@@ -35,7 +35,7 @@ from .localbasis import (  # local_membership is re-exported
     local_membership,
     mora_divide,
 )
-from .poly import Polynomial, _over_common_denominator, factor, normalize_leading
+from .poly import Polynomial, _canonical, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
@@ -79,11 +79,12 @@ def choose_frame(jet: Jet2) -> Frame:
     ord_ = jet.vanishing_order()
     if ord_ is None:
         raise DomainError("cannot frame the zero germ")
-    low = {k: c for k, c in jet.coeffs.items() if k[0] + k[1] == ord_}
+    # numerators: a positive common factor does not move a zero
+    low = {k: c for k, c in jet.poly.num.items() if k[0] + k[1] == ord_}
 
     def regular_with(swap: bool, shear: Fraction) -> bool:
         # lowest form evaluated at (shear, 1) in the (possibly swapped) frame
-        total = Fraction(0)
+        total = 0
         for (a, b), c in low.items():
             if swap:
                 a, b = b, a
@@ -100,10 +101,11 @@ def choose_frame(jet: Jet2) -> Frame:
 def jet_to_ypoly(jet: Jet2) -> YPoly:
     """Frame-coordinate jet as a y-polynomial with per-coefficient x-precision."""
     order = jet.order
+    den = jet.poly.den
     by_j: dict[int, dict] = {}
     max_j = 0
-    for (a, b), c in jet.coeffs.items():
-        by_j.setdefault(b, {})[a] = c
+    for (a, b), n in jet.poly.num.items():
+        by_j.setdefault(b, {})[a] = Fraction(n, den)
         max_j = max(max_j, b)
     exact = jet.as_exact_polynomial()
     cols = []
@@ -148,8 +150,6 @@ def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]
     if b.is_zero():
         raise DomainError("division by the zero germ")
     order = _capped_order(min(a.order, b.order) if order is None else order, [a, b])
-    if b.is_unit():
-        return (a.truncate(order) * jet_inverse(b, order)).truncate(order)
     rem, q = mora_divide(a.at_order(order).poly, b.at_order(order).poly, order)
     if not rem.is_zero():
         return None
@@ -302,8 +302,7 @@ def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
         W = factor_from_param(bp, want)
         if W is None:
             raise RegenerationRequest(2 * x_prec + 8)
-        factor_frame = Polynomial(LEAF_RING, W.terms)
-        factor_orig = frame.pull_polynomial(factor_frame)
+        factor_orig = frame.pull_polynomial(W)
         jet = _cycle_factor_jet(source, frame, factor_orig, want)
         cycles.append(BranchCycle(jet, 1, lambda bp=bp: bp))
     return cycles
@@ -344,16 +343,6 @@ def _cycle_factor_jet(source: Jet2, frame: Frame, factor_orig: Polynomial,
     return Jet2(base_order, factor_orig, cached_producer(produce))
 
 
-def _int_slice(coeffs: dict) -> tuple:
-    """(numerators by t2-degree, common denominator) of {t2-degree: Fraction},
-    the numerators sharing no factor with the denominator."""
-    sparse, den = _over_common_denominator(list(coeffs.values()))
-    nums = [0] * (max(coeffs, default=-1) + 1)
-    for b, n in zip(coeffs, sparse):
-        nums[b] = n
-    return nums, den
-
-
 def _reduced(nums: list, den: int) -> Optional[tuple]:
     """nums / den with the common factor taken out; None when zero."""
     if not any(nums):
@@ -374,30 +363,37 @@ def weierstrass_jet(f: Jet2) -> tuple:
     truncation of W at the jet order is exactly determined by the
     truncation of f.
 
-    A slice is held as integer numerators over one common denominator, so
-    the O(order^3) products of the lifting are integer operations; the
-    result is the same exact rational jet."""
+    A slice is held as integer numerators by t2-degree over one common
+    denominator (the jet's own for the slices of f), so the O(order^3)
+    products of the lifting are integer operations; the result is the same
+    exact rational jet."""
     order = f.order
     mu = f.vanishing_order()
     if mu is None:
         raise DomainError("cannot prepare the zero germ")
-    slices: list[dict] = [{} for _ in range(order + 1)]
-    for (a, b), c in f.coeffs.items():
-        slices[a][b] = c
-    if mu not in slices[0]:
+    fd = f.poly.den
+    slices: list[list] = [[] for _ in range(order + 1)]
+    for (a, b), n in f.poly.num.items():
+        row = slices[a]
+        if len(row) <= b:
+            row.extend([0] * (b + 1 - len(row)))
+        row[b] = n
+    if len(slices[0]) <= mu or not slices[0][mu]:
         raise DomainError("germ is not regular in t2 at its vanishing order")
-    u0 = {b - mu: c for b, c in slices[0].items()}
-    u0n, u0d = _int_slice(u0)
+    u0n = slices[0][mu:]
     # t * u0 = 1 mod t2^mu, the Bezout cofactor of the splitting
-    t = jet_inverse(Jet2(mu - 1, {(0, b): c for b, c in u0.items()})).poly if mu else None
-    tn, td = _int_slice({b: c for (_, b), c in t.terms.items()}) if mu else ([], 1)
+    tn, td = [], 1
+    if mu:
+        u0 = _canonical(LEAF_RING, {(0, b): n for b, n in enumerate(u0n) if n}, fd)
+        t = jet_inverse(Jet2(mu - 1, u0)).poly
+        tn, td = [t.num.get((0, b), 0) for b in range(t.total_degree() + 1)], t.den
     W: dict[int, tuple] = {}
     U: dict[int, tuple] = {}
     for k in range(1, order + 1):
         top = order - k
         # rhs = (f_k - sum_a W_a * U_(k-a)) mod t2^(top+1), as acc / den
         products = [(W[a], U[k - a]) for a in range(1, k) if a in W and k - a in U]
-        fn, fd = _int_slice(slices[k])
+        fn = slices[k]
         den = lcm(fd, *(wd * ud for (_, wd), (_, ud) in products))
         acc = [0] * (top + 1)
         scale = den // fd
@@ -416,7 +412,7 @@ def weierstrass_jet(f: Jet2) -> tuple:
         for i, c in enumerate(tn):
             for d in range(i, len(wk)):
                 wk[d] += c * acc[d - i]
-        num = [n * td * u0d for n in acc]
+        num = [n * td * fd for n in acc]
         for i, w in enumerate(wk):
             if w:
                 for e, n in enumerate(u0n[:top + 1 - i], i):
@@ -424,22 +420,25 @@ def weierstrass_jet(f: Jet2) -> tuple:
         if any(num[:mu]):
             raise CertificateError("Weierstrass slice failed to divide")  # pragma: no cover
         wk = _reduced(wk, td * den)
-        uk = _reduced(num[mu:], td * u0d * den)
+        uk = _reduced(num[mu:], td * fd * den)
         if wk:
             W[k] = wk
         if uk:
             U[k] = uk
 
-    def to_jet(lead: dict, slice_map: dict, jet_order: int) -> Jet2:
-        coeffs = {(0, b): c for b, c in sorted(lead.items())}
-        for a, (nums, den) in slice_map.items():
-            coeffs.update(((a, b), Fraction(n, den)) for b, n in enumerate(nums) if n)
-        # the terms are nonzero Fractions on distinct integer monomials
-        return Jet2(jet_order, Polynomial._raw(LEAF_RING, coeffs))
+    def to_jet(lead: tuple, slice_map: dict, jet_order: int) -> Jet2:
+        """The jet with t1-degree 0 slice lead and the others slice_map,
+        each slice (numerators by t2-degree, denominator)."""
+        den = lcm(lead[1], *(d for _, d in slice_map.values()))
+        num = {(0, b): n * (den // lead[1]) for b, n in enumerate(lead[0]) if n}
+        for a, (nums, d) in slice_map.items():
+            num.update(((a, b), n * (den // d)) for b, n in enumerate(nums) if n)
+        return Jet2(jet_order, _canonical(LEAF_RING, num, den))
 
     # the top-mu t2-band of each U slice lies beyond what the truncation of
     # f determines, so U is only certified to order - mu
-    return to_jet({mu: Fraction(1)}, W, order), to_jet(u0, U, max(order - mu, 0))
+    return (to_jet(([0] * mu + [1], 1), W, order),
+            to_jet((u0n, fd), U, max(order - mu, 0)))
 
 
 def simplify_local_generator(j: Jet2) -> Jet2:

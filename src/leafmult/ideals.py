@@ -1,7 +1,10 @@
 """Groebner-basis machinery for global polynomial ideals.
 
 Buchberger with the product and chain criteria (Gebauer-Moeller pair
-update) and normal selection; exact arithmetic throughout.  Budgets guard
+update) and normal selection; exact arithmetic throughout.  Reduction is
+fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 6): it runs on the integer numerators of the polynomials and scales
+the working polynomial instead of dividing it.  Budgets guard
 against blowup: on cap overrun a BudgetExceededError carries the partial
 basis so callers can report where an example exceeded desk scale.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 from operator import neg
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +31,9 @@ from .poly import (
     monomial_mul,
     normalize_leading,
     squarefree_part,
+    _canonical,
     _sub_mul_into,
+    _with_unit_coefficient,
 )
 
 
@@ -88,21 +93,20 @@ EXPONENT_CAP = 64
 
 def leading_term(p: Polynomial, order: MonomialOrder):
     """(monomial, coefficient) of the largest term."""
-    if p.is_zero():
-        raise DomainError("leading term of zero")
-    m = max(p.terms, key=order.key)
-    return m, p.terms[m]
+    m = leading_monomial(p, order)
+    return m, Fraction(p.num[m], p.den)
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
-    return leading_term(p, order)[0]
+    if p.is_zero():
+        raise DomainError("leading term of zero")
+    return max(p.num, key=order.key)
 
 
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     if p.is_zero():
         return p
-    _, c = leading_term(p, order)
-    return p * (Fraction(1) / c)
+    return _with_unit_coefficient(p, leading_monomial(p, order))
 
 
 class Budget:
@@ -143,7 +147,7 @@ class IdealPresentation:
             if g not in seen:
                 seen.add(g)
                 gens.append(g)
-        gens.sort(key=lambda p: (p.total_degree(), len(p.terms), str(p)))
+        gens.sort(key=lambda p: (p.total_degree(), len(p.num), str(p)))
         object.__setattr__(self, "generators", tuple(gens))
 
     def is_zero_ideal(self) -> bool:
@@ -180,15 +184,64 @@ class GroebnerBasis:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
 
+def _cancel_lead(work: dict, scale: tuple, c: int, shift: Monomial, lc: int,
+                 reducer: Mapping[Monomial, int], max_degree: Optional[int] = None,
+                 rest: Optional[dict] = None) -> tuple:
+    """One fraction-free reduction step, in place.  work and rest (a
+    remainder kept beside it) are integer maps that stand for
+    (work + rest) * num / den, (num, den) = scale.  The term c*x^m of work
+    is cancelled by x^shift * reducer, whose coefficient at m/shift is lc:
+    work becomes s*work - t*x^shift*reducer with s = |lc|/gcd(lc, c) and
+    t = s*c/lc, the products of total degree above max_degree dropped, and
+    rest is scaled by s too.  When s != 1 the content k of work and rest is
+    then taken out.  Returns the new scale, (num*k, den*s) in lowest terms,
+    so the maps now stand for the old value less
+    (c/lc) * (num/den) * x^shift * reducer."""
+    g = gcd(lc, c)
+    s, t = lc // g, c // g
+    if s < 0:
+        s, t = -s, -t
+    maps = (work, rest) if rest else (work,)
+    if s != 1:
+        for d in maps:
+            for m in d:
+                d[m] *= s
+    _sub_mul_into(work, shift, t, reducer, max_degree)
+    if s == 1:
+        return scale
+    k = gcd(*work.values(), *(rest.values() if rest else ()))
+    if k > 1:
+        for d in maps:
+            for m in d:
+                d[m] //= k
+    else:
+        k = 1
+    num, den = scale[0] * k, scale[1] * s
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _scaled(ring: tuple, num: dict, scale: tuple) -> Polynomial:
+    """The polynomial num * scale[0] / scale[1], num an integer map."""
+    if scale[0] != 1:
+        num = {m: c * scale[0] for m, c in num.items()}
+    return _canonical(ring, num, scale[1])
+
+
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder,
                 budget: Optional[Budget] = None, with_quotients: bool = False):
     """Full multivariate division: returns remainder (and quotients when
-    asked).  Deterministic: the first reducer in basis order wins."""
-    lead = [leading_term(g, order) for g in basis]
-    quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
+    asked).  Deterministic: the first reducer in basis order wins.
+
+    The working polynomial and the remainder are integer maps over one
+    rational scale: f equals the quotient part plus (work + rem) * scale
+    throughout (`_cancel_lead`)."""
     key = order.key
-    r_terms = {}
-    work = dict(f.terms)
+    lead = [(lm := max(g.num, key=key), g.num[lm]) for g in basis]
+    quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
+    r_terms: dict = {}
+    work = dict(f.num)
+    scale = (1, f.den)
     while work:
         m = max(work, key=key)
         for i, (lm, lc) in enumerate(lead):
@@ -197,27 +250,31 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
         else:
             r_terms[m] = work.pop(m)
             continue
-        shift, q = monomial_div(m, lm), work[m] / lc
-        _sub_mul_into(work, shift, q, basis[i].terms)
+        shift, c = monomial_div(m, lm), work[m]
         if with_quotients:
+            q = Fraction(c * scale[0] * basis[i].den, scale[1] * lc)
             quots[i] = quots[i] + Polynomial.monomial(f.ring, shift, q)
+        scale = _cancel_lead(work, scale, c, shift, lc, basis[i].num, rest=r_terms)
         if budget is not None:
             budget.spend(1, "reduction")
-    rem = Polynomial._raw(f.ring, r_terms)
+    rem = _scaled(f.ring, r_terms, scale)
     if with_quotients:
         return quots, rem
     return rem
 
 
-def _s_polynomial(f: Polynomial, mf: Monomial, cf, g: Polynomial, mg: Monomial,
-                  cg) -> Polynomial:
-    """x^(l-mf) f/cf - x^(l-mg) g/cg with l = lcm(mf, mg), from the leading
-    terms (mf, cf) of f and (mg, cg) of g."""
+def _s_polynomial(f: Polynomial, mf: Monomial, g: Polynomial, mg: Monomial) -> Polynomial:
+    """x^(l-mf) f/cf - x^(l-mg) g/cg with l = lcm(mf, mg), cf and cg the
+    coefficients of f at mf and of g at mg (their leading terms).  Since
+    f/cf = f.num / f.num[mf], it is computed over the lcm of the two
+    leading numerators."""
+    a, b = f.num[mf], g.num[mg]
+    den = lcm(a, b)
     l = monomial_lcm(mf, mg)
-    shift = monomial_div(l, mf)
-    acc = {monomial_mul(shift, m): c / cf for m, c in f.terms.items()}
-    _sub_mul_into(acc, monomial_div(l, mg), Fraction(1) / cg, g.terms)
-    return Polynomial._raw(f.ring, acc)
+    shift, ka = monomial_div(l, mf), den // a
+    acc = {monomial_mul(shift, m): c * ka for m, c in f.num.items()}
+    _sub_mul_into(acc, monomial_div(l, mg), den // b, g.num)
+    return _canonical(f.ring, acc, den)
 
 
 def _gm_update(G, P, lm, f, order):
@@ -286,7 +343,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         i, j = min(P, key=lambda p: (monomial_degree(monomial_lcm(lm[p[0]], lm[p[1]])),
                                      order.key(monomial_lcm(lm[p[0]], lm[p[1]])), p))
         P.remove((i, j))
-        s = _s_polynomial(G[i], lm[i], G[i].terms[lm[i]], G[j], lm[j], G[j].terms[lm[j]])
+        s = _s_polynomial(G[i], lm[i], G[j], lm[j])
         r = reduce_poly(s, G, order, budget)
         if not r.is_zero():
             G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
@@ -542,7 +599,7 @@ def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable)
         return squarefree_of(g) == normalize_leading(g)
     if all(g.total_degree() <= 1 for g in basis):
         return True
-    if all(len(g.terms) == 1 and all(e <= 1 for m in g.terms for e in m) for g in basis):
+    if all(len(g.num) == 1 and all(e <= 1 for m in g.num for e in m) for g in basis):
         return True
     if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
         for var in range(len(J.ring)):

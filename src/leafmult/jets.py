@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InconclusiveError
-from .poly import Polynomial, _over_common_denominator
+from .poly import Polynomial, _canonical, _over_common_denominator
 
 LEAF_RING = ("t1", "t2")
 
@@ -53,8 +53,11 @@ def _poly_producer(p: Polynomial):
 
 def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
     """p(m00*t1 + m01*t2, m10*t1 + m11*t2), one homogeneous component at a
-    time in integer arithmetic: with the entries over a common denominator
-    q, the term t1^a*t2^b becomes q^-(a+b) * (p0*t1 + p1*t2)^a * (p2*t1 + p3*t2)^b."""
+    time on p's integer numerators: with the entries over a common
+    denominator q, the term t1^a*t2^b becomes
+    q^-(a+b) * (p0*t1 + p1*t2)^a * (p2*t1 + p3*t2)^b, and the component of
+    degree d is scaled by q^(D-d) to the common denominator p.den * q^D,
+    D the total degree of p."""
     (p0, p1, p2, p3), q = _over_common_denominator(
         [Fraction(m) for m in (m00, m01, m10, m11)])
     rows: dict[tuple, list] = {}
@@ -67,25 +70,24 @@ def linear_substitution(p: Polynomial, m00, m01, m10, m11) -> Polynomial:
                          if (c := comb(n, i) * x ** (n - i) * y ** i)]
         return rows[key]
 
-    forms: dict[int, dict] = {}  # total degree -> {(a, b): coefficient}
-    for (a, b), c in p.terms.items():
-        forms.setdefault(a + b, {})[(a, b)] = c
-    terms = {}
+    forms: dict[int, list] = {}  # total degree -> [(a, b, numerator)]
+    for (a, b), n in p.num.items():
+        forms.setdefault(a + b, []).append((a, b, n))
+    top = max(forms, default=0)
+    num = {}
     for d in sorted(forms):
-        form = forms[d]
-        nums, den = _over_common_denominator(list(form.values()))
         out = [0] * (d + 1)
-        for (a, b), n in zip(form, nums):
+        for a, b, n in forms[d]:
             right = row(p2, p3, b)
             for i, x in row(p0, p1, a):
                 nx = n * x
                 for j, y in right:
                     out[i + j] += nx * y
-        den *= q ** d
+        scale = q ** (top - d)
         for j, n in enumerate(out):
             if n:
-                terms[(d - j, j)] = Fraction(n, den)
-    return Polynomial._raw(LEAF_RING, terms)
+                num[(d - j, j)] = n * scale
+    return _canonical(LEAF_RING, num, p.den * q ** top)
 
 
 class Jet2:
@@ -134,7 +136,7 @@ class Jet2:
         return MappingProxyType(self.poly.terms)
 
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self.poly.terms.get((a, b), Fraction(0))
+        return Fraction(self.poly.num.get((a, b), 0), self.poly.den)
 
     def value_at_origin(self) -> Fraction:
         return self.coefficient(0, 0)
@@ -148,16 +150,16 @@ class Jet2:
         return self.poly.is_zero()
 
     def is_zero_up_to(self, order: int) -> bool:
-        return all(a + b > order for (a, b) in self.poly.terms)
+        return all(a + b > order for (a, b) in self.poly.num)
 
     def is_unit(self) -> bool:
-        return bool(self.coefficient(0, 0))
+        return (0, 0) in self.poly.num
 
     def vanishing_order(self):
         """Least total degree with a nonzero coefficient; None for the zero jet."""
         if self.poly.is_zero():
             return None
-        return min(a + b for (a, b) in self.poly.terms)
+        return min(a + b for (a, b) in self.poly.num)
 
     def as_exact_polynomial(self) -> Optional[Polynomial]:
         """The underlying polynomial when this jet is a terminating series."""

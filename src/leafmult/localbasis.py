@@ -46,6 +46,7 @@ that order rather than starting there: the corner's cost grows fast with N
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Optional, Sequence
@@ -54,8 +55,10 @@ from .errors import DomainError
 from .ideals import (
     Budget,
     MonomialOrder,
+    _cancel_lead,
     _s_polynomial,
-    leading_term,
+    _scaled,
+    leading_monomial,
     monic,
     staircase_count,
 )
@@ -73,14 +76,15 @@ LOCAL_ORDER = MonomialOrder("local")
 
 
 class _Lead:
-    """A pool polynomial with its leading term and total degree, computed
-    once when it joins the pool."""
+    """A pool polynomial with its leading monomial, the integer numerator
+    there and its total degree, computed once when it joins the pool."""
 
     __slots__ = ("poly", "lm", "lc", "degree")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
-        self.lm, self.lc = leading_term(poly, LOCAL_ORDER)
+        self.lm = leading_monomial(poly, LOCAL_ORDER)
+        self.lc = poly.num[self.lm]
         self.degree = poly.total_degree()
 
 
@@ -127,20 +131,26 @@ def _reduce(h: Polynomial, pool: Sequence[_Lead], budget: Budget, order: int,
     """Normal form of h on a pool of entries, h already truncated at order.
     Each step subtracts c*x^shift times an entry.  quotient, when given for
     a pool of one entry, collects {shift: c} over the steps; no shift
-    repeats, since each step lowers lm(h)."""
-    while not h.is_zero():
-        lm_h, lc_h = leading_term(h, LOCAL_ORDER)
+    repeats, since each step lowers lm(h).
+
+    h is worked on as integer numerators times one rational scale, and a
+    step scales them instead of dividing (`ideals._cancel_lead`)."""
+    key = LOCAL_ORDER.key
+    work = dict(h.num)
+    scale = (1, h.den)
+    while work:
+        lm_h = max(work, key=key)
         g = _select(pool, lm_h)
         if g is None:
             break
-        shift, c = monomial_div(lm_h, g.lm), lc_h / g.lc
+        shift, lc_h = monomial_div(lm_h, g.lm), work[lm_h]
+        if quotient is not None:
+            quotient[shift] = Fraction(lc_h * scale[0] * g.poly.den, scale[1] * g.lc)
         # a product that stays within the corner needs no per-term test
         cap = None if monomial_degree(shift) + g.degree <= order else order
-        h = h.sub_mul(shift, c, g.poly, cap)
-        if quotient is not None:
-            quotient[shift] = c
+        scale = _cancel_lead(work, scale, lc_h, shift, g.lc, g.poly.num, cap)
         budget.spend(1, stage)
-    return h
+    return _scaled(h.ring, work, scale)
 
 
 def standard_basis(gens: Sequence[Polynomial], order: int,
@@ -176,7 +186,7 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
         budget.spend(1, "standard basis", partial=[e.poly for e in pool])
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
-        s = _s_polynomial(a.poly, a.lm, a.lc, b.poly, b.lm, b.lc).truncated(order)
+        s = _s_polynomial(a.poly, a.lm, b.poly, b.lm).truncated(order)
         h = _reduce(s, pool, budget, order, "mora")
         if not h.is_zero():
             new = _Lead(monic(h, LOCAL_ORDER))
@@ -196,7 +206,7 @@ def _minimalize(pool: list) -> list:
 
 def leading_staircase(basis: Sequence[Polynomial]) -> tuple:
     """Minimal generators of the leading-term ideal of a standard basis."""
-    monos = sorted({leading_term(g, LOCAL_ORDER)[0] for g in basis},
+    monos = sorted({leading_monomial(g, LOCAL_ORDER) for g in basis},
                    key=lambda m: (monomial_degree(m), m))
     minimal = []
     for m in monos:

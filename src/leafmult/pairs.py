@@ -149,8 +149,8 @@ class NoetherianPair:
         the multiple holds only for the stored truncation."""
         if jet.can_regenerate() and jet.order < self.cert_order:
             return False
-        terms = jet.poly.terms
-        return any(g.order == jet.order and _proportional(terms, g.poly.terms)
+        num = jet.poly.num
+        return any(g.order == jet.order and _proportional(num, g.poly.num)
                    for g in self.local_gens)
 
     def describe(self) -> dict:
@@ -164,12 +164,13 @@ class NoetherianPair:
 
 
 def _proportional(a: dict, b: dict) -> bool:
-    """a = c*b, as term maps, for a rational c != 0."""
+    """a = c*b for a rational c != 0, as numerator maps (so also for the
+    polynomials they are the numerators of): every a[k]/b[k] is a[m]/b[m]."""
     if not a or a.keys() != b.keys():
         return False
     m = next(iter(b))
-    c = a[m] / b[m]
-    return all(a[k] == c * v for k, v in b.items())
+    x, y = a[m], b[m]
+    return all(a[k] * y == x * v for k, v in b.items())
 
 
 def make_pair(ideal: IdealPresentation, local_gens: Sequence[Jet2],

@@ -1,8 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Polynomials are immutable and hashable: a ring is an ordered tuple of
-variable names, terms map exponent tuples to nonzero ``Fraction``
-coefficients.  All arithmetic is exact; nothing here ever rounds.
+variable names, and a polynomial is a map from exponent tuples to nonzero
+integer numerators, `num`, over one positive common denominator, `den`.
+The pair is canonical: gcd(den, *num) == 1, and the zero polynomial has
+den == 1, so equal polynomials have equal (num, den).  Arithmetic runs on
+the integers and takes the common factor out of each result.  `terms` is
+the same polynomial as a map to `Fraction` coefficients, built on first
+read.  All arithmetic is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import inf
 from operator import add, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -47,22 +51,22 @@ def degrevlex_key(m: Monomial) -> tuple:
     return (sum(m), tuple(map(neg, m[::-1])))
 
 
-def _add_into(acc: dict, terms: Mapping[Monomial, Fraction]) -> None:
-    """acc += terms in place, dropping the coefficients that cancel."""
-    for m, c in terms.items():
-        s = acc.get(m, 0) + c
+def _add_into(acc: dict, num: Mapping[Monomial, int], k: int = 1) -> None:
+    """acc += k * num in place, dropping the coefficients that cancel."""
+    for m, c in num.items():
+        s = acc.get(m, 0) + k * c
         if s:
             acc[m] = s
         else:
             acc.pop(m, None)
 
 
-def _sub_mul_into(acc: dict, mono: Monomial, coeff, terms: Mapping[Monomial, Fraction],
+def _sub_mul_into(acc: dict, mono: Monomial, coeff: int, num: Mapping[Monomial, int],
                   max_degree: Optional[int] = None) -> None:
-    """acc -= coeff * x^mono * terms in place, dropping the coefficients that
+    """acc -= coeff * x^mono * num in place, dropping the coefficients that
     cancel and the products of total degree above max_degree; one pass over
-    terms."""
-    items = terms.items()
+    num."""
+    items = num.items()
     if max_degree is not None:
         room = max_degree - sum(mono)
         items = [(m, c) for m, c in items if sum(m) <= room]
@@ -79,14 +83,31 @@ def _sub_mul_into(acc: dict, mono: Monomial, coeff, terms: Mapping[Monomial, Fra
                 del acc[m]
 
 
-class Polynomial:
-    """A polynomial with exact rational coefficients.
+def _over_common_denominator(values) -> tuple:
+    """(numerators, den) with each value = numerator / den, den the lcm of
+    the denominators, for a sequence of Fractions (or ints)."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
-    The zero polynomial has an empty term map.  Two polynomials are equal
-    iff their rings and term maps coincide.
+
+def _from_fractions(terms: Mapping[Monomial, Fraction]) -> tuple:
+    """(num, den) of a term map with nonzero rational (or int) values.  den
+    is the lcm of the denominators, so no prime of it divides every
+    numerator: the pair is canonical."""
+    nums, den = _over_common_denominator(terms.values())
+    return dict(zip(terms, nums)), den
+
+
+class Polynomial:
+    """A polynomial with exact rational coefficients, held as integer
+    numerators over one common denominator (module docstring).
+
+    The zero polynomial has an empty numerator map.  Two polynomials are
+    equal iff their rings, denominators and numerator maps coincide.  The
+    Fraction view, the hash and the string are set on first use.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_str")
+    __slots__ = ("ring", "num", "den", "_terms", "_hash", "_str")
 
     def __init__(self, ring: Sequence[str], terms: Mapping[Monomial, Fraction] | Iterable = ()):
         ring = tuple(ring)
@@ -110,10 +131,7 @@ class Polynomial:
                         acc[mono] = s
                     else:
                         del acc[mono]
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", acc)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_str", None)
+        _init(self, ring, *_from_fractions(acc))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -122,69 +140,98 @@ class Polynomial:
 
     @staticmethod
     def zero(ring: Sequence[str]) -> "Polynomial":
-        return Polynomial(ring)
+        return _make(tuple(ring), {}, 1)
 
     @staticmethod
     def constant(ring: Sequence[str], value) -> "Polynomial":
-        return Polynomial(ring, {(0,) * len(ring): Fraction(value)})
+        ring = tuple(ring)
+        c = Fraction(value)
+        if not c:
+            return _make(ring, {}, 1)
+        return _make(ring, {(0,) * len(ring): c.numerator}, c.denominator)
 
     @staticmethod
     def variable(ring: Sequence[str], index: int) -> "Polynomial":
+        ring = tuple(ring)
         n = len(ring)
         if not 0 <= index < n:
             raise DomainError(f"variable index {index} out of range for ring of size {n}")
-        mono = tuple(1 if i == index else 0 for i in range(n))
-        return Polynomial(ring, {mono: Fraction(1)})
+        return _make(ring, {tuple(1 if i == index else 0 for i in range(n)): 1}, 1)
 
     @staticmethod
     def monomial(ring: Sequence[str], mono: Monomial, coeff=1) -> "Polynomial":
         return Polynomial(ring, {tuple(mono): Fraction(coeff)})
 
+    @classmethod
+    def _raw(cls, ring, terms: dict) -> "Polynomial":
+        """Internal: build from a term dict with nonzero Fraction (or int)
+        coefficients on valid monomials."""
+        return _make(ring, *_from_fractions(terms))
+
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, {monomial: num[monomial] / den};
+        built on first read and kept.  Read only."""
+        try:
+            return self._terms
+        except AttributeError:
+            return self._fraction_view()
+
+    def _fraction_view(self) -> dict:
+        den = self.den
+        if den == 1:
+            t = {m: Fraction(n) for m, n in self.num.items()}
+        else:
+            t = {m: Fraction(n, den) for m, n in self.num.items()}
+        object.__setattr__(self, "_terms", t)
+        return t
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(monomial_degree(m) == 0 for m in self.terms)
+        return all(monomial_degree(m) == 0 for m in self.num)
 
     def constant_value(self) -> Fraction:
         """Coefficient of the constant monomial."""
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.ring), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(monomial_degree(m) for m in self.num)
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(m[index] for m in self.terms)
+        return max(m[index] for m in self.num)
 
     def variables_used(self) -> set:
         used = set()
-        for m in self.terms:
+        for m in self.num:
             for i, e in enumerate(m):
                 if e:
                     used.add(i)
         return used
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.den, frozenset(self.num.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- arithmetic ----------------------------------------------------
 
@@ -192,37 +239,50 @@ class Polynomial:
         if self.ring != other.ring:
             raise RingMismatchError(f"ring {self.ring} != ring {other.ring}")
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the denominators."""
+        da, db = self.den, other.den
+        if da == db:
+            acc = dict(self.num)
+            _add_into(acc, other.num, sign)
+            return _canonical(self.ring, acc, da)
+        den = math.lcm(da, db)
+        ka = den // da
+        acc = {m: c * ka for m, c in self.num.items()} if ka != 1 else dict(self.num)
+        _add_into(acc, other.num, sign * (den // db))
+        return _canonical(self.ring, acc, den)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        acc = dict(self.terms)
-        _add_into(acc, other.terms)
-        return self._raw(self.ring, acc)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.ring, {m: -c for m, c in self.terms.items()})
+        return _make(self.ring, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_ring(other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial(self.ring)
-            return self._raw(self.ring, {m: k * c for m, k in self.terms.items()})
+            k = other.numerator
+            return _canonical(self.ring, {m: c * k for m, c in self.num.items()},
+                              self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.mul(other)
@@ -244,13 +304,15 @@ class Polynomial:
     def mul(self, other: "Polynomial", max_degree: Optional[int] = None) -> "Polynomial":
         """Product, without the terms of total degree above max_degree."""
         self._check_ring(other)
-        right = [(m, c, sum(m)) for m, c in other.terms.items()]
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            room = inf if max_degree is None else max_degree - sum(m1)
-            for m2, c2, d2 in right:
-                if d2 > room:
-                    continue
+        acc: dict[Monomial, int] = {}
+        right = other.num.items()
+        if max_degree is not None:
+            graded = [(m, c, sum(m)) for m, c in right]
+        for m1, c1 in self.num.items():
+            if max_degree is not None:
+                room = max_degree - sum(m1)
+                right = [(m2, c2) for m2, c2, d2 in graded if d2 <= room]
+            for m2, c2 in right:
                 m = tuple(map(add, m1, m2))
                 prev = acc.get(m)
                 if prev is None:
@@ -261,7 +323,7 @@ class Polynomial:
                         acc[m] = s
                     else:
                         del acc[m]
-        return self._raw(self.ring, acc)
+        return _canonical(self.ring, acc, self.den * other.den)
 
     def sub_mul(self, mono: Monomial, coeff, other: "Polynomial",
                 max_degree: Optional[int] = None) -> "Polynomial":
@@ -271,26 +333,19 @@ class Polynomial:
         self._check_ring(other)
         if not coeff:
             return self
-        acc = dict(self.terms)
-        _sub_mul_into(acc, mono, coeff, other.terms, max_degree)
-        return self._raw(self.ring, acc)
+        ds, do = self.den, coeff.denominator * other.den
+        den = math.lcm(ds, do)
+        ks = den // ds
+        acc = {m: c * ks for m, c in self.num.items()} if ks != 1 else dict(self.num)
+        _sub_mul_into(acc, mono, coeff.numerator * (den // do), other.num, max_degree)
+        return _canonical(self.ring, acc, den)
 
     def truncated(self, max_degree: int) -> "Polynomial":
         """The terms of total degree at most max_degree."""
         if self.total_degree() <= max_degree:
             return self
-        return self._raw(self.ring, {m: c for m, c in self.terms.items()
-                                     if sum(m) <= max_degree})
-
-    @classmethod
-    def _raw(cls, ring, terms: dict) -> "Polynomial":
-        """Internal: build from an already-normalized term dict."""
-        p = cls.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_str", None)
-        return p
+        return _canonical(self.ring, {m: c for m, c in self.num.items()
+                                      if sum(m) <= max_degree}, self.den)
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -299,27 +354,27 @@ class Polynomial:
         n = len(self.ring)
         if not 0 <= index < n:
             raise DomainError(f"variable index {index} out of range for ring of size {n}")
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        acc: dict[Monomial, int] = {}
+        for m, c in self.num.items():
             e = m[index]
             if e:
-                dm = m[:index] + (e - 1,) + m[index + 1:]
-                acc[dm] = acc.get(dm, Fraction(0)) + c * e
-        return Polynomial._raw(self.ring, {m: c for m, c in acc.items() if c})
+                acc[m[:index] + (e - 1,) + m[index + 1:]] = c * e
+        return _canonical(self.ring, acc, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != len(self.ring):
             raise DomainError("point arity does not match ring")
         pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
+        if all(x.denominator == 1 for x in pt):
+            pt = [x.numerator for x in pt]
+        total = 0
+        for m, c in self.num.items():
             for x, e in zip(pt, m):
                 if e:
-                    v *= x ** e
-            total += v
-        return total
+                    c *= x ** e
+            total += c
+        return Fraction(total, self.den)
 
     def compose(self, targets: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute targets[i] for variable i.  Targets share one ring."""
@@ -329,7 +384,7 @@ class Polynomial:
             raise DomainError("empty ring")
         out_ring = targets[0].ring
         powers = [[Polynomial.constant(out_ring, 1)] for _ in targets]
-        acc: dict[Monomial, Fraction] = {}
+        out = Polynomial.zero(out_ring)
         for m, c in self.terms.items():
             term = Polynomial.constant(out_ring, c)
             for t, e, pw in zip(targets, m, powers):
@@ -337,39 +392,39 @@ class Polynomial:
                     pw.append(pw[-1] * t)
                 if e:
                     term = term * pw[e]
-            _add_into(acc, term.terms)
-        return Polynomial._raw(out_ring, acc)
+            out = out + term
+        return out
 
     def map_ring(self, new_ring: Sequence[str], var_map: Sequence[int]) -> "Polynomial":
         """Reinterpret in a larger ring: variable i becomes new_ring[var_map[i]]."""
         new_ring = tuple(new_ring)
         n = len(new_ring)
         acc = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             nm = [0] * n
             for i, e in enumerate(m):
                 nm[var_map[i]] += e
             acc[tuple(nm)] = c
-        return Polynomial._raw(new_ring, acc)
+        return _make(new_ring, acc, self.den)
 
     # -- printing --------------------------------------------------------
-
-    def sorted_terms(self):
-        """Terms sorted degrevlex-descending for deterministic output."""
-        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
         # rendered once: presentations sort their generators by it, and
         # traces render the same polynomials again
-        if self._str is None:
-            object.__setattr__(self, "_str", self._render())
-        return self._str
+        try:
+            return self._str
+        except AttributeError:
+            s = self._render()
+            object.__setattr__(self, "_str", s)
+            return s
 
     def _render(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
+        den = self.den
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.num.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
             factors = []
             for name, e in zip(self.ring, m):
                 if e == 1:
@@ -377,11 +432,11 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             if not factors:
-                body = _fmt_coeff(abs(c))
-            elif abs(c) == 1:
+                body = _fmt_coeff(abs(c), den)
+            elif abs(c) == den:
                 body = "*".join(factors)
             else:
-                body = _fmt_coeff(abs(c)) + "*" + "*".join(factors)
+                body = _fmt_coeff(abs(c), den) + "*" + "*".join(factors)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -392,10 +447,45 @@ class Polynomial:
         return f"Polynomial({self.ring!r}, {str(self)!r})"
 
 
-def _fmt_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+# the slot setters: a polynomial is built often, and they skip the
+# immutability guard and the lookup by name of object.__setattr__
+_SET_RING, _SET_NUM, _SET_DEN = (Polynomial.__dict__[k].__set__ for k in ("ring", "num", "den"))
+
+
+def _init(p: Polynomial, ring: tuple, num: dict, den: int) -> None:
+    _SET_RING(p, ring)
+    _SET_NUM(p, num)
+    _SET_DEN(p, den)
+
+
+def _make(ring: tuple, num: dict, den: int) -> Polynomial:
+    """Internal: a polynomial from canonical (num, den): nonzero integer
+    numerators on valid monomials, den > 0, gcd(den, *num) == 1."""
+    p = Polynomial.__new__(Polynomial)
+    _init(p, ring, num, den)
+    return p
+
+
+def _canonical(ring: tuple, num: dict, den: int) -> Polynomial:
+    """Internal: num / den with the common factor of den and the numerators
+    taken out; num has nonzero integer values and den > 0."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+    return _make(ring, num, den)
+
+
+def _fmt_coeff(n: int, den: int) -> str:
+    """The text of the rational n / den, n >= 0."""
+    g = math.gcd(n, den)
+    if g == den:
+        return str(n // g)
+    return f"{n // g}/{den // g}"
 
 
 # -- parsing --------------------------------------------------------------
@@ -540,11 +630,11 @@ def _as_univariate(p: Polynomial, index: int) -> dict[int, Polynomial]:
     """View p as a polynomial in variable `index`; coefficients keep the ring
     (with exponent 0 in that variable)."""
     coeffs: dict[int, dict] = {}
-    for m, c in p.terms.items():
+    for m, c in p.num.items():
         e = m[index]
         rest = m[:index] + (0,) + m[index + 1:]
         coeffs.setdefault(e, {})[rest] = c
-    return {e: Polynomial._raw(p.ring, t) for e, t in coeffs.items()}
+    return {e: _canonical(p.ring, t, p.den) for e, t in coeffs.items()}
 
 
 def leading_coeff_in(p: Polynomial, index: int) -> Polynomial:
@@ -575,18 +665,19 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
         return a
     a._check_ring(b)
     # divide leading terms under degrevlex until nothing is left
-    bm, bc = max(b.terms.items(), key=lambda t: degrevlex_key(t[0]))
+    bm = max(b.num, key=degrevlex_key)
+    bc = b.num[bm]
     q_terms: dict[Monomial, Fraction] = {}
     r = a
     while not r.is_zero():
-        rm, rc = max(r.terms.items(), key=lambda t: degrevlex_key(t[0]))
+        rm = max(r.num, key=degrevlex_key)
         if not monomial_divides(bm, rm):
             raise DomainError("inexact polynomial division")
         qm = monomial_div(rm, bm)
-        qc = rc / bc
-        q_terms[qm] = q_terms.get(qm, Fraction(0)) + qc
-        r = r - b * Polynomial.monomial(a.ring, qm, qc)
-    return Polynomial(a.ring, q_terms)
+        # each step lowers lm(r), so no quotient monomial repeats
+        qc = q_terms[qm] = Fraction(r.num[rm] * b.den, r.den * bc)
+        r = r.sub_mul(qm, qc, b)
+    return Polynomial._raw(a.ring, q_terms)
 
 
 def _content_wrt(p: Polynomial, index: int, gcd_of=None) -> Polynomial:
@@ -602,32 +693,29 @@ def _content_wrt(p: Polynomial, index: int, gcd_of=None) -> Polynomial:
     return cont
 
 
-def _over_common_denominator(values) -> tuple:
-    """(numerators, den) with each value = numerator / den, den the lcm of
-    the denominators, for a sequence of Fractions."""
-    den = math.lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
 def _int_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integer-coefficient and primitive."""
-    from math import gcd as igcd
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = igcd(num, abs(c.numerator))
-        den = den * c.denominator // igcd(den, c.denominator)
-    if num == 0:
+    if not p.num:
         return Fraction(1)
-    return Fraction(num, den)
+    return Fraction(math.gcd(*p.num.values()), p.den)
+
+
+def _with_unit_coefficient(p: Polynomial, m: Monomial) -> Polynomial:
+    """p divided by its (nonzero) coefficient at m; p itself when that is 1.
+    The coefficient is num[m] / den, so the quotient is num / num[m]."""
+    c = p.num[m]
+    if c == p.den:
+        return p
+    if c < 0:
+        return _canonical(p.ring, {k: -v for k, v in p.num.items()}, -c)
+    return _canonical(p.ring, p.num, c)
 
 
 def normalize_leading(p: Polynomial) -> Polynomial:
     """Scale so the degrevlex leading coefficient is 1."""
     if p.is_zero():
         return p
-    _, lc = max(p.terms.items(), key=lambda t: degrevlex_key(t[0]))
-    return p if lc == 1 else p * (Fraction(1) / lc)
+    return _with_unit_coefficient(p, max(p.num, key=degrevlex_key))
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -642,13 +730,13 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     h = _heu_gcd(_primitive_ints(a), _primitive_ints(b))
     if h is None:
         return _gcd_prs(a, b)
-    return normalize_leading(Polynomial._raw(a.ring, {m: Fraction(c) for m, c in h.items()}))
+    return normalize_leading(_make(a.ring, h, 1))
 
 
 def _primitive_ints(p: Polynomial) -> dict:
     """The terms of p / _int_content(p), with int coefficients."""
-    c = _int_content(p)
-    return {m: int(v / c) for m, v in p.terms.items()}
+    c = math.gcd(*p.num.values())
+    return {m: v // c for m, v in p.num.items()}
 
 
 def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
@@ -829,8 +917,8 @@ def _split_certified(q: Polynomial) -> Optional[list]:
         if q.degree_in(i) == 1:
             c = _content_of_piece(q, i)
             return [q] if c.is_constant() else _split_pair(c, exact_divide(q, c))
-    if len(q.terms) == 2:
-        a, b = q.terms
+    if len(q.num) == 2:
+        a, b = q.num
         if math.gcd(*(x - y for x, y in zip(a, b))) == 1:
             return [q]
     for i in used:
@@ -844,7 +932,7 @@ def _content_of_piece(q: Polynomial, index: int) -> Polynomial:
     """Content of q in variable `index`, for q with no monomial factor.  A
     coefficient with one term has only monomial divisors, and a monomial
     content would divide q, so the content is 1 then and no gcd is taken."""
-    if any(len(c.terms) == 1 for c in _as_univariate(q, index).values()):
+    if any(len(c.num) == 1 for c in _as_univariate(q, index).values()):
         return Polynomial.constant(q.ring, 1)
     return _content_wrt(q, index)
 
@@ -875,13 +963,15 @@ def _in_sympy_form(p: Polynomial, pieces) -> tuple:
         # primitive with integer coefficients and a positive lex-leading
         # coefficient, as sympy returns its factors
         content = _int_content(f)
-        f = f * (1 / (-content if f.terms[max(f.terms)] < 0 else content))
+        f = f * (1 / (-content if f.num[max(f.num)] < 0 else content))
         mults[f] = mults.get(f, 0) + mult
+    # the factors are integer polynomials: den == 1
     factors = sorted(mults.items(), key=lambda fm: (
-        fm[0].degree_in(0) + 1, fm[1], _dense(fm[0].terms, len(p.ring))))
-    content = p.terms[max(p.terms)]
+        fm[0].degree_in(0) + 1, fm[1], _dense(fm[0].num, len(p.ring))))
+    top = max(p.num)
+    content = Fraction(p.num[top], p.den)
     for f, mult in factors:
-        content /= f.terms[max(f.terms)] ** mult
+        content /= f.num[max(f.num)] ** mult
     return content, factors
 
 
@@ -889,9 +979,9 @@ def _factor_certified(p: Polynomial) -> Optional[tuple]:
     """factor() of a nonzero p, as sympy returns it, when every irreducible
     factor has a certificate; None otherwise."""
     ring = p.ring
-    low = tuple(min(e) for e in zip(*p.terms))
+    low = tuple(min(e) for e in zip(*p.num))
     pieces = _split_certified(
-        Polynomial._raw(ring, {monomial_div(m, low): c for m, c in p.terms.items()}))
+        _make(ring, {monomial_div(m, low): c for m, c in p.num.items()}, p.den))
     if pieces is None:
         return None
     return _in_sympy_form(p, [(Polynomial.variable(ring, i), e) for i, e in enumerate(low) if e]
@@ -922,8 +1012,10 @@ def _factor_quadratic(p: Polynomial) -> Optional[tuple]:
     i, = used
     if p.degree_in(i) != 2:
         return None
-    by_degree = {m[i]: c for m, c in p.terms.items()}
-    (a, b, c), _ = _over_common_denominator([by_degree.get(e, Fraction(0)) for e in (2, 1, 0)])
+    # the numerators over the common denominator: scaling a, b, c scales
+    # the discriminant by a square and the factors by a constant
+    by_degree = {m[i]: c for m, c in p.num.items()}
+    a, b, c = (by_degree.get(e, 0) for e in (2, 1, 0))
     disc = b * b - 4 * a * c
     root = math.isqrt(disc) if disc >= 0 else -1
     if root * root != disc:

@@ -396,7 +396,7 @@ def up_factor(K, a) -> list:
         _, factors = factor(Polynomial(("x",), {(i,): c for i, c in enumerate(a)}))
         out = []
         for f, mult in factors:
-            dense = [f.terms.get((i,), QQ.zero) for i in range(f.total_degree() + 1)]
+            dense = [Fraction(f.num.get((i,), 0), f.den) for i in range(f.total_degree() + 1)]
             out.append((up_monic(QQ, dense), mult))
         out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
         return out

@@ -91,6 +91,14 @@ class TestGermDivide:
         # t1/(1+t1) = t1 - t1^2 + t1^3 - ...
         assert q.coefficient(1, 0) == 1 and q.coefficient(2, 0) == -1
 
+    def test_exact_jet_by_a_constant_stays_exact(self):
+        # a unit divisor goes through corner division like any other: the
+        # quotient of an exact jet by a nonzero constant divides exactly, so
+        # it keeps the exact tag
+        q = germ_divide(J("t1^2 - 3*t2 + 1"), J("-2/3"))
+        assert q.as_exact_polynomial() == parse_polynomial("-3/2*t1^2 + 9/2*t2 - 3/2", T)
+        assert q.order == 12
+
     def test_germ_but_not_poly_division(self):
         # t1 + t1^2 = t1 * (1 + t1): divides t1^2 as a germ
         q = germ_divide(J("t1^2"), J("t1+t1^2"))
@@ -123,6 +131,9 @@ class TestGermDivide:
     # the quotient of an earlier kernel had a stray -9/4*t1^2 from its unit
     @example(parse_polynomial("3/2*t1^3 + 3/2*t1*t2 + t2", T),
              parse_polynomial("1/3*t1^2*t2^2 + 3/2*t1 - 1", T), 2, True, True)
+    # a unit divisor
+    @example(parse_polynomial("2 + t1 - 1/3*t2^2", T),
+             parse_polynomial("t1*t2 - 1/3*t2^2 + t1^3", T), 2, False, True)
     def test_quotient_is_exact_through_n_minus_ord_b(self, b, c, n, exact_a, exact_b):
         # a = b*c: every quotient term is lm(h)/lm(b) with deg lm(h) <= n, so
         # the quotient is c through degree n - ord(b) and zero above

@@ -116,9 +116,43 @@ def _reference_reduce_poly(f, basis, order, budget):
     return quots, Polynomial(f.ring, r_terms)
 
 
+def _ref_reduce_poly(f, basis, order, budget):
+    """reduce_poly on Fraction term maps, as it ran before polynomials were
+    held as integer numerators: (quotient term maps, remainder term map)."""
+    key = order.key
+    lead = [(m, g.terms[m]) for g in basis for m in (max(g.terms, key=key),)]
+    quots = [{} for _ in basis]
+    r_terms = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=key)
+        for i, (lm, lc) in enumerate(lead):
+            if monomial_divides(lm, m):
+                break
+        else:
+            r_terms[m] = work.pop(m)
+            continue
+        shift, q = monomial_div(m, lm), work[m] / lc
+        for gm, gc in basis[i].terms.items():
+            gm = tuple(x + y for x, y in zip(shift, gm))
+            s = work.get(gm, 0) - q * gc
+            if s:
+                work[gm] = s
+            else:
+                work.pop(gm, None)
+        quots[i][shift] = quots[i].get(shift, 0) + q
+        budget.spend(1, "reduction")
+    return [{m: c for m, c in t.items() if c} for t in quots], r_terms
+
+
 global_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                st.fractions(min_value=-3, max_value=3, max_denominator=3),
                                max_size=4).map(lambda d: Polynomial(RING, d))
+
+
+wide_global_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                                    max_size=5).map(lambda d: Polynomial(RING, d))
 
 
 class TestReducePolyMatchesReference:
@@ -132,6 +166,23 @@ class TestReducePolyMatchesReference:
         assert got == ref
         assert list(got[1].terms) == list(ref[1].terms)
         assert got_budget.used == ref_budget.used
+
+    @settings(max_examples=120, deadline=None)
+    @given(wide_global_polys, st.lists(wide_global_polys.filter(bool), min_size=1, max_size=3),
+           st.sampled_from([DEGREVLEX, LEX]), st.booleans())
+    def test_fraction_kernel_reference(self, f, basis, order, groebner_basis):
+        # the integer kernel scales the working polynomial and takes out its
+        # content; the Fraction kernel divides: same remainder, term order,
+        # quotients and steps, on a raw list and on a reduced basis
+        if groebner_basis:
+            basis = list(groebner(IdealPresentation(RING, tuple(basis)), order).basis)
+        got_budget, ref_budget = Budget(), Budget()
+        quots, rem = reduce_poly(f, basis, order, got_budget, with_quotients=True)
+        ref_quots, ref_rem = _ref_reduce_poly(f, basis, order, ref_budget)
+        assert rem.terms == ref_rem and list(rem.terms) == list(ref_rem)
+        assert [q.terms for q in quots] == ref_quots
+        assert got_budget.used == ref_budget.used
+        assert reduce_poly(f, basis, order) == rem
 
 
 class TestGroebner:
@@ -187,6 +238,55 @@ class _StageBudget(Budget):
     def spend(self, n=1, stage="", partial=None):
         self.by_stage[stage] = self.by_stage.get(stage, 0) + n
         super().spend(n, stage, partial)
+
+
+class TestNoFractionViews:
+    """Groebner bases, normal forms, standard bases and corner normal forms
+    run on integer numerators: none of them builds a polynomial's Fraction
+    view (`Polynomial.terms`)."""
+
+    def test_kernels_build_no_fraction_view(self, monkeypatch):
+        from leafmult.localbasis import (
+            local_quotient_dimension,
+            mora_divide,
+            mora_normal_form,
+            standard_basis,
+        )
+
+        T = ("t1", "t2")
+        ideals = [ideal("x^2 - 1/3*y", "2/5*x*y^2 - x + 7/4*y"),
+                  ideal("3/2*x^3 - y^2", "x*y - 5/6", "1/7*y^3 + x")]
+        probes = [P("x^4*y - 2/9*x*y^3 + 1/5"), P("x^3 - 1/3*x*y"), P("0")]
+        local = [parse_polynomial(t, T) for t in
+                 ("t1^2 - 1/3*t2^3 + 2/5*t1*t2^2", "3/4*t2^2 + t1^3 - 1/6*t1*t2")]
+        local_probe = parse_polynomial("t1^4 - 2/7*t2^5 + 3/5*t1*t2", T)
+        unit = parse_polynomial("2/3 + t1 - 1/5*t2^2", T)
+        original = Polynomial._fraction_view
+        built = []
+
+        def counting(p):
+            built.append(str(p))
+            return original(p)
+
+        # the terms getter builds the view through _fraction_view, once
+        monkeypatch.setattr(Polynomial, "_fraction_view", counting)
+        _GB_CACHE.clear()
+        for I in ideals:
+            for order in (DEGREVLEX, LEX):
+                gb = groebner(I, order, Budget())
+                for f in probes:
+                    normal_form(f, gb, Budget())
+                    reduce_poly(f, gb.basis, order)
+            member(probes[1], I, Budget())
+        for n in (3, 6):
+            basis = standard_basis(local, n, Budget())
+            mora_normal_form(local_probe, basis, n, Budget())
+            mora_divide(local_probe, unit, n, Budget())
+        # tangent cones t1^2 and t2*(3/4*t2 - 1/6*t1) share no line: 2*2
+        assert local_quotient_dimension(local) == 4
+        assert built == []
+        # the counter sees a build when there is one
+        assert P("1/2*x").terms and built == ["1/2*x"]
 
 
 class TestSharedCache:

@@ -156,34 +156,6 @@ def _ref_mora_normal_form(f, gens, budget):
     return h
 
 
-def _ref_mora_divide(f, divisors, budget):
-    ring = f.ring
-    one = Polynomial.constant(ring, 1)
-    zero = Polynomial.zero(ring)
-    divisors = list(divisors)
-    pool = [(g, zero, [one if i == j else zero for j in range(len(divisors))])
-            for i, g in enumerate(divisors) if not g.is_zero()]
-    h, u_h, q_h = f, one, [zero] * len(divisors)
-    while not h.is_zero():
-        lm_h, lc_h = _ref_leading_term(h)
-        cands = [entry for entry in pool
-                 if monomial_divides(_ref_leading_term(entry[0])[0], lm_h)]
-        if not cands:
-            break
-        g, u_g, q_g = min(cands, key=lambda ent: (_ref_ecart(ent[0]),
-                                                  ent[0].total_degree(),
-                                                  _ref_struct_key(ent[0])))
-        if _ref_ecart(g) > _ref_ecart(h):
-            pool.append((h, u_h, list(q_h)))
-        lm_g, lc_g = _ref_leading_term(g)
-        mfac = Polynomial.monomial(ring, monomial_div(lm_h, lm_g), lc_h / lc_g)
-        h = h - mfac * g
-        u_h = u_h - mfac * u_g
-        q_h = [a - mfac * b for a, b in zip(q_h, q_g)]
-        budget.spend(1, "mora divide")
-    return h, u_h, [-q for q in q_h]
-
-
 def _ref_standard_basis(gens, budget):
     ring = None
     G = []

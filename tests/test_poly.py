@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -330,3 +331,208 @@ class TestSquarefree:
     def test_divides_original(self):
         p = P("(x-y)^2*(x+2*y)")
         exact_divide(p, squarefree_part(p))
+
+
+# -- the integer representation -----------------------------------------------
+#
+# Reference kernels: the Fraction arithmetic every operation below ran on
+# before polynomials were held as integer numerators over one denominator,
+# on plain {monomial: Fraction} maps.
+
+def _ref_add_into(acc, terms):
+    for m, c in terms.items():
+        s = acc.get(m, 0) + c
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+
+
+def _ref_add(a, b):
+    acc = dict(a)
+    _ref_add_into(acc, b)
+    return acc
+
+
+def _ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _ref_scale(a, c):
+    return {m: k * c for m, k in a.items()} if c else {}
+
+
+def _ref_mul(a, b, max_degree=None):
+    right = [(m, c, sum(m)) for m, c in b.items()]
+    acc = {}
+    for m1, c1 in a.items():
+        room = float("inf") if max_degree is None else max_degree - sum(m1)
+        for m2, c2, d2 in right:
+            if d2 > room:
+                continue
+            m = tuple(x + y for x, y in zip(m1, m2))
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+    return acc
+
+
+def _ref_pow(a, n, ring):
+    result = {(0,) * len(ring): Fraction(1)}
+    base = a
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _ref_sub_mul(f, mono, coeff, g, max_degree=None):
+    if not coeff:
+        return dict(f)
+    acc = dict(f)
+    items = g.items()
+    if max_degree is not None:
+        room = max_degree - sum(mono)
+        items = [(m, c) for m, c in items if sum(m) <= room]
+    for m, c in items:
+        m = tuple(x + y for x, y in zip(mono, m))
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = -(coeff * c)
+        else:
+            s = prev - coeff * c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return acc
+
+
+def _ref_truncated(a, n):
+    return {m: c for m, c in a.items() if sum(m) <= n}
+
+
+def _ref_derive(a, index):
+    acc = {}
+    for m, c in a.items():
+        e = m[index]
+        if e:
+            dm = m[:index] + (e - 1,) + m[index + 1:]
+            acc[dm] = acc.get(dm, Fraction(0)) + c * e
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_scaled_to_lead(a, key):
+    if not a:
+        return a
+    lc = a[max(a, key=key)]
+    return a if lc == 1 else _ref_scale(a, Fraction(1) / lc)
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+    assert p.terms == {m: Fraction(c, p.den) for m, c in p.num.items()}
+
+
+def _matches(p, ref):
+    """p is canonical and equals the reference term map, term order included."""
+    _assert_canonical(p)
+    assert p.terms == ref
+    assert list(p.terms) == list(ref)
+
+
+# wide denominators, so the lcm and gcd paths of every operation are taken
+wide_coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+wide_polys = st.dictionaries(monos, wide_coeffs, max_size=6).map(lambda d: Polynomial(RING, d))
+
+
+class TestIntegerRepresentation:
+    """Polynomials are integer numerators over one positive denominator,
+    canonical, and every operation agrees with the Fraction kernels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_polys, wide_polys, wide_coeffs, st.integers(0, 6))
+    def test_arithmetic_matches_the_fraction_kernels(self, a, b, c, n):
+        ta, tb = dict(a.terms), dict(b.terms)
+        _matches(a, ta)
+        _matches(a + b, _ref_add(ta, tb))
+        _matches(a - b, _ref_add(ta, _ref_neg(tb)))
+        _matches(-a, _ref_neg(ta))
+        _matches(a * c, _ref_scale(ta, c))
+        _matches(a * int(c), _ref_scale(ta, Fraction(int(c))))
+        _matches(a * b, _ref_mul(ta, tb))
+        _matches(a.mul(b, n), _ref_mul(ta, tb, n))
+        _matches(a.truncated(n), _ref_truncated(ta, n))
+        for i in range(2):
+            _matches(a.derive(i), _ref_derive(ta, i))
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_polys, st.integers(0, 4))
+    def test_power_matches(self, a, n):
+        _matches(a ** n, _ref_pow(dict(a.terms), n, RING))
+
+    @settings(max_examples=120, deadline=None)
+    @given(wide_polys, wide_polys, monos, wide_coeffs, st.none() | st.integers(0, 7))
+    def test_sub_mul_matches(self, f, g, mono, c, n):
+        for coeff in (c, int(c)):
+            _matches(f.sub_mul(mono, coeff, g, n),
+                     _ref_sub_mul(dict(f.terms), mono, coeff, dict(g.terms), n))
+
+    @settings(max_examples=120, deadline=None)
+    @given(wide_polys, st.sampled_from(["degrevlex", "lex", "local"]))
+    def test_leading_coefficient_one(self, p, kind):
+        from leafmult.ideals import MonomialOrder, monic
+        from leafmult.poly import degrevlex_key
+
+        _matches(normalize_leading(p), _ref_scaled_to_lead(dict(p.terms), degrevlex_key))
+        order = MonomialOrder(kind)
+        _matches(monic(p, order), _ref_scaled_to_lead(dict(p.terms), order.key))
+
+    @settings(max_examples=120, deadline=None)
+    @given(wide_polys, wide_polys)
+    def test_equal_by_every_route(self, a, b):
+        routes = [
+            a,
+            Polynomial(RING, a.terms),
+            Polynomial(RING, list(a.terms.items())),
+            Polynomial._raw(RING, dict(a.terms)),
+            parse_polynomial(str(a), RING),
+            (a + b) - b,
+            (a * 6) * Fraction(1, 6),
+            a * Fraction(3, 7) * Fraction(7, 3),
+            -(-a),
+            a.mul(Polynomial.constant(RING, 1)),
+            Polynomial.zero(RING) + a,
+            a.sub_mul((0, 0), Fraction(-5, 3), a).sub_mul((0, 0), Fraction(5, 3), a),
+        ]
+        for p in routes:
+            _assert_canonical(p)
+            assert p == a and hash(p) == hash(a)
+            assert str(p) == str(a)
+
+    def test_canonical_examples(self):
+        p = P("1/6*x + 1/3*y")
+        assert (p.num, p.den) == ({(1, 0): 1, (0, 1): 2}, 6)
+        # a common factor of the numerators that den does not share stays
+        q = P("2*x + 4*y")
+        assert (q.num, q.den) == ({(1, 0): 2, (0, 1): 4}, 1)
+        # cancellation takes the common factor out again
+        r = P("1/6*x") + P("1/3*x")
+        assert (r.num, r.den) == ({(1, 0): 1}, 2)
+        z = P("1/2*x") - P("1/2*x")
+        assert (z.num, z.den) == ({}, 1) and z == Polynomial.zero(RING)
+        assert P("1/2*x").derive(0) == P("1/2") and P("1/2*x^2").derive(0).den == 1
+        assert P("3/4").constant_value() == Fraction(3, 4)
+        assert str(P("-3/4*x^2 + 2/3*y - 1")) == "-3/4*x^2 + 2/3*y - 1"
