@@ -131,7 +131,10 @@ class Polynomial:
                         acc[mono] = s
                     else:
                         del acc[mono]
-        _init(self, ring, *_from_fractions(acc))
+        num, den = _from_fractions(acc)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -181,10 +184,7 @@ class Polynomial:
 
     def _fraction_view(self) -> dict:
         den = self.den
-        if den == 1:
-            t = {m: Fraction(n) for m, n in self.num.items()}
-        else:
-            t = {m: Fraction(n, den) for m, n in self.num.items()}
+        t = {m: Fraction(n, den) for m, n in self.num.items()}
         object.__setattr__(self, "_terms", t)
         return t
 
@@ -242,10 +242,6 @@ class Polynomial:
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the lcm of the denominators."""
         da, db = self.den, other.den
-        if da == db:
-            acc = dict(self.num)
-            _add_into(acc, other.num, sign)
-            return _canonical(self.ring, acc, da)
         den = math.lcm(da, db)
         ka = den // da
         acc = {m: c * ka for m, c in self.num.items()} if ka != 1 else dict(self.num)
@@ -366,8 +362,6 @@ class Polynomial:
         if len(point) != len(self.ring):
             raise DomainError("point arity does not match ring")
         pt = [Fraction(x) for x in point]
-        if all(x.denominator == 1 for x in pt):
-            pt = [x.numerator for x in pt]
         total = 0
         for m, c in self.num.items():
             for x, e in zip(pt, m):
@@ -447,22 +441,13 @@ class Polynomial:
         return f"Polynomial({self.ring!r}, {str(self)!r})"
 
 
-# the slot setters: a polynomial is built often, and they skip the
-# immutability guard and the lookup by name of object.__setattr__
-_SET_RING, _SET_NUM, _SET_DEN = (Polynomial.__dict__[k].__set__ for k in ("ring", "num", "den"))
-
-
-def _init(p: Polynomial, ring: tuple, num: dict, den: int) -> None:
-    _SET_RING(p, ring)
-    _SET_NUM(p, num)
-    _SET_DEN(p, den)
-
-
 def _make(ring: tuple, num: dict, den: int) -> Polynomial:
     """Internal: a polynomial from canonical (num, den): nonzero integer
     numerators on valid monomials, den > 0, gcd(den, *num) == 1."""
     p = Polynomial.__new__(Polynomial)
-    _init(p, ring, num, den)
+    object.__setattr__(p, "ring", ring)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
     return p
 
 
