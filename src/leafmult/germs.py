@@ -5,10 +5,11 @@ closure certificates.
 
 Germs arrive as jets.  Exact-polynomial jets take exact paths (polynomial
 factorization over Q, exact division); genuinely transcendental jets go
-through truncated-series machinery.  Division and multiplicity run on the
-highest corner of `localbasis`: a division certifies a/b modulo
-m^{N+1}, and a multiplicity is certified by a staircase that closes below
-the corner order (Nakayama).
+through truncated-series machinery, except in the splits of restrictions
+of global polynomials, which read branches off global factors first.
+Division and multiplicity run on the highest corner of `localbasis`: a
+division certifies a/b modulo m^{N+1}, and a multiplicity is certified by
+a staircase that closes below the corner order (Nakayama).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .localbasis import (  # local_membership is re-exported
     local_membership,
     mora_divide,
 )
-from .poly import Polynomial, _canonical, factor, normalize_leading
+from .poly import Polynomial, _canonical, exact_divide, factor, normalize_leading
 from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
@@ -726,6 +727,44 @@ def split_common(fL: Jet2, gL: Jet2) -> GermSplit:
     return GermSplit(h_f, h_g, f, g, order)
 
 
+def _vanishing_factors(p: Polynomial, point, divisors: Sequence[Polynomial]) -> list:
+    """[(irreducible factor over Q, multiplicity)] of a global polynomial,
+    for the factors that vanish at point; poly.factor with the divisors, so
+    a factor is primitive with integer coefficients and the same factor of
+    two polynomials compares equal."""
+    return [(q, m) for q, m in factor(p, divisors)[1] if q.evaluate(point) == 0]
+
+
+def split_common_global(F: Polynomial, G: Polynomial, restrict: Callable,
+                        point) -> GermSplit:
+    """split_common of the restrictions of two global polynomials, restrict
+    taking a polynomial to its leaf jet at the working order.
+
+    Two exact restrictions keep `_split_exact`.  Otherwise the common
+    irreducible factors p of F and G over Q with p(point) = 0 are taken out
+    first, each with each polynomial's own multiplicity, and the jet-level
+    split runs on the restrictions of what remains, F' and G':
+    h_f = restrict(F/F') * sub.h_f, and likewise h_g, with sub the split
+    of restrict(F') and restrict(G').  So the local generators are
+    restrictions of global cofactors (or their jet-level quotients), and a
+    branch that two different factors carry (x and z-1 both restrict to
+    t1 times a unit on the exponential leaf) is still found by the
+    jet-level split."""
+    fL, gL = restrict(F), restrict(G)
+    if fL.as_exact_polynomial() is not None and gL.as_exact_polynomial() is not None:
+        return split_common(fL, gL)
+    in_g = dict(_vanishing_factors(G, point, (F,)))
+    h_f = h_g = Polynomial.constant(F.ring, 1)
+    for p, m in _vanishing_factors(F, point, (G,)):
+        if p in in_g:
+            h_f, h_g = h_f * p ** m, h_g * p ** in_g[p]
+    if h_f.is_constant():
+        return split_common(fL, gL)
+    sub = split_common(restrict(exact_divide(F, h_f)), restrict(exact_divide(G, h_g)))
+    return GermSplit(restrict(h_f) * sub.h_f, restrict(h_g) * sub.h_g, sub.f, sub.g,
+                     sub.certified_order)
+
+
 def _split_exact(fL: Jet2, gL: Jet2, pf: Polynomial, pg: Polynomial,
                  order: int) -> GermSplit:
     """split_common of two exact germs from their factorizations over Q;
@@ -765,3 +804,52 @@ def split_on_variety(fL: Jet2, restrictions: Sequence[Jet2], order: int) -> tupl
             "no factor of the restriction vanishes on the variety trace")
     (h, f), = _split_off(order, (fL, on_variety))
     return h, f, on_variety
+
+
+def split_on_variety_global(F: Polynomial, restrict: Callable, point,
+                            restrictions: Sequence[Jet2], order: int,
+                            divisors: Sequence[Polynomial] = ()) -> tuple:
+    """split_on_variety of the restriction of a global polynomial F, restrict
+    taking a polynomial to its leaf jet at the working order; divisors are
+    passed on to poly.factor.
+
+    An exact restriction keeps the jet-level split.  Otherwise the branches
+    come from the irreducible factors p of F over Q with p(point) = 0.
+    Every branch of restrict(F) is a branch of some restrict(p), so when
+    each restrict(p) has vanishing order 1, each is one smooth branch, of
+    multiplicity m_F(p), and it lies on the variety trace iff it divides
+    every restriction.  Two factors whose restrictions divide each other
+    carry one branch (x and z-1 on the exponential leaf), so they are one
+    cycle with the multiplicities added; for smooth germs one dividing the
+    other is enough.  A cycle's factor is the Weierstrass polynomial of a
+    restriction (an exact one when the cycle has one), and its
+    parameterization is expanded only when read.  Then h = restrict(P)
+    and f = restrict(F/P), P the product of those factors with their
+    multiplicities, and no germ is divided.  A factor of higher vanishing
+    order falls back to the jet-level split."""
+    fL = restrict(F)
+    if fL.is_zero():
+        raise HypothesisError("restriction of F to the leaf is zero at this order")
+    if fL.as_exact_polynomial() is not None:
+        return split_on_variety(fL, restrictions, order)
+    factors = [(restrict(p), p, m) for p, m in _vanishing_factors(F, point, divisors)]
+    if any(j.vanishing_order() != 1 for j, _, _ in factors):
+        return split_on_variety(fL, restrictions, order)
+    nonzero = [r for r in restrictions if not r.is_zero()]
+    carried = Polynomial.constant(F.ring, 1)
+    cycles: list[BranchCycle] = []
+    # exact restrictions first, so a merged cycle keeps the exact factor
+    for j, p, m in sorted(factors, key=lambda f: f[0].as_exact_polynomial() is None):
+        if not all(germ_divides(r, j) for r in nonzero):
+            continue
+        carried = carried * p ** m
+        for c in cycles:
+            if germ_divides(j, c.factor):
+                c.multiplicity += m
+                break
+        else:
+            w = simplify_local_generator(j)
+            cycles.append(BranchCycle(w, m, lambda w=w: germ_cycles(w).cycles[0].param))
+    if not cycles:
+        raise HypothesisError("no factor of the restriction vanishes on the variety trace")
+    return restrict(carried), restrict(exact_divide(F, carried)), cycles

@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
-from operator import neg
+from operator import add, neg
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
@@ -23,6 +25,7 @@ from .poly import (
     Monomial,
     Polynomial,
     degrevlex_key,
+    exact_divide,
     gcd as poly_gcd,
     monomial_degree,
     monomial_div,
@@ -48,16 +51,21 @@ class MonomialOrder:
     (first entry compares first / is the biggest variable).
 
     `key(mono)` is the sort key: bigger key = bigger monomial.
+    `heap_key(mono)` sorts the other way: a smaller heap key is a bigger
+    monomial, so a min-heap pops the largest monomial first.
     """
 
     kind: str = "degrevlex"
     permutation: Optional[tuple] = None
     key: Callable = field(init=False, repr=False, compare=False)
+    heap_key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex", "local"):
             raise DomainError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "key", _sort_key(self.kind, self.permutation))
+        key, heap_key = _sort_keys(self.kind, self.permutation)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "heap_key", heap_key)
 
     def is_global(self) -> bool:
         return self.kind in ("degrevlex", "lex")
@@ -66,22 +74,24 @@ class MonomialOrder:
         return self.key(a) > self.key(b)
 
 
-def _sort_key(kind: str, permutation: Optional[tuple]):
-    """The key function of an order, specialized once per order: monomials
+def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
+    """(key, heap_key) of an order, specialized once per order: monomials
     are compared (total degree, reversed negated exponents) for degrevlex,
-    with the degree negated for local, and by exponents for lex."""
+    with the degree negated for local, and by exponents for lex.  The heap
+    key negates every entry of the key, so it orders the other way."""
     if permutation is None:
         if kind == "lex":
-            return tuple
+            return tuple, lambda m: tuple(map(neg, m))
         if kind == "degrevlex":
-            return degrevlex_key
-        return lambda m: (-sum(m), tuple(map(neg, m[::-1])))
+            return degrevlex_key, lambda m: (-sum(m), m[::-1])
+        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
     perm = tuple(permutation)
     rev = perm[::-1]
     if kind == "lex":
-        return lambda m: tuple([m[i] for i in perm])
+        return lambda m: tuple([m[i] for i in perm]), lambda m: tuple([-m[i] for i in perm])
     sign = 1 if kind == "degrevlex" else -1
-    return lambda m: (sign * sum([m[i] for i in perm]), tuple([-m[i] for i in rev]))
+    return (lambda m: (sign * sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
+            lambda m: (-sign * sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -235,15 +245,31 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 
     The working polynomial and the remainder are integer maps over one
     rational scale: f equals the quotient part plus (work + rem) * scale
-    throughout (`_cancel_lead`)."""
+    throughout (`_cancel_lead`).
+
+    The leading monomial of work comes from a heap (Monagan and Pearce,
+    "Polynomial division using dynamic arrays, heaps, and packed exponent
+    vectors", CASC 2007).  Every monomial of work has an entry.  A step
+    cancels the lead m with x^shift * g, whose other terms all lie below m
+    under a monomial order, so the leads strictly decrease, and after a
+    step only the shifted terms of g still in work need an entry.  A popped
+    monomial no longer in work is stale (cancelled, or handled through an
+    earlier entry) and is skipped.  So each pop is the monomial that
+    max(work) would give, and the remainder, its term order, the
+    quotients and the steps are those of a scan."""
     key = order.key
+    heap_key = order.heap_key
     lead = [(lm := max(g.num, key=key), g.num[lm]) for g in basis]
     quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
     r_terms: dict = {}
     work = dict(f.num)
     scale = (1, f.den)
-    while work:
-        m = max(work, key=key)
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        if m not in work:
+            continue
         for i, (lm, lc) in enumerate(lead):
             if monomial_divides(lm, m):
                 break
@@ -255,6 +281,10 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
             q = Fraction(c * scale[0] * basis[i].den, scale[1] * lc)
             quots[i] = quots[i] + Polynomial.monomial(f.ring, shift, q)
         scale = _cancel_lead(work, scale, c, shift, lc, basis[i].num, rest=r_terms)
+        for t in basis[i].num:
+            t = tuple(map(add, shift, t))
+            if t in work:
+                heappush(heap, (heap_key(t), t))
         if budget is not None:
             budget.spend(1, "reduction")
     rem = _scaled(f.ring, r_terms, scale)
@@ -585,11 +615,22 @@ class RadicalCertificate:
         return sum(e - 1 for e in self.exponents) + 1
 
 
+def _divided(J: IdealPresentation, d: Polynomial) -> IdealPresentation:
+    """J/d for d dividing every generator of J."""
+    return IdealPresentation(J.ring, tuple(exact_divide(g, d) for g in J.generators))
+
+
 def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable) -> bool:
     """Conservative syntactic radicality tests for the implemented classes:
     unit, principal squarefree, linear, squarefree monomial generators,
-    or zero-dimensional with all eliminants squarefree.  squarefree_of is
-    the caller's memoized squarefree part."""
+    zero-dimensional with all eliminants squarefree, or d*P.  squarefree_of
+    is the caller's memoized squarefree part.
+
+    d*P: the reduced basis of J has a nonconstant gcd d that is squarefree,
+    the reduced basis of P = J/d is linear and P is not the unit ideal, and
+    d is not in P.  Then P is prime, so f = d*h in P gives h in P, and
+    (d) ∩ P = d*P = J: an intersection of radical ideals, hence radical
+    (Becker and Weispfenning, *Groebner Bases*, §8.7)."""
     gb = groebner(J, DEGREVLEX, budget)
     basis = gb.basis
     if gb.is_unit_ideal():
@@ -609,7 +650,12 @@ def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable)
             if squarefree_of(el) != normalize_leading(el):
                 return False
         return True
-    return False
+    d = reduce(poly_gcd, basis)
+    if d.is_constant() or squarefree_of(d) != normalize_leading(d):
+        return False
+    gbP = groebner(_divided(J, d), DEGREVLEX, budget)
+    return (not gbP.is_unit_ideal() and all(g.total_degree() <= 1 for g in gbP.basis)
+            and not normal_form(d, gbP, budget).is_zero())
 
 
 def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
@@ -618,7 +664,13 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     Always I ⊆ J ⊆ rad(I), both inclusions certified (membership for the
     first, per-generator exponents for the second).  Status "exact" when J
     is additionally certified radical (principal / zero-dimensional /
-    linear / monomial cases), else "partial".
+    linear / monomial / d*P cases, `_is_certified_radical`), else
+    "partial".
+
+    When a round adds nothing and the basis of J has a nonconstant gcd d,
+    the candidates squarefree(d)*g' are offered, g' the generators of the
+    best-effort radical of J/d, computed on the same budget: each lies in
+    rad(J) ⊆ rad(I) and is certified by its exponent like any other.
 
     A candidate with no power in I up to EXPONENT_CAP is searched once per
     call; a repeat charges the budget the steps that search spent (as a
@@ -650,29 +702,9 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
             rejected[c] = budget.used - used_before
         return e
 
-    for _round in range(20):
-        gbJ = groebner(J, DEGREVLEX, budget)
-        if gbJ.is_unit_ideal():
-            break
-        candidates = []
-        for g in gbJ.basis:
-            candidates.append(squarefree_of(g))
-        for g1, g2 in itertools.combinations(gbJ.basis, 2):
-            d = poly_gcd(g1, g2)
-            if not d.is_constant():
-                candidates.append(d)
-                candidates.append(squarefree_of(d))
-        if len(gbJ.basis) > 2:
-            d = gbJ.basis[0]
-            for g in gbJ.basis[1:]:
-                d = poly_gcd(d, g)
-            if not d.is_constant():
-                candidates.append(squarefree_of(d))
-        if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
-            for var in range(len(J.ring)):
-                el = eliminant(J, var, budget)
-                if el is not None:
-                    candidates.append(squarefree_of(el))
+    def offer(candidates, gbJ) -> bool:
+        """Add to J each candidate outside it with a certified exponent."""
+        nonlocal J
         grew = False
         for c in candidates:
             c = normalize_leading(c)
@@ -686,6 +718,38 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
             exponents[c] = e
             J = J.extended([c])
             grew = True
+        return grew
+
+    for _round in range(20):
+        gbJ = groebner(J, DEGREVLEX, budget)
+        if gbJ.is_unit_ideal():
+            break
+        candidates = []
+        for g in gbJ.basis:
+            candidates.append(squarefree_of(g))
+        for g1, g2 in itertools.combinations(gbJ.basis, 2):
+            d = poly_gcd(g1, g2)
+            if not d.is_constant():
+                candidates.append(d)
+                candidates.append(squarefree_of(d))
+        if len(gbJ.basis) > 2:
+            d = reduce(poly_gcd, gbJ.basis)
+            if not d.is_constant():
+                candidates.append(squarefree_of(d))
+        if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
+            for var in range(len(J.ring)):
+                el = eliminant(J, var, budget)
+                if el is not None:
+                    candidates.append(squarefree_of(el))
+        grew = offer(candidates, gbJ)
+        if not grew and len(gbJ.basis) > 1:
+            # J = d*(J/d): the radical of J/d times squarefree(d) lies in
+            # rad(J), which offers the generators d*P needs
+            d = reduce(poly_gcd, gbJ.basis)
+            if not d.is_constant():
+                inner, _, _ = attempt_radical(_divided(J, d), budget)
+                sd = squarefree_of(d)
+                grew = offer([sd * g for g in inner.generators], gbJ)
         if not grew:
             break
 

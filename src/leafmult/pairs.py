@@ -64,8 +64,8 @@ from .germs import (
     branch_product,
     cycles_on,
     local_multiplicity,
-    split_common,
-    split_on_variety,
+    split_common_global,
+    split_on_variety_global,
 )
 from .ideals import (
     Budget,
@@ -131,9 +131,11 @@ class NoetherianPair:
 
     def split_on_variety(self, F: Polynomial) -> tuple:
         """(h, f, cycles): F's restriction split into the factor carried by
-        the variety trace of the ideal and its cofactor."""
-        return split_on_variety(self.ctx.leaf_jet(F, self.cert_order),
-                                self.restrictions(), self.cert_order)
+        the variety trace of the ideal and its cofactor; F is factored with
+        the global generators as divisors."""
+        return split_on_variety_global(
+            F, lambda p: self.ctx.leaf_jet(p, self.cert_order), self.ctx.point,
+            self.restrictions(), self.cert_order, self.ideal.generators)
 
     def local_member(self, jet: Jet2) -> bool:
         """Membership in the local ideal, certified up to cert_order (or the
@@ -508,7 +510,7 @@ def _nonisolated_bound_once(F, G, ctx, order, options, budget, t0) -> BoundRepor
     gL = ctx.leaf_jet(G, order)
     if fL.is_zero() or gL.is_zero():
         raise HypothesisError("a restriction to the leaf vanishes at this order")
-    split = split_common(fL, gL)
+    split = split_common_global(F, G, lambda p: ctx.leaf_jet(p, order), ctx.point)
     if split.f.is_unit() and split.g.is_unit():
         raise HypothesisError("common branch set equals germ: nothing remains to bound")
     trace: dict = {

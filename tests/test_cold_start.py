@@ -176,6 +176,15 @@ EXP_CASES = [
     ("z-1", "x+y", 1),
     ("(z-1)*(x-y^2)", "(z-1)*(x-2*y^2)", 2),
 ]
+# non-isolated exponential-leaf cases whose common and variety-trace
+# branches come from global factors, which poly.factor splits by its
+# certificates and by the gcd with the other polynomial
+EXP_GLOBAL_SPLIT_CASES = [
+    ("(z-1-y)*x", "(z-1-y)*y", 1),
+    ("(z-1-x-y)*(y-x^3)", "(z-1-x-y)*(y+1/2*x^3)", 3),
+    ("x*(z-1)*(y-x^2)", "x*(z-1)*(y+x^2)", 2),
+    ("(z-1-y)^2*(x-y)", "(z-1-y)*(x+y)", 1),
+]
 # (V1, V2, base point) of each leaf
 FLAT_LEAF = (("1", "0", "0"), ("0", "1", "0"), (0, 0, 0))
 EXP_LEAF = (("1", "0", "z"), ("0", "1", "0"), (0, 0, 1))
@@ -226,4 +235,13 @@ def test_exponential_leaf_bounds_do_not_load_sympy():
     discriminant."""
     probe = _bounds_in_fresh_interpreter(EXP_CASES, EXP_LEAF)
     assert probe["results"] == [["point-excluded", k] for _, _, k in EXP_CASES]
+    assert not probe["sympy"]
+
+
+def test_exponential_leaf_global_splits_do_not_load_sympy():
+    """A cold non-isolated bound on the exponential leaf factors F and G
+    over Q to split off their common branches and the branches on the
+    variety trace; none of these factorizations needs sympy."""
+    probe = _bounds_in_fresh_interpreter(EXP_GLOBAL_SPLIT_CASES, EXP_LEAF)
+    assert probe["results"] == [["point-excluded", k] for _, _, k in EXP_GLOBAL_SPLIT_CASES]
     assert not probe["sympy"]

@@ -155,6 +155,15 @@ wide_global_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 
                                     max_size=5).map(lambda d: Polynomial(RING, d))
 
 
+three_variable_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=4).map(lambda d: Polynomial(("x", "y", "z"), d))
+# the orders eliminant builds: the eliminated variable compares last
+PERMUTED_ORDERS = [MonomialOrder(kind, tuple(i for i in range(3) if i != var) + (var,))
+                   for kind in ("lex", "degrevlex") for var in range(3)]
+
+
 class TestReducePolyMatchesReference:
     @settings(max_examples=120, deadline=None)
     @given(global_polys, st.lists(global_polys.filter(bool), min_size=1, max_size=3),
@@ -166,6 +175,47 @@ class TestReducePolyMatchesReference:
         assert got == ref
         assert list(got[1].terms) == list(ref[1].terms)
         assert got_budget.used == ref_budget.used
+
+    @settings(max_examples=120, deadline=None)
+    @given(three_variable_polys,
+           st.lists(three_variable_polys.filter(bool), min_size=1, max_size=3),
+           st.sampled_from(PERMUTED_ORDERS))
+    def test_permuted_orders_on_three_variables(self, f, basis, order):
+        got_budget, ref_budget = Budget(), Budget()
+        got = reduce_poly(f, basis, order, got_budget, with_quotients=True)
+        ref = _reference_reduce_poly(f, basis, order, ref_budget)
+        assert got == ref
+        assert list(got[1].terms) == list(ref[1].terms)
+        assert got_budget.used == ref_budget.used
+
+    def test_order_key_evaluations_stay_linear_in_the_terms_created(self, monkeypatch):
+        # the rejected radical candidate z-1-x-y of this ideal is searched by
+        # reducing its powers; a scan for each leading term evaluated the key
+        # 427k times on the 16th power, the heap evaluates it about once per
+        # term the reduction creates (7.3k for 8.1k terms)
+        import leafmult.ideals as ideals
+        xyz = ("x", "y", "z")
+        gb = groebner(ideal("(z-1-x-y)*(y-x^3)", "(z-1-x-y)*(y+1/2*x^3)", ring=xyz))
+        f = P("z-1-x-y", xyz) ** 16
+        order = MonomialOrder("degrevlex")
+        calls = [0]
+        for name in ("key", "heap_key"):
+            def counting(m, real=getattr(order, name)):
+                calls[0] += 1
+                return real(m)
+            object.__setattr__(order, name, counting)
+        created = [len(f.num)]
+        real_cancel = ideals._cancel_lead
+
+        def cancel(work, scale, c, shift, lc, reducer, *args, **kwargs):
+            created[0] += len(reducer)
+            return real_cancel(work, scale, c, shift, lc, reducer, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "_cancel_lead", cancel)
+        got = reduce_poly(f, gb.basis, order)
+        assert created[0] > 5000
+        assert calls[0] <= 2 * created[0]
+        assert got == normal_form(f, gb)
 
     @settings(max_examples=120, deadline=None)
     @given(wide_global_polys, st.lists(wide_global_polys.filter(bool), min_size=1, max_size=3),
@@ -644,8 +694,9 @@ class TestAttemptRadical:
 
     def test_rejected_candidate_searched_once_and_charged_again(self, monkeypatch):
         # z - 1 has no power in I and comes back in every round; its search
-        # runs once, and each repeat charges the steps a new search would
-        # (57 steps in all, as when every repeat was searched again)
+        # runs once, and each repeat charges the steps a new search would.
+        # The closure (z-1)*<x, y> is certified radical as d*P after the
+        # radical of <x, y> has been offered on the same budget (79 steps)
         import leafmult.ideals as ideals
         xyz = ("x", "y", "z")
         I = ideal("(z-1)*(y-x^2)", "(z-1)*(y+x^2)", ring=xyz)
@@ -660,12 +711,52 @@ class TestAttemptRadical:
         _GB_CACHE.clear()
         budget = Budget()
         J, cert, status = attempt_radical(I, budget)
-        assert budget.used == 57
+        assert budget.used == 79
         assert set(J.generators) == {P("x*z-x", xyz), P("y*z-y", xyz)}
-        assert cert.exponents == (2, 1) and status == "partial"
+        assert cert.exponents == (2, 1) and status == "exact"
         assert calls.count(P("z-1", xyz)) == 1
         assert len(calls) == len(set(calls))
-        for cap in (55, 56):
+        for cap in (77, 78):
             with pytest.raises(BudgetExceededError):
                 attempt_radical(I, Budget(cap=cap))
-        assert attempt_radical(I, Budget(cap=57))[0] == J
+        assert attempt_radical(I, Budget(cap=79))[0] == J
+
+
+class TestRadicalCertificateOfAProduct:
+    """J = d*P is certified radical when d is squarefree, P is linear and
+    not the unit ideal, and d is not in P.  Each verdict is checked against
+    radical_membership: a certified J holds every probe in its radical, and
+    each refused J misses a witness that its radical holds."""
+
+    @staticmethod
+    def _certified(*gens):
+        from leafmult.ideals import _is_certified_radical
+        from leafmult.poly import squarefree_part
+        return _is_certified_radical(ideal(*gens, ring=XYZ), Budget(), squarefree_part)
+
+    def test_line_times_a_point_is_certified(self):
+        J = ideal("(z-1)*x", "(z-1)*y", ring=XYZ)
+        assert self._certified("(z-1)*x", "(z-1)*y")
+        for probe in ("(z-1)*x", "(z-1)*(x+y)", "x", "z-1", "(z-1)^2*y", "x*y"):
+            f = P(probe, XYZ)
+            assert radical_membership(f, J) == member(f, J), probe
+
+    @pytest.mark.parametrize("gens,witness", [
+        (("x^2", "x*y"), "x"),                        # d in P: not radical
+        (("(z-1)^2*x", "(z-1)^2*y"), "(z-1)*x"),      # d not squarefree
+        (("(z-1)*x", "(z-1)*y^2"), "(z-1)*y"),        # P not linear
+    ])
+    def test_refused_products_are_not_radical(self, gens, witness):
+        assert not self._certified(*gens)
+        f = P(witness, XYZ)
+        J = ideal(*gens, ring=XYZ)
+        assert radical_membership(f, J) and not member(f, J)
+
+    def test_attempt_radical_reaches_the_product(self):
+        I = ideal("(z-1-x-y)*(y-x^3)", "(z-1-x-y)*(y+1/2*x^3)", ring=XYZ)
+        J, cert, status = attempt_radical(I)
+        assert status == "exact"
+        h = P("z-1-x-y", XYZ)
+        assert member(h * P("x", XYZ), J) and member(h * P("y", XYZ), J)
+        for g, e in zip(J.generators, cert.exponents):
+            assert member(g ** e, I)

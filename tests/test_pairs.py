@@ -674,6 +674,92 @@ class TestBranchSplits:
             ("radical", 1, 0)]
 
 
+# Exponential-leaf shapes that raised "cycle could not be re-identified" or
+# ended with no direct value while common branches came from matched
+# Puiseux cycles, with their direct values
+GLOBAL_SPLIT_SHAPES = [
+    ("(z-1)*(y-2*x^3)", "(z-1)*(y-3*x^3)", 3),
+    ("(z-1)^2*(x-y^2)", "(z-1)*(x-2*y^2)", 2),
+    ("(z-1-y)*(x-y^3)", "(z-1-y)*(x-2*y^3)", 3),
+    ("(z-1-x-y)*(x-1/2*y^3)", "(z-1-x-y)*(x+y^3)", 3),
+    ("(z-1-y)^2*(x-y)", "(z-1-y)*(x+y)", 1),
+    ("(z-1-y)*x", "(z-1-y)*y", 1),
+]
+COFACTOR_PARAMETERS = [Fraction(n, d) * s for n, d in ((1, 1), (2, 1), (1, 2), (3, 2))
+                       for s in (1, -1)]
+
+
+@st.composite
+def common_factor_draws(draw):
+    """(h*f, h*g, k) on the exponential leaf: h a global factor through the
+    base point, f = v - a*w^k and g = v - b*w^k with a != b, so the
+    multiplicity left after h is taken out is k."""
+    h = draw(st.sampled_from(["z-1", "z-1-y", "z-1-x-y", "(z-1)^2", "(z-1-y)^2"]))
+    v, w = draw(st.sampled_from([("x", "y"), ("y", "x")]))
+    k = draw(st.integers(1, 3))
+    a, b = draw(st.lists(st.sampled_from(COFACTOR_PARAMETERS), min_size=2, max_size=2,
+                         unique=True))
+    return f"({h})*({v}-({a})*{w}^{k})", f"({h})*({v}-({b})*{w}^{k})", k
+
+
+class TestGlobalFirstSplits:
+    """On the exponential leaf the common branches and the variety-trace
+    branches come from the global factors of F and G."""
+
+    def test_two_factors_on_one_branch_are_one_cycle(self):
+        # x and z-1 both restrict to t1 times a unit: as two cycles of
+        # multiplicity 1 the Jacobian step removes neither branch
+        report = nonisolated_bound(P("x*(z-1)*(y-x^2)"), P("x*(z-1)*(y+x^2)"), exp_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert (report.direct_value, report.bound) == (2, 162)
+        [ev] = _jacobian_evidence(report)
+        assert (ev["k"], ev["K"], ev["reduced_factor"]) == (2, 2, "t1")
+
+    @pytest.mark.parametrize("f,g,direct", GLOBAL_SPLIT_SHAPES,
+                             ids=[f"{f}|{g}" for f, g, _ in GLOBAL_SPLIT_SHAPES])
+    def test_shapes_end_point_excluded(self, f, g, direct):
+        report = nonisolated_bound(P(f), P(g), exp_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert report.direct_value == direct
+        assert report.bound >= direct
+
+    def test_local_generators_are_restricted_cofactors(self):
+        ctx = exp_leaf()
+        report = nonisolated_bound(P("(z-1-y)*(x-y^3)"), P("(z-1-y)*(x-2*y^3)"), ctx)
+        # poly.factor gives the factor y-z+1, so the cofactors are -(x-y^3)
+        # and -(x-2*y^3)
+        split = report.trace["split"]
+        assert (split["f"], split["g"]) == ("t2^3 - t1", "2*t2^3 - t1")
+        order = report.trace["jet_order"]
+        assert split["h_f"] == str(ctx.leaf_jet(P("y-z+1"), order).to_polynomial())
+
+    def test_variety_split_from_global_factors(self):
+        from leafmult.germs import split_on_variety_global
+        ctx, order = exp_leaf(), 16
+        F, G = P("(z-1-y)*(x-y^2)"), P("(z-1-y)*(x-2*y^2)")
+        restrict = lambda p: ctx.leaf_jet(p, order)
+        h, f, cycles = split_on_variety_global(F, restrict, ctx.point,
+                                               [restrict(F), restrict(G)], order)
+        assert h == restrict(P("y-z+1")) and f == restrict(P("y^2-x"))
+        [cycle] = cycles
+        assert cycle.multiplicity == 1
+        # the Weierstrass polynomial t2 - (e^t1 - 1), read as one smooth branch
+        assert cycle.factor.to_polynomial() == \
+            (Jet2.from_polynomial(parse_polynomial("t2", T), order)
+             - restrict(P("z-1"))).to_polynomial()
+        described = cycle.describe()
+        assert (described["ramification_index"], described["field_degree"]) == (1, 1)
+
+    @settings(max_examples=20, deadline=10000)
+    @given(common_factor_draws())
+    def test_direct_value_and_bound_on_common_factor_draws(self, case):
+        f, g, k = case
+        report = nonisolated_bound(P(f), P(g), exp_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert report.direct_value == k
+        assert report.bound >= k
+
+
 class TestChainInvariants:
     def test_monotone_chain_and_pair_preservation(self, returned_pairs):
         self._check_chain(returned_pairs, flat3(), "x*(x-y^2)", "x*(x-2*y^2)", 14)
