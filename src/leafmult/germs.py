@@ -735,30 +735,64 @@ def _vanishing_factors(p: Polynomial, point, divisors: Sequence[Polynomial]) -> 
     return [(q, m) for q, m in factor(p, divisors)[1] if q.evaluate(point) == 0]
 
 
-def split_common_global(F: Polynomial, G: Polynomial, restrict: Callable,
-                        point) -> GermSplit:
-    """split_common of the restrictions of two global polynomials, restrict
-    taking a polynomial to its leaf jet at the working order.
+def _carries_common_branch(j: Jet2, common: Sequence[Jet2]) -> Optional[bool]:
+    """Whether the restriction j of a factor lies on the branches of the
+    restrictions of the common factors: True when j is one smooth branch
+    among theirs, False when it shares none with them, None when it shares
+    some but not all, or neither germ of a pair is smooth.
+
+    A smooth germ is one branch, and it is a branch of a germ iff it
+    divides it (germ_divides; for two smooth germs either way is enough)."""
+    for c in common:
+        if j.vanishing_order() == 1:
+            if germ_divides(c, j):
+                return True
+        elif c.vanishing_order() != 1 or germ_divides(j, c):
+            return None
+    return False
+
+
+def split_common_global(F: Polynomial, G: Polynomial, fL: Jet2, gL: Jet2,
+                        restrict: Callable, point) -> GermSplit:
+    """split_common(fL, gL) for the restrictions fL, gL of two global
+    polynomials, restrict taking a polynomial to its leaf jet at the
+    working order.
 
     Two exact restrictions keep `_split_exact`.  Otherwise the common
     irreducible factors p of F and G over Q with p(point) = 0 are taken out
-    first, each with each polynomial's own multiplicity, and the jet-level
-    split runs on the restrictions of what remains, F' and G':
-    h_f = restrict(F/F') * sub.h_f, and likewise h_g, with sub the split
-    of restrict(F') and restrict(G').  So the local generators are
+    first, each with each polynomial's own multiplicity, together with every
+    other factor of F or of G that vanishes at point and whose restriction
+    is one branch of a restricted p (x and z-1 both restrict to t1 times a
+    unit on the exponential leaf, so x*(z-1) | x*y takes out x*(z-1) from
+    F).  The jet-level split runs on the restrictions of what remains, F'
+    and G': h_f = restrict(F/F') * sub.h_f, and likewise h_g, with sub the
+    split of restrict(F') and restrict(G').  So the local generators are
     restrictions of global cofactors (or their jet-level quotients), and a
-    branch that two different factors carry (x and z-1 both restrict to
-    t1 times a unit on the exponential leaf) is still found by the
-    jet-level split."""
-    fL, gL = restrict(F), restrict(G)
+    branch that two factors of which neither is common carry is still
+    found by the jet-level split.  A factor that shares only part of its
+    branches with the restricted p, or whose sharing the smooth test cannot
+    decide (`_carries_common_branch`), falls back to split_common(fL, gL)."""
     if fL.as_exact_polynomial() is not None and gL.as_exact_polynomial() is not None:
         return split_common(fL, gL)
-    in_g = dict(_vanishing_factors(G, point, (F,)))
-    h_f = h_g = Polynomial.constant(F.ring, 1)
-    for p, m in _vanishing_factors(F, point, (G,)):
-        if p in in_g:
-            h_f, h_g = h_f * p ** m, h_g * p ** in_g[p]
-    if h_f.is_constant():
+    in_f = _vanishing_factors(F, point, (G,))
+    in_g = _vanishing_factors(G, point, (F,))
+    common = {p for p, _ in in_f} & {p for p, _ in in_g}
+    if not common:
+        return split_common(fL, gL)
+    jets = [restrict(p) for p in common]
+
+    def carried_part(factors):
+        h = Polynomial.constant(F.ring, 1)
+        for p, m in factors:
+            carried = p in common or _carries_common_branch(restrict(p), jets)
+            if carried is None:
+                return None
+            if carried:
+                h = h * p ** m
+        return h
+
+    h_f, h_g = carried_part(in_f), carried_part(in_g)
+    if h_f is None or h_g is None:
         return split_common(fL, gL)
     sub = split_common(restrict(exact_divide(F, h_f)), restrict(exact_divide(G, h_g)))
     return GermSplit(restrict(h_f) * sub.h_f, restrict(h_g) * sub.h_g, sub.f, sub.g,

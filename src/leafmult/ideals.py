@@ -52,7 +52,8 @@ class MonomialOrder:
 
     `key(mono)` is the sort key: bigger key = bigger monomial.
     `heap_key(mono)` sorts the other way: a smaller heap key is a bigger
-    monomial, so a min-heap pops the largest monomial first.
+    monomial, so a min-heap pops the largest monomial first.  It is None
+    for the local order, under which nothing is reduced by heap.
     """
 
     kind: str = "degrevlex"
@@ -78,20 +79,23 @@ def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
     """(key, heap_key) of an order, specialized once per order: monomials
     are compared (total degree, reversed negated exponents) for degrevlex,
     with the degree negated for local, and by exponents for lex.  The heap
-    key negates every entry of the key, so it orders the other way."""
+    key negates every entry of the key, so it orders the other way; it is
+    built for the global kinds only, the orders reduce_poly runs under,
+    and is None for local."""
     if permutation is None:
         if kind == "lex":
             return tuple, lambda m: tuple(map(neg, m))
         if kind == "degrevlex":
             return degrevlex_key, lambda m: (-sum(m), m[::-1])
-        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
+        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), None
     perm = tuple(permutation)
     rev = perm[::-1]
     if kind == "lex":
         return lambda m: tuple([m[i] for i in perm]), lambda m: tuple([-m[i] for i in perm])
-    sign = 1 if kind == "degrevlex" else -1
-    return (lambda m: (sign * sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
-            lambda m: (-sign * sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
+    if kind == "degrevlex":
+        return (lambda m: (sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
+                lambda m: (-sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
+    return lambda m: (-sum([m[i] for i in perm]), tuple([-m[i] for i in rev])), None
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -240,8 +244,9 @@ def _scaled(ring: tuple, num: dict, scale: tuple) -> Polynomial:
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder,
                 budget: Optional[Budget] = None, with_quotients: bool = False):
-    """Full multivariate division: returns remainder (and quotients when
-    asked).  Deterministic: the first reducer in basis order wins.
+    """Full multivariate division under a global order: returns remainder
+    (and quotients when asked).  Deterministic: the first reducer in basis
+    order wins.
 
     The working polynomial and the remainder are integer maps over one
     rational scale: f equals the quotient part plus (work + rem) * scale

@@ -510,7 +510,7 @@ def _nonisolated_bound_once(F, G, ctx, order, options, budget, t0) -> BoundRepor
     gL = ctx.leaf_jet(G, order)
     if fL.is_zero() or gL.is_zero():
         raise HypothesisError("a restriction to the leaf vanishes at this order")
-    split = split_common_global(F, G, lambda p: ctx.leaf_jet(p, order), ctx.point)
+    split = split_common_global(F, G, fL, gL, lambda p: ctx.leaf_jet(p, order), ctx.point)
     if split.f.is_unit() and split.g.is_unit():
         raise HypothesisError("common branch set equals germ: nothing remains to bound")
     trace: dict = {

@@ -90,6 +90,20 @@ class TestOrderKey:
         assert order == MonomialOrder(kind, perm)
         assert hash(order) == hash(MonomialOrder(kind, perm))
 
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_heap_key_reverses_key(self, kind):
+        # on every permutation of three variables the heap key ranks the
+        # monomials of degree below 3 in each variable the other way round
+        monos = list(itertools.product(range(3), repeat=3))
+        for perm in [None, *itertools.permutations(range(3))]:
+            order = MonomialOrder(kind, perm)
+            assert sorted(monos, key=order.heap_key) == sorted(monos, key=order.key)[::-1]
+
+    def test_no_heap_key_for_the_local_order(self):
+        # reduce_poly, the heap key's reader, runs on global orders only
+        assert MonomialOrder("local").heap_key is None
+        assert MonomialOrder("local", (1, 0)).heap_key is None
+
 
 def _reference_reduce_poly(f, basis, order, budget):
     """reduce_poly as written before the reduction step was fused."""

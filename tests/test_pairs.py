@@ -715,6 +715,30 @@ class TestGlobalFirstSplits:
         [ev] = _jacobian_evidence(report)
         assert (ev["k"], ev["K"], ev["reduced_factor"]) == (2, 2, "t1")
 
+    @pytest.mark.parametrize("f,g,direct,bound", [
+        ("x*(z-1)", "x*y", 0, 1),
+        ("x*(z-1)*(y-x^2)", "x*(y+x^2)", 2, 17),
+        ("x^2*(z-1)", "(z-1)*y", 0, 4),
+    ])
+    def test_factor_on_a_common_branch_goes_with_it(self, f, g, direct, bound):
+        # a factor of one side only whose restriction is a unit times that
+        # of a common factor (x and z-1, both t1 times a unit) is on a
+        # common branch: the split is the jet-level one
+        from leafmult.germs import germ_divides, split_common, split_common_global
+        ctx, order = exp_leaf(), 16
+        F, G = P(f), P(g)
+        fL, gL = ctx.leaf_jet(F, order), ctx.leaf_jet(G, order)
+        got = split_common_global(F, G, fL, gL, lambda p: ctx.leaf_jet(p, order), ctx.point)
+        want = split_common(fL, gL)
+        # split_common's quotients are right only below the order less
+        # that of the divisor (germ_divide), so compare at a lower order
+        for name in ("h_f", "h_g", "f", "g"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert germ_divides(a, b, order - 4) and germ_divides(b, a, order - 4), name
+        report = nonisolated_bound(F, G, ctx)
+        assert report.ledger.status == "point-excluded"
+        assert (report.direct_value, report.bound) == (direct, bound)
+
     @pytest.mark.parametrize("f,g,direct", GLOBAL_SPLIT_SHAPES,
                              ids=[f"{f}|{g}" for f, g, _ in GLOBAL_SPLIT_SHAPES])
     def test_shapes_end_point_excluded(self, f, g, direct):
