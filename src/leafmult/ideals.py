@@ -732,29 +732,27 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
         candidates = []
         for g in gbJ.basis:
             candidates.append(squarefree_of(g))
-        for g1, g2 in itertools.combinations(gbJ.basis, 2):
-            d = poly_gcd(g1, g2)
+        pair_gcds = [poly_gcd(g1, g2) for g1, g2 in itertools.combinations(gbJ.basis, 2)]
+        for d in pair_gcds:
             if not d.is_constant():
                 candidates.append(d)
                 candidates.append(squarefree_of(d))
-        if len(gbJ.basis) > 2:
-            d = reduce(poly_gcd, gbJ.basis)
-            if not d.is_constant():
-                candidates.append(squarefree_of(d))
+        # the gcd of the whole basis
+        d = reduce(poly_gcd, pair_gcds) if pair_gcds else None
+        if len(gbJ.basis) > 2 and not d.is_constant():
+            candidates.append(squarefree_of(d))
         if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
             for var in range(len(J.ring)):
                 el = eliminant(J, var, budget)
                 if el is not None:
                     candidates.append(squarefree_of(el))
         grew = offer(candidates, gbJ)
-        if not grew and len(gbJ.basis) > 1:
+        if not grew and d is not None and not d.is_constant():
             # J = d*(J/d): the radical of J/d times squarefree(d) lies in
             # rad(J), which offers the generators d*P needs
-            d = reduce(poly_gcd, gbJ.basis)
-            if not d.is_constant():
-                inner, _, _ = attempt_radical(_divided(J, d), budget)
-                sd = squarefree_of(d)
-                grew = offer([sd * g for g in inner.generators], gbJ)
+            inner, _, _ = attempt_radical(_divided(J, d), budget)
+            sd = squarefree_of(d)
+            grew = offer([sd * g for g in inner.generators], gbJ)
         if not grew:
             break
 
