@@ -768,10 +768,11 @@ def split_common_global(F: Polynomial, G: Polynomial, fL: Jet2, gL: Jet2,
     and G': h_f = restrict(F/F') * sub.h_f, and likewise h_g, with sub the
     split of restrict(F') and restrict(G').  So the local generators are
     restrictions of global cofactors (or their jet-level quotients), and a
-    branch that two factors of which neither is common carry is still
-    found by the jet-level split.  A factor that shares only part of its
-    branches with the restricted p, or whose sharing the smooth test cannot
-    decide (`_carries_common_branch`), falls back to split_common(fL, gL)."""
+    branch carried by two factors neither of which is common
+    (x*y | (z-1)*(y-x)) is still found by the jet-level split.  A factor
+    that shares only part of its branches with the restricted p, or whose
+    sharing the smooth test cannot decide (`_carries_common_branch`),
+    falls back to split_common(fL, gL)."""
     if fL.as_exact_polynomial() is not None and gL.as_exact_polynomial() is not None:
         return split_common(fL, gL)
     in_f = _vanishing_factors(F, point, (G,))

@@ -691,15 +691,17 @@ COFACTOR_PARAMETERS = [Fraction(n, d) * s for n, d in ((1, 1), (2, 1), (1, 2), (
 
 @st.composite
 def common_factor_draws(draw):
-    """(h*f, h*g, k) on the exponential leaf: h a global factor through the
+    """(e*h*f, h*g, k) on the exponential leaf: h a global factor through the
     base point, f = v - a*w^k and g = v - b*w^k with a != b, so the
-    multiplicity left after h is taken out is k."""
+    multiplicity left after h is taken out is k.  When h is a power of z-1,
+    e may be x or x+z-1, a factor of one side only on the branch of h."""
     h = draw(st.sampled_from(["z-1", "z-1-y", "z-1-x-y", "(z-1)^2", "(z-1-y)^2"]))
+    e = draw(st.sampled_from(["1", "x", "x+z-1"])) if h in ("z-1", "(z-1)^2") else "1"
     v, w = draw(st.sampled_from([("x", "y"), ("y", "x")]))
     k = draw(st.integers(1, 3))
     a, b = draw(st.lists(st.sampled_from(COFACTOR_PARAMETERS), min_size=2, max_size=2,
                          unique=True))
-    return f"({h})*({v}-({a})*{w}^{k})", f"({h})*({v}-({b})*{w}^{k})", k
+    return f"({e})*({h})*({v}-({a})*{w}^{k})", f"({h})*({v}-({b})*{w}^{k})", k
 
 
 class TestGlobalFirstSplits:
