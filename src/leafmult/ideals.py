@@ -52,8 +52,7 @@ class MonomialOrder:
 
     `key(mono)` is the sort key: bigger key = bigger monomial.
     `heap_key(mono)` sorts the other way: a smaller heap key is a bigger
-    monomial, so a min-heap pops the largest monomial first.  It is None
-    for the local order, under which nothing is reduced by heap.
+    monomial, so a min-heap pops the largest monomial first.
     """
 
     kind: str = "degrevlex"
@@ -79,15 +78,13 @@ def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
     """(key, heap_key) of an order, specialized once per order: monomials
     are compared (total degree, reversed negated exponents) for degrevlex,
     with the degree negated for local, and by exponents for lex.  The heap
-    key negates every entry of the key, so it orders the other way; it is
-    built for the global kinds only, the orders reduce_poly runs under,
-    and is None for local."""
+    key negates every entry of the key, so it orders the other way."""
     if permutation is None:
         if kind == "lex":
             return tuple, lambda m: tuple(map(neg, m))
         if kind == "degrevlex":
             return degrevlex_key, lambda m: (-sum(m), m[::-1])
-        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), None
+        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
     perm = tuple(permutation)
     rev = perm[::-1]
     if kind == "lex":
@@ -95,7 +92,8 @@ def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
     if kind == "degrevlex":
         return (lambda m: (sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
                 lambda m: (-sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
-    return lambda m: (-sum([m[i] for i in perm]), tuple([-m[i] for i in rev])), None
+    return (lambda m: (-sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
+            lambda m: (sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -103,6 +101,8 @@ LEX = MonomialOrder("lex")
 
 # largest radical-membership exponent searched for
 EXPONENT_CAP = 64
+# the power before which nullstellensatz_exponent asks radical_membership
+_RADICAL_CHECK_AT = 8
 
 
 def leading_term(p: Polynomial, order: MonomialOrder):
@@ -187,12 +187,19 @@ class GroebnerStats:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """`leads` holds (leading monomial, its integer numerator) of each basis
+    element, found once for the normal forms that reduce against it."""
+
     order: MonomialOrder
     basis: tuple
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
+    leads: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "leads", _leads(self.basis, self.order))
 
     def leading_monomials(self):
-        return [leading_monomial(g, self.order) for g in self.basis]
+        return [m for m, _ in self.leads]
 
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
@@ -262,9 +269,18 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     earlier entry) and is skipped.  So each pop is the monomial that
     max(work) would give, and the remainder, its term order, the
     quotients and the steps are those of a scan."""
+    return _reduce_poly(f, basis, _leads(basis, order), order, budget, with_quotients)
+
+
+def _leads(basis: Sequence[Polynomial], order: MonomialOrder) -> tuple:
     key = order.key
+    return tuple((lm := max(g.num, key=key), g.num[lm]) for g in basis)
+
+
+def _reduce_poly(f: Polynomial, basis: Sequence[Polynomial], lead: tuple, order: MonomialOrder,
+            budget: Optional[Budget], with_quotients: bool):
+    """reduce_poly with the leading terms of basis given as `_leads`."""
     heap_key = order.heap_key
-    lead = [(lm := max(g.num, key=key), g.num[lm]) for g in basis]
     quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
     r_terms: dict = {}
     work = dict(f.num)
@@ -405,7 +421,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
 def normal_form(f: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of multivariate division; zero iff f is in the ideal."""
-    return reduce_poly(f, gb.basis, gb.order, budget)
+    return _reduce_poly(f, gb.basis, gb.leads, gb.order, budget, False)
 
 
 def member(f: Polynomial, ideal: IdealPresentation,
@@ -572,7 +588,22 @@ def eliminant(ideal: IdealPresentation, var: int,
 def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
                              budget: Optional[Budget] = None) -> Optional[int]:
     """Least e <= EXPONENT_CAP with g^e in I, found by doubling then binary
-    refine; None if no power up to the cap is a member."""
+    refine; None if no power up to the cap is a member.
+
+    Once g, g^2 and g^4 are outside I, and before g^8 is formed,
+    radical_membership decides whether g lies in rad(I).  If not, no power
+    of g lies in I, and None is what the doubling up to the cap would
+    return, without the costly high powers.  If so, the doubling and the
+    refinement go on unchanged, and a member of rad(I) whose least
+    exponent is above the cap still gets None.  The exponents the
+    pipeline finds on its benchmark inputs are at most 5, so the check
+    runs for the candidates about to fail and for the rare exponent 5 to 8.
+
+    The check runs on a counter of its own, capped at the steps the budget
+    has left (Budget's default cap without a budget).  When it decides, the
+    budget is charged what it spent; when the counter runs out, nothing is
+    charged and the search goes on as without the check.  So whenever it
+    finishes, the function returns what the search alone returns."""
     if g.is_zero():
         return 1
     if ideal.is_zero_ideal():
@@ -591,6 +622,17 @@ def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
 
     e = 1
     while e <= EXPONENT_CAP:
+        if e == _RADICAL_CHECK_AT:
+            own = Budget() if budget is None else Budget(budget.cap - budget.used)
+            try:
+                inside = radical_membership(g, ideal, own)
+            except BudgetExceededError:
+                inside = True  # undecided: search on, charged nothing
+            else:
+                if budget is not None:
+                    budget.spend(own.used, "radical membership")
+            if not inside:
+                return None
         if power_nf(e).is_zero():
             break
         e *= 2
@@ -623,6 +665,17 @@ class RadicalCertificate:
 def _divided(J: IdealPresentation, d: Polynomial) -> IdealPresentation:
     """J/d for d dividing every generator of J."""
     return IdealPresentation(J.ring, tuple(exact_divide(g, d) for g in J.generators))
+
+
+def _linear_basis(ideal: IdealPresentation, budget: Budget) -> bool:
+    """Whether the reduced basis of ideal is linear.  The basis is read
+    under a counter of its own with the budget's cap, and charged to the
+    budget as a cache hit only when it is linear."""
+    gb = groebner(ideal, DEGREVLEX, Budget(budget.cap))
+    if any(g.total_degree() > 1 for g in gb.basis):
+        return False
+    groebner(ideal, DEGREVLEX, budget)
+    return True
 
 
 def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable) -> bool:
@@ -749,10 +802,13 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
         grew = offer(candidates, gbJ)
         if not grew and d is not None and not d.is_constant():
             # J = d*(J/d): the radical of J/d times squarefree(d) lies in
-            # rad(J), which offers the generators d*P needs
-            inner, _, _ = attempt_radical(_divided(J, d), budget)
-            sd = squarefree_of(d)
-            grew = offer([sd * g for g in inner.generators], gbJ)
+            # rad(J), which offers the generators d*P needs.  When d is
+            # squarefree and J/d has a linear reduced basis, J/d is its own
+            # radical and those generators lie in d*(J/d) = J already
+            P, sd = _divided(J, d), squarefree_of(d)
+            if sd != normalize_leading(d) or not _linear_basis(P, budget):
+                inner, _, _ = attempt_radical(P, budget)
+                grew = offer([sd * g for g in inner.generators], gbJ)
         if not grew:
             break
 

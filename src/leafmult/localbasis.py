@@ -20,6 +20,15 @@ the terms above N are dropped.  So each step lowers lm(h) among the
 takes at most that many steps.  The reducer is the first of least total
 degree in pool order, which the callers keep canonical.
 
+Leading monomials come from a heap, under the invariant of
+`ideals.reduce_poly` (Monagan and Pearce, CASC 2007).  Every monomial of h
+has an entry; a step pushes only the shifted reducer terms still in h,
+since every other term of h is already there, and a popped monomial no
+longer in h is stale and skipped.  The leads strictly decrease, so each
+pop is the leading monomial a scan of h would find, and the reduction
+stops at the first lead that no pool entry reduces.  Normal forms,
+quotients and steps are those of the scan.
+
 Memberships.  The local order is degree-compatible, so the leading
 monomial of a series with a term of degree <= N lies among its terms of
 least degree, and the leading ideal of I + m^{N+1} is L(I) + m^{N+1}.  The
@@ -49,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -134,12 +144,18 @@ def _reduce(h: Polynomial, pool: Sequence[_Lead], budget: Budget, order: int,
     repeats, since each step lowers lm(h).
 
     h is worked on as integer numerators times one rational scale, and a
-    step scales them instead of dividing (`ideals._cancel_lead`)."""
-    key = LOCAL_ORDER.key
+    step scales them instead of dividing (`ideals._cancel_lead`).  Leading
+    monomials come from a heap, as in `ideals.reduce_poly` (module
+    docstring)."""
+    heap_key = LOCAL_ORDER.heap_key
     work = dict(h.num)
     scale = (1, h.den)
-    while work:
-        lm_h = max(work, key=key)
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        lm_h = heappop(heap)[1]
+        if lm_h not in work:
+            continue
         g = _select(pool, lm_h)
         if g is None:
             break
@@ -149,6 +165,10 @@ def _reduce(h: Polynomial, pool: Sequence[_Lead], budget: Budget, order: int,
         # a product that stays within the corner needs no per-term test
         cap = None if monomial_degree(shift) + g.degree <= order else order
         scale = _cancel_lead(work, scale, lc_h, shift, g.lc, g.poly.num, cap)
+        for t in g.poly.num:
+            t = tuple(map(add, shift, t))
+            if t in work:
+                heappush(heap, (heap_key(t), t))
         budget.spend(1, stage)
     return _scaled(h.ring, work, scale)
 

@@ -10,6 +10,7 @@ from leafmult.errors import BudgetExceededError, DomainError
 from leafmult.ideals import (
     _GB_CACHE,
     DEGREVLEX,
+    EXPONENT_CAP,
     LEX,
     Budget,
     IdealPresentation,
@@ -90,7 +91,7 @@ class TestOrderKey:
         assert order == MonomialOrder(kind, perm)
         assert hash(order) == hash(MonomialOrder(kind, perm))
 
-    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex", "local"])
     def test_heap_key_reverses_key(self, kind):
         # on every permutation of three variables the heap key ranks the
         # monomials of degree below 3 in each variable the other way round
@@ -98,11 +99,6 @@ class TestOrderKey:
         for perm in [None, *itertools.permutations(range(3))]:
             order = MonomialOrder(kind, perm)
             assert sorted(monos, key=order.heap_key) == sorted(monos, key=order.key)[::-1]
-
-    def test_no_heap_key_for_the_local_order(self):
-        # reduce_poly, the heap key's reader, runs on global orders only
-        assert MonomialOrder("local").heap_key is None
-        assert MonomialOrder("local", (1, 0)).heap_key is None
 
 
 def _reference_reduce_poly(f, basis, order, budget):
@@ -654,6 +650,134 @@ class TestNullstellensatzExponent:
         assert nullstellensatz_exponent(P("x"), ideal("x^70")) is None
 
 
+def _doubling_search(g, I, budget=None):
+    """nullstellensatz_exponent as it ran before radical_membership decided
+    rejected candidates: doubling up to EXPONENT_CAP, then binary refine."""
+    if g.is_zero():
+        return 1
+    if I.is_zero_ideal():
+        return None
+    gb = groebner(I, DEGREVLEX, budget)
+    reduced = {1: normal_form(g, gb, budget)}
+
+    def power_nf(e):
+        if e not in reduced:
+            half = e // 2
+            reduced[e] = normal_form(power_nf(half) * power_nf(e - half), gb, budget)
+        return reduced[e]
+
+    e = 1
+    while e <= EXPONENT_CAP:
+        if power_nf(e).is_zero():
+            break
+        e *= 2
+    else:
+        return None
+    lo, hi = e // 2, e
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if power_nf(mid).is_zero():
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def exponent_cases(draw):
+    """(g, I) in XYZ.  I is <x^a, y^b> (zero-dimensional in x, y, z free)
+    or <x^a, x^(a-1)*y^b> (for a > 1 V(I) is the plane x = 0),
+    sometimes with a multiple of a generator added or made the unit ideal.
+    g is in rad(I) with a known least exponent (x + c*y against <x^a, y^b>
+    needs a + b - 1, up to 9; x*(1 + c*y) against the other needs a), or
+    outside it (it moves z, or y where V(I) is a plane, or is a nonzero
+    constant)."""
+    x, y, z = (Polynomial.variable(XYZ, i) for i in range(3))
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = Polynomial.constant(XYZ, draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+    plane = draw(st.booleans())
+    gens = [x ** a, x ** (a - 1) * y ** b if plane else y ** b]
+    if draw(st.booleans()):
+        gens.append(gens[0] * (z + c))
+    I = IdealPresentation(XYZ, tuple(gens))
+    if draw(st.integers(0, 9)) == 0:
+        I = I.extended([Polynomial.constant(XYZ, 1)])
+    kind = draw(st.sampled_from(["in radical"] * 3 + ["moves z", "moves y", "constant"]))
+    if kind == "in radical":
+        g = x * (Polynomial.constant(XYZ, 1) + c * y) if plane else x + c * y
+    elif kind == "moves z":
+        g = z + c * x
+    elif kind == "moves y":
+        g = y + c * x * z if plane else y - Polynomial.constant(XYZ, 1)
+    else:
+        g = c
+    return g, I
+
+
+class TestRadicalPreCheck:
+    """nullstellensatz_exponent asks radical_membership before it forms g^8
+    and returns None for a candidate outside rad(I): the answer of the
+    doubling search up to EXPONENT_CAP, without its powers."""
+
+    @settings(max_examples=100, deadline=5000)
+    @given(exponent_cases())
+    def test_matches_the_doubling_search(self, case):
+        g, I = case
+        _GB_CACHE.clear()
+        got = nullstellensatz_exponent(g, I, Budget(cap=10 ** 7))
+        assert got == _doubling_search(g, I)
+
+    def test_rejected_candidate_forms_no_power_above_the_fourth(self, monkeypatch):
+        # the slowest rejected search of a transcendental-leaf pass: the
+        # doubling reduced x+y-z+1 to its 64th power (1607 steps)
+        import leafmult.ideals as ideals
+        I = ideal("x^4 + x^3*y - x^3*z + x^3 + 2*x*y + 2*y^2 - 2*y*z + 2*y",
+                  "x^4 + x^3*y - x^3*z + x^3 - x*y - y^2 + y*z - y", ring=XYZ)
+        g = P("x+y-z+1", XYZ)
+        reduced, decided = [], []
+        real_nf, real_rm = ideals.normal_form, ideals.radical_membership
+
+        def counting_nf(f, gb, budget=None):
+            reduced.append(f.total_degree())
+            return real_nf(f, gb, budget)
+
+        def counting_rm(f, ideal, budget=None):
+            decided.append(real_rm(f, ideal, budget))
+            return decided[-1]
+
+        monkeypatch.setattr(ideals, "normal_form", counting_nf)
+        monkeypatch.setattr(ideals, "radical_membership", counting_rm)
+        _GB_CACHE.clear()
+        assert nullstellensatz_exponent(g, I, Budget(cap=10 ** 7)) is None
+        assert decided == [False]
+        # g, g^2 and g^4; the Rabinowitsch basis reduces by reduce_poly
+        assert reduced == [1, 2, 4]
+
+    @pytest.mark.parametrize("g,gens,expected", [
+        ("x+y", ("x^3", "y^3"), 5),
+        ("z", ("x^2", "y^2"), None),
+        ("x", ("x^5", "x^4*y"), 5),
+    ])
+    def test_exhausted_check_falls_back_to_the_search(self, monkeypatch, g, gens, expected):
+        # a check that runs out of its own counter decides nothing and is
+        # charged nothing: the search alone answers, for what it spends
+        import leafmult.ideals as ideals
+        g, I = P(g, XYZ), ideal(*gens, ring=XYZ)
+        checks = []
+
+        def exhausted(f, ideal, budget=None):
+            checks.append(f)
+            budget.spend(budget.cap - budget.used + 1, "groebner")
+
+        monkeypatch.setattr(ideals, "radical_membership", exhausted)
+        _GB_CACHE.clear()
+        budget, ref_budget = Budget(), Budget()
+        assert nullstellensatz_exponent(g, I, budget) == expected
+        assert checks == [g]
+        assert _doubling_search(g, I, ref_budget) == expected
+        assert budget.used == ref_budget.used
+
+
 class TestAttemptRadical:
     def test_principal(self):
         J, cert, status = attempt_radical(ideal("x^2"))
@@ -709,8 +833,10 @@ class TestAttemptRadical:
     def test_rejected_candidate_searched_once_and_charged_again(self, monkeypatch):
         # z - 1 has no power in I and comes back in every round; its search
         # runs once, and each repeat charges the steps a new search would.
-        # The closure (z-1)*<x, y> is certified radical as d*P after the
-        # radical of <x, y> has been offered on the same budget (79 steps)
+        # The closure (z-1)*<x, y> is certified radical as d*P.  The search
+        # of z - 1 ends in radical_membership before its 8th power, and
+        # <x, y> is linear, so its radical is not searched (108 steps; 79
+        # with the search up to z - 1 to the 64th and that radical)
         import leafmult.ideals as ideals
         xyz = ("x", "y", "z")
         I = ideal("(z-1)*(y-x^2)", "(z-1)*(y+x^2)", ring=xyz)
@@ -725,15 +851,15 @@ class TestAttemptRadical:
         _GB_CACHE.clear()
         budget = Budget()
         J, cert, status = attempt_radical(I, budget)
-        assert budget.used == 79
+        assert budget.used == 108
         assert set(J.generators) == {P("x*z-x", xyz), P("y*z-y", xyz)}
         assert cert.exponents == (2, 1) and status == "exact"
         assert calls.count(P("z-1", xyz)) == 1
         assert len(calls) == len(set(calls))
-        for cap in (77, 78):
+        for cap in (106, 107):
             with pytest.raises(BudgetExceededError):
                 attempt_radical(I, Budget(cap=cap))
-        assert attempt_radical(I, Budget(cap=79))[0] == J
+        assert attempt_radical(I, Budget(cap=108))[0] == J
 
 
 class TestRadicalCertificateOfAProduct:

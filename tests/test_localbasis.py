@@ -273,6 +273,38 @@ class TestKernelMatchesReference:
             assert cert.holds()
 
 
+    def test_order_key_evaluations_stay_linear_in_the_terms_created(self, monkeypatch):
+        # a member with many terms on the corner of order 16: a scan for
+        # each leading term evaluated the local key 7382 times, the heap
+        # about once per term the reduction creates (398 for 570)
+        import leafmult.localbasis as localbasis
+        from leafmult.ideals import MonomialOrder
+        n = 16
+        basis = standard_basis([P("t1-t2^2+t1*t2"), P("t2^3-t1^2")], n)
+        f = P("(1+t1+t2)^12*(t1-t2^2+t1*t2) + (2-t1)^12*(t2^3-t1^2)")
+        order = MonomialOrder("local")
+        calls = [0]
+        for name in ("key", "heap_key"):
+            def counting(m, real=getattr(order, name)):
+                calls[0] += 1
+                return real(m)
+            object.__setattr__(order, name, counting)
+        created = [len(f.truncated(n).num)]
+        real_cancel = localbasis._cancel_lead
+
+        def cancel(work, scale, c, shift, lc, reducer, *args, **kwargs):
+            created[0] += len(reducer)
+            return real_cancel(work, scale, c, shift, lc, reducer, *args, **kwargs)
+
+        monkeypatch.setattr(localbasis, "_cancel_lead", cancel)
+        monkeypatch.setattr(localbasis, "LOCAL_ORDER", order)
+        budget = Budget()
+        assert mora_normal_form(f, basis, n, budget).is_zero()
+        assert budget.used == 146
+        assert created[0] > 500
+        assert calls[0] <= 2 * created[0]
+
+
 class TestStepBound:
     """Every corner reduction step lowers the leading monomial among the
     (N+1)(N+2)/2 monomials of degree <= N, so no normal form or division
