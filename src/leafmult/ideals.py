@@ -500,7 +500,7 @@ def leading_term_ideal(ideal: IdealPresentation, order: MonomialOrder = DEGREVLE
     if ideal.is_zero_ideal():
         return IdealPresentation(ideal.ring)
     gb = groebner(ideal, order, budget)
-    monos = sorted({leading_monomial(g, order) for g in gb.basis},
+    monos = sorted(set(gb.leading_monomials()),
                    key=lambda m: (monomial_degree(m), order.key(m)))
     minimal = []
     for m in monos:
