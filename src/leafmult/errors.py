@@ -30,16 +30,11 @@ class HypothesisError(LeafmultError):
 
 
 class BudgetExceededError(LeafmultError):
-    """A computation hit its configured resource cap.
+    """A computation hit its configured resource cap; `stage` names where."""
 
-    Carries whatever partial state was reached so callers can report where
-    an example exceeded desk scale.
-    """
-
-    def __init__(self, message, stage="", partial=None):
+    def __init__(self, message, stage=""):
         super().__init__(message)
         self.stage = stage
-        self.partial = partial
 
 
 class RegenerationRequest(LeafmultError):

@@ -36,7 +36,14 @@ from .localbasis import (  # local_membership is re-exported
     local_membership,
     mora_divide,
 )
-from .poly import Polynomial, _canonical, exact_divide, factor, normalize_leading
+from .poly import (
+    Polynomial,
+    _canonical,
+    _over_common_denominator,
+    exact_divide,
+    factor,
+    normalize_leading,
+)
 from .puiseux import BranchParam, expand, factor_from_param
 from .series import QQ, XSeries, YPoly
 
@@ -62,10 +69,12 @@ class Frame:
     shear: Fraction = Fraction(0)
 
     def push(self, jet: Jet2) -> Jet2:
-        out = jet.swap_variables() if self.swap else jet
-        if self.shear:
-            out = out.substitute_linear(((1, self.shear), (0, 1)))
-        return out
+        """Express a jet in frame coordinates: the swap, then
+        t1 -> t1 + shear*t2, as one linear substitution."""
+        if not (self.swap or self.shear):
+            return jet
+        s = self.shear
+        return jet.substitute_linear(((0, 1), (1, s)) if self.swap else ((1, s), (0, 1)))
 
     def pull_polynomial(self, p: Polynomial) -> Polynomial:
         """Express a frame-coordinate polynomial in original coordinates:
@@ -117,27 +126,8 @@ def jet_to_ypoly(jet: Jet2) -> YPoly:
 
 
 # ---------------------------------------------------------------------------
-# jet inversion and germ division
+# germ division
 # ---------------------------------------------------------------------------
-
-
-def jet_inverse(j: Jet2, order: Optional[int] = None) -> Jet2:
-    """Multiplicative inverse of a unit jet, by Newton iteration."""
-    if not j.is_unit():
-        raise DomainError("jet inverse requires a unit (nonzero value at the origin)")
-    order = _capped_order(j.order if order is None else order, [j])
-    work = j.at_order(order)
-    inv0 = Jet2.constant(Fraction(1) / work.value_at_origin(), order)
-    two = Jet2.constant(2, order)
-    r = inv0
-    known = 1
-    while known <= order:
-        r = (r * (two - work * r)).truncate(order)
-        known *= 2
-    prod = None
-    if j.producer is not None:
-        prod = cached_producer(lambda n: jet_inverse(j, n))
-    return Jet2(order, r.poly, prod)
 
 
 def germ_divide(a: Jet2, b: Jet2, order: Optional[int] = None) -> Optional[Jet2]:
@@ -385,9 +375,9 @@ def weierstrass_jet(f: Jet2) -> tuple:
     # t * u0 = 1 mod t2^mu, the Bezout cofactor of the splitting
     tn, td = [], 1
     if mu:
-        u0 = _canonical(LEAF_RING, {(0, b): n for b, n in enumerate(u0n) if n}, fd)
-        t = jet_inverse(Jet2(mu - 1, u0)).poly
-        tn, td = [t.num.get((0, b), 0) for b in range(t.total_degree() + 1)], t.den
+        u0 = XSeries.make(QQ, {b: Fraction(n, fd) for b, n in enumerate(u0n) if n}, mu)
+        t = dict(u0.inverse().coeffs)
+        tn, td = _over_common_denominator([t.get(b, 0) for b in range(max(t) + 1)])
     W: dict[int, tuple] = {}
     U: dict[int, tuple] = {}
     for k in range(1, order + 1):
@@ -534,7 +524,7 @@ def _germ_cycles_uncached(f: Jet2, min_factor_prec: int,
             last_error = e
             order = max(2 * order, e.needed_order, order + 4)
     raise BudgetExceededError("branch decomposition exceeded the order cap",
-                              stage="puiseux", partial=last_error)
+                              stage="puiseux") from last_error
 
 
 def _germ_cycles_once(source: Jet2, work: Jet2, min_factor_prec: int,

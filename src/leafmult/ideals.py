@@ -5,8 +5,8 @@ update) and normal selection; exact arithmetic throughout.  Reduction is
 fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
 ch. 6): it runs on the integer numerators of the polynomials and scales
 the working polynomial instead of dividing it.  Budgets guard
-against blowup: on cap overrun a BudgetExceededError carries the partial
-basis so callers can report where an example exceeded desk scale.
+against blowup: on cap overrun a BudgetExceededError names the stage that
+ran out.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .poly import (
     degrevlex_key,
     exact_divide,
     gcd as poly_gcd,
+    minimal_generators,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -131,13 +132,13 @@ class Budget:
         self.used = 0
         self.stage = stage
 
-    def spend(self, n: int = 1, stage: str = "", partial=None):
+    def spend(self, n: int = 1, stage: str = "", _unused=None):
+        # the fourth argument is ignored; perfbench/tracer.py still passes it
         self.used += n
         if self.used > self.cap:
             raise BudgetExceededError(
                 f"budget of {self.cap} steps exceeded" + (f" in {stage}" if stage else ""),
                 stage=stage or self.stage,
-                partial=partial,
             )
 
 
@@ -341,12 +342,8 @@ def _gm_update(G, P, lm, f, order):
     lcms = {}
     for i in range(t):
         lcms.setdefault(monomial_lcm(lm[i], m_new), []).append(i)
-    minimal = []
-    for L in sorted(lcms, key=lambda m: (monomial_degree(m), order.key(m))):
-        if all(not monomial_divides(L2, L) for L2 in minimal):
-            minimal.append(L)
     new_pairs = set()
-    for L in minimal:
+    for L in minimal_generators(lcms, key=lambda m: (monomial_degree(m), order.key(m))):
         # product criterion: coprime leading monomials reduce to zero
         if any(monomial_lcm(lm[i], m_new) == monomial_mul(lm[i], m_new) for i in lcms[L]):
             continue
@@ -374,7 +371,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         for stage, n in (("groebner", hit.stats.pairs_considered),
                          ("reduction", hit.stats.reductions)):
             if n and budget is not None:
-                budget.spend(n, stage, partial=hit.basis)
+                budget.spend(n, stage)
         return hit
     budget = budget or Budget()
     # every spend below is one S-pair or one reduction step of this basis
@@ -389,7 +386,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
             G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
     while P:
         pairs_considered += 1
-        budget.spend(1, "groebner", partial=tuple(G))
+        budget.spend(1, "groebner")
         # normal selection: smallest lcm degree, ties by order then index
         i, j = min(P, key=lambda p: (monomial_degree(monomial_lcm(lm[p[0]], lm[p[1]])),
                                      order.key(monomial_lcm(lm[p[0]], lm[p[1]])), p))
@@ -398,12 +395,8 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
         r = reduce_poly(s, G, order, budget)
         if not r.is_zero():
             G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
-    # minimalize
-    Gmin, lm_min = [], []
-    for i in sorted(range(len(G)), key=lambda i: order.key(lm[i])):
-        if all(not monomial_divides(h, lm[i]) for h in lm_min):
-            Gmin.append(G[i])
-            lm_min.append(lm[i])
+    Gmin = [G[i] for i in minimal_generators(range(len(G)), key=lambda i: order.key(lm[i]),
+                                             monomial=lm.__getitem__)]
     # interreduce tails
     Gred = []
     for i, g in enumerate(Gmin):
@@ -500,12 +493,8 @@ def leading_term_ideal(ideal: IdealPresentation, order: MonomialOrder = DEGREVLE
     if ideal.is_zero_ideal():
         return IdealPresentation(ideal.ring)
     gb = groebner(ideal, order, budget)
-    monos = sorted(set(gb.leading_monomials()),
-                   key=lambda m: (monomial_degree(m), order.key(m)))
-    minimal = []
-    for m in monos:
-        if all(not monomial_divides(m2, m) for m2 in minimal):
-            minimal.append(m)
+    minimal = minimal_generators(set(gb.leading_monomials()),
+                                 key=lambda m: (monomial_degree(m), order.key(m)))
     return IdealPresentation(ideal.ring, tuple(Polynomial.monomial(ideal.ring, m) for m in minimal))
 
 

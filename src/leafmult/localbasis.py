@@ -76,6 +76,7 @@ from .jets import Jet2, _capped_order
 from .poly import (
     Monomial,
     Polynomial,
+    minimal_generators,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -203,7 +204,7 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
              for i in range(len(pool)) for j in range(i + 1, len(pool))]
     heapify(pairs)
     while pairs:
-        budget.spend(1, "standard basis", partial=[e.poly for e in pool])
+        budget.spend(1, "standard basis")
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
         s = _s_polynomial(a.poly, a.lm, b.poly, b.lm).truncated(order)
@@ -217,22 +218,14 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
 
 
 def _minimalize(pool: list) -> list:
-    out: list[_Lead] = []
-    for e in sorted(pool, key=lambda e: LOCAL_ORDER.key(e.lm), reverse=True):
-        if all(not monomial_divides(o.lm, e.lm) for o in out):
-            out.append(e)
-    return [e.poly for e in out]
+    return [e.poly for e in minimal_generators(pool, key=lambda e: LOCAL_ORDER.key(e.lm),
+                                               monomial=lambda e: e.lm, reverse=True)]
 
 
 def leading_staircase(basis: Sequence[Polynomial]) -> tuple:
     """Minimal generators of the leading-term ideal of a standard basis."""
-    monos = sorted({leading_monomial(g, LOCAL_ORDER) for g in basis},
-                   key=lambda m: (monomial_degree(m), m))
-    minimal = []
-    for m in monos:
-        if all(not monomial_divides(m2, m) for m2 in minimal):
-            minimal.append(m)
-    return tuple(minimal)
+    return tuple(minimal_generators({leading_monomial(g, LOCAL_ORDER) for g in basis},
+                                    key=lambda m: (monomial_degree(m), m)))
 
 
 def closure_degree(staircase: Sequence[Monomial], order: int) -> Optional[int]:

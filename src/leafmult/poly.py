@@ -45,6 +45,19 @@ def monomial_degree(a: Monomial) -> int:
     return sum(a)
 
 
+def minimal_generators(items: Iterable, key, monomial=lambda m: m, reverse: bool = False) -> list:
+    """The items, in the stable sort by key (descending with reverse),
+    whose monomial no item kept before it divides: the minimal generators
+    of their monomial ideal when the sort puts each divisor first."""
+    out, kept = [], []
+    for item in sorted(items, key=key, reverse=reverse):
+        m = monomial(item)
+        if all(not monomial_divides(k, m) for k in kept):
+            out.append(item)
+            kept.append(m)
+    return out
+
+
 def degrevlex_key(m: Monomial) -> tuple:
     """Sort key of degrevlex: total degree, then reversed negated exponents;
     a bigger key is a bigger monomial."""

@@ -524,10 +524,6 @@ class XSeries:
     def const(field, value, prec):
         return XSeries.make(field, {0: field.coerce(value)}, prec)
 
-    @staticmethod
-    def monomial(field, exp, value, prec):
-        return XSeries.make(field, {exp: field.coerce(value)}, prec)
-
     def is_zero_known(self) -> bool:
         return not self.coeffs
 
@@ -680,16 +676,6 @@ class YPoly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other: "YPoly") -> "YPoly":
-        if not self.coeffs or not other.coeffs:
-            return YPoly.make(self.field, [])
-        acc: list = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                p = a * b
-                acc[i + j] = p if acc[i + j] is None else acc[i + j] + p
-        return YPoly.make(self.field, acc)
 
     def scale_series(self, s: XSeries) -> "YPoly":
         return YPoly.make(self.field, [c * s for c in self.coeffs])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from leafmult.errors import DomainError, HypothesisError
+from leafmult.errors import HypothesisError
 from leafmult.germs import (
     MAX_NP_ORDER,
     MAX_STABILIZATION_ORDER,
@@ -16,7 +16,6 @@ from leafmult.germs import (
     germ_cycles,
     germ_divide,
     germ_divides,
-    jet_inverse,
     local_membership,
     local_multiplicity,
     newton_puiseux,
@@ -50,26 +49,6 @@ def transcendental_exp(order=12):
             coeffs[(a, 0)] = Fraction(1, fact)
         return Jet2(n, coeffs, produce)
     return produce(order)
-
-
-class TestJetInverse:
-    def test_geometric(self):
-        inv = jet_inverse(J("1-t1", 6))
-        assert all(inv.coefficient(a, 0) == 1 for a in range(7))
-
-    def test_nonunit_rejected(self):
-        with pytest.raises(DomainError):
-            jet_inverse(J("t1"))
-
-    def test_product_is_one(self):
-        j = J("1+2*t1-t2+t1*t2", 8)
-        assert (j * jet_inverse(j)).to_polynomial() == Polynomial.constant(T, 1)
-
-    def test_stored_order_caps_a_jet_without_producer(self):
-        # 1 + t1 is known only to order 3, so its inverse is too
-        inv = jet_inverse(Jet2(3, parse_polynomial("1+t1", T)), 8)
-        assert inv.order == 3
-        assert inv.to_polynomial() == parse_polynomial("1-t1+t1^2-t1^3", T)
 
 
 class TestGermDivide:
@@ -191,6 +170,18 @@ class TestLocalMultiplicity:
         f = transcendental_exp(10)
         value, cert = local_multiplicity(f, J("t2", 10))
         assert value == 1
+
+    @pytest.mark.parametrize("f, g", [("(z-1)*(y-x)", "(z-1)*(y+x)"),
+                                      ("(z-1-y)*x", "(z-1-y)*(x+y^2)")])
+    def test_common_branch_of_leaf_jets_is_matched(self, f, g):
+        # the leaf jets are not polynomials, so no gcd decides: the corner
+        # never closes and the branch sets share the branch of the factor
+        leaf = exponential_leaf()
+        jf, jg = (leaf.leaf_jet(parse_polynomial(p, XYZ), 12) for p in (f, g))
+        assert jf.as_exact_polynomial() is None and jg.as_exact_polynomial() is None
+        value, why = local_multiplicity(jf, jg)
+        assert value == inf
+        assert why.startswith("matched common branch: ")
 
 
 class TestLocalMembership:

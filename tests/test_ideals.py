@@ -295,9 +295,9 @@ class _StageBudget(Budget):
         super().__init__(cap)
         self.by_stage = {}
 
-    def spend(self, n=1, stage="", partial=None):
+    def spend(self, n=1, stage=""):
         self.by_stage[stage] = self.by_stage.get(stage, 0) + n
-        super().spend(n, stage, partial)
+        super().spend(n, stage)
 
 
 class TestNoFractionViews:

@@ -169,7 +169,7 @@ def _ref_standard_basis(gens, budget):
         return []
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     while pairs:
-        budget.spend(1, "standard basis", partial=list(G))
+        budget.spend(1, "standard basis")
         def lcm_of(p):
             return monomial_lcm(_ref_leading_term(G[p[0]])[0],
                                 _ref_leading_term(G[p[1]])[0])

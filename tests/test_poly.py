@@ -12,6 +12,7 @@ from leafmult.poly import (
     _gcd_prs,
     exact_divide,
     gcd,
+    minimal_generators,
     normalize_leading,
     parse_polynomial,
     squarefree_part,
@@ -53,6 +54,21 @@ class TestArithmetic:
     def test_scalar_ops(self):
         assert 2 * P("x") - P("x") == P("x")
         assert Fraction(1, 2) * P("2*x") == P("x")
+
+
+class TestMinimalGenerators:
+    ITEMS = [("a", (2, 0)), ("b", (1, 1)), ("c", (1, 1)), ("d", (0, 3)), ("e", (1, 2))]
+
+    @pytest.mark.parametrize("sign, reverse", [(1, False), (-1, True)])
+    def test_keeps_the_first_of_each_divisibility_chain(self, sign, reverse):
+        # by degree: c repeats b and e is a multiple of b; the descending sort
+        # of the negated degree is stable too, so b still comes before c
+        got = minimal_generators(self.ITEMS, key=lambda p: sign * sum(p[1]),
+                                 monomial=lambda p: p[1], reverse=reverse)
+        assert [name for name, _ in got] == ["a", "b", "d"]
+
+    def test_monomials_by_default(self):
+        assert minimal_generators([(1, 2), (2, 0), (0, 2)], key=sum) == [(2, 0), (0, 2)]
 
 
 class TestDerive:
