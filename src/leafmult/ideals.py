@@ -1,12 +1,12 @@
 """Groebner-basis machinery for global polynomial ideals.
 
 Buchberger with the product and chain criteria (Gebauer-Moeller pair
-update) and normal selection; exact arithmetic throughout.  Reduction is
-fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 6): it runs on the integer numerators of the polynomials and scales
-the working polynomial instead of dividing it.  Budgets guard
-against blowup: on cap overrun a BudgetExceededError names the stage that
-ran out.
+update) and normal selection; exact arithmetic throughout.  Reduction,
+in `poly._divide`, is fraction-free (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 6): it runs on the integer numerators of the
+polynomials and scales the working polynomial instead of dividing it.
+Budgets guard against blowup: on cap overrun a BudgetExceededError names
+the stage that ran out.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm
-from operator import add, neg
-from typing import Callable, Mapping, Optional, Sequence
+from math import inf, lcm
+from operator import neg
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
 from .poly import (
@@ -35,7 +34,11 @@ from .poly import (
     monomial_mul,
     normalize_leading,
     squarefree_part,
+    _Lead,
     _canonical,
+    _degrevlex_heap_key,
+    _divide,
+    _scaled,
     _sub_mul_into,
     _with_unit_coefficient,
 )
@@ -84,7 +87,7 @@ def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
         if kind == "lex":
             return tuple, lambda m: tuple(map(neg, m))
         if kind == "degrevlex":
-            return degrevlex_key, lambda m: (-sum(m), m[::-1])
+            return degrevlex_key, _degrevlex_heap_key
         return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
     perm = tuple(permutation)
     rev = perm[::-1]
@@ -188,8 +191,8 @@ class GroebnerStats:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """`leads` holds (leading monomial, its integer numerator) of each basis
-    element, found once for the normal forms that reduce against it."""
+    """`leads` holds each basis element as a `poly._Lead`, found once for
+    the normal forms that reduce against it."""
 
     order: MonomialOrder
     basis: tuple
@@ -200,119 +203,34 @@ class GroebnerBasis:
         object.__setattr__(self, "leads", _leads(self.basis, self.order))
 
     def leading_monomials(self):
-        return [m for m, _ in self.leads]
+        return [e.lm for e in self.leads]
 
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
-
-
-def _cancel_lead(work: dict, scale: tuple, c: int, shift: Monomial, lc: int,
-                 reducer: Mapping[Monomial, int], max_degree: Optional[int] = None,
-                 rest: Optional[dict] = None) -> tuple:
-    """One fraction-free reduction step, in place.  work and rest (a
-    remainder kept beside it) are integer maps that stand for
-    (work + rest) * num / den, (num, den) = scale.  The term c*x^m of work
-    is cancelled by x^shift * reducer, whose coefficient at m/shift is lc:
-    work becomes s*work - t*x^shift*reducer with s = |lc|/gcd(lc, c) and
-    t = s*c/lc, the products of total degree above max_degree dropped, and
-    rest is scaled by s too.  When s != 1 the content k of work and rest is
-    then taken out.  Returns the new scale, (num*k, den*s) in lowest terms,
-    so the maps now stand for the old value less
-    (c/lc) * (num/den) * x^shift * reducer."""
-    g = gcd(lc, c)
-    s, t = lc // g, c // g
-    if s < 0:
-        s, t = -s, -t
-    maps = (work, rest) if rest else (work,)
-    if s != 1:
-        for d in maps:
-            for m in d:
-                d[m] *= s
-    _sub_mul_into(work, shift, t, reducer, max_degree)
-    if s == 1:
-        return scale
-    k = gcd(*work.values(), *(rest.values() if rest else ()))
-    if k > 1:
-        for d in maps:
-            for m in d:
-                d[m] //= k
-    else:
-        k = 1
-    num, den = scale[0] * k, scale[1] * s
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _scaled(ring: tuple, num: dict, scale: tuple) -> Polynomial:
-    """The polynomial num * scale[0] / scale[1], num an integer map."""
-    if scale[0] != 1:
-        num = {m: c * scale[0] for m, c in num.items()}
-    return _canonical(ring, num, scale[1])
 
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder,
                 budget: Optional[Budget] = None, with_quotients: bool = False):
     """Full multivariate division under a global order: returns remainder
     (and quotients when asked).  Deterministic: the first reducer in basis
-    order wins.
-
-    The working polynomial and the remainder are integer maps over one
-    rational scale: f equals the quotient part plus (work + rem) * scale
-    throughout (`_cancel_lead`).
-
-    The leading monomial of work comes from a heap (Monagan and Pearce,
-    "Polynomial division using dynamic arrays, heaps, and packed exponent
-    vectors", CASC 2007).  Every monomial of work has an entry.  A step
-    cancels the lead m with x^shift * g, whose other terms all lie below m
-    under a monomial order, so the leads strictly decrease, and after a
-    step only the shifted terms of g still in work need an entry.  A popped
-    monomial no longer in work is stale (cancelled, or handled through an
-    earlier entry) and is skipped.  So each pop is the monomial that
-    max(work) would give, and the remainder, its term order, the
-    quotients and the steps are those of a scan."""
-    return _reduce_poly(f, basis, _leads(basis, order), order, budget, with_quotients)
+    order wins.  `poly._divide` with a remainder kept beside the work."""
+    quotients = [{} for _ in basis] if with_quotients else None
+    rem = _remainder(f, _leads(basis, order), order, budget, quotients)
+    if with_quotients:
+        return [Polynomial(f.ring, q) for q in quotients], rem
+    return rem
 
 
 def _leads(basis: Sequence[Polynomial], order: MonomialOrder) -> tuple:
-    key = order.key
-    return tuple((lm := max(g.num, key=key), g.num[lm]) for g in basis)
+    return tuple(_Lead(g, order.key) for g in basis)
 
 
-def _reduce_poly(f: Polynomial, basis: Sequence[Polynomial], lead: tuple, order: MonomialOrder,
-            budget: Optional[Budget], with_quotients: bool):
-    """reduce_poly with the leading terms of basis given as `_leads`."""
-    heap_key = order.heap_key
-    quots = [Polynomial.zero(f.ring) for _ in basis] if with_quotients else None
-    r_terms: dict = {}
-    work = dict(f.num)
-    scale = (1, f.den)
-    heap = [(heap_key(m), m) for m in work]
-    heapify(heap)
-    while heap:
-        m = heappop(heap)[1]
-        if m not in work:
-            continue
-        for i, (lm, lc) in enumerate(lead):
-            if monomial_divides(lm, m):
-                break
-        else:
-            r_terms[m] = work.pop(m)
-            continue
-        shift, c = monomial_div(m, lm), work[m]
-        if with_quotients:
-            q = Fraction(c * scale[0] * basis[i].den, scale[1] * lc)
-            quots[i] = quots[i] + Polynomial.monomial(f.ring, shift, q)
-        scale = _cancel_lead(work, scale, c, shift, lc, basis[i].num, rest=r_terms)
-        for t in basis[i].num:
-            t = tuple(map(add, shift, t))
-            if t in work:
-                heappush(heap, (heap_key(t), t))
-        if budget is not None:
-            budget.spend(1, "reduction")
-    rem = _scaled(f.ring, r_terms, scale)
-    if with_quotients:
-        return quots, rem
-    return rem
+def _remainder(f: Polynomial, leads: Sequence[_Lead], order: MonomialOrder,
+               budget: Optional[Budget], quotients: Optional[list] = None) -> Polynomial:
+    rest: dict = {}
+    _, scale = _divide(f, leads, order.heap_key, rest, budget=budget, stage="reduction",
+                       quotients=quotients)
+    return _scaled(f.ring, rest, scale)
 
 
 def _s_polynomial(f: Polynomial, mf: Monomial, g: Polynomial, mg: Monomial) -> Polynomial:
@@ -414,7 +332,7 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
 def normal_form(f: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of multivariate division; zero iff f is in the ideal."""
-    return _reduce_poly(f, gb.basis, gb.leads, gb.order, budget, False)
+    return _remainder(f, gb.leads, gb.order, budget)
 
 
 def member(f: Polynomial, ideal: IdealPresentation,

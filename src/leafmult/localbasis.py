@@ -17,17 +17,10 @@ monomial multiple of a reducer whose leading monomial divides lm(h); every
 other term of the product is smaller than lm(h) in the local order, and
 the terms above N are dropped.  So each step lowers lm(h) among the
 (N+1)(N+2)/2 monomials of degree <= N, and a normal form or a division
-takes at most that many steps.  The reducer is the first of least total
-degree in pool order, which the callers keep canonical.
-
-Leading monomials come from a heap, under the invariant of
-`ideals.reduce_poly` (Monagan and Pearce, CASC 2007).  Every monomial of h
-has an entry; a step pushes only the shifted reducer terms still in h,
-since every other term of h is already there, and a popped monomial no
-longer in h is stale and skipped.  The leads strictly decrease, so each
-pop is the leading monomial a scan of h would find, and the reduction
-stops at the first lead that no pool entry reduces.  Normal forms,
-quotients and steps are those of the scan.
+takes at most that many steps.  The reducer is the first whose leading
+monomial divides lm(h) in the pool sorted stably by total degree, so the
+first of least degree in pool order, which the callers keep canonical.
+The steps run in `poly._divide`, the package's one division loop.
 
 Memberships.  The local order is degree-compatible, so the leading
 monomial of a series with a term of degree <= N lies among its terms of
@@ -54,20 +47,18 @@ that order rather than starting there: the corner's cost grows fast with N
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
-from operator import add
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .ideals import (
     Budget,
     MonomialOrder,
-    _cancel_lead,
     _s_polynomial,
-    _scaled,
     leading_monomial,
     monic,
     staircase_count,
@@ -78,35 +69,17 @@ from .poly import (
     Polynomial,
     minimal_generators,
     monomial_degree,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
+    _Lead,
+    _divide,
+    _scaled,
 )
 
 LOCAL_ORDER = MonomialOrder("local")
 
 
-class _Lead:
-    """A pool polynomial with its leading monomial, the integer numerator
-    there and its total degree, computed once when it joins the pool."""
-
-    __slots__ = ("poly", "lm", "lc", "degree")
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-        self.lm = leading_monomial(poly, LOCAL_ORDER)
-        self.lc = poly.num[self.lm]
-        self.degree = poly.total_degree()
-
-
-def _select(pool: list, lm: Monomial) -> Optional[_Lead]:
-    """The first pool entry of least total degree whose leading monomial
-    divides lm."""
-    best = None
-    for e in pool:
-        if monomial_divides(e.lm, lm) and (best is None or e.degree < best.degree):
-            best = e
-    return best
+_by_degree = attrgetter("degree")
 
 
 def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial], order: int,
@@ -117,7 +90,8 @@ def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial], order: int,
     docstring)."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
-    pool = [_Lead(g) for g in (g.truncated(order) for g in gens) if not g.is_zero()]
+    gens = (g.truncated(order) for g in gens)
+    pool = sorted((_Lead(g, LOCAL_ORDER.key) for g in gens if not g.is_zero()), key=_by_degree)
     return _reduce(f.truncated(order), pool, budget, order, "mora")
 
 
@@ -131,46 +105,19 @@ def mora_divide(f: Polynomial, divisor: Polynomial, order: int,
     if budget is None:
         budget = Budget(cap=500_000, stage="mora divide")
     divisor = divisor.truncated(order)
-    pool = [] if divisor.is_zero() else [_Lead(divisor)]
+    pool = [] if divisor.is_zero() else [_Lead(divisor, LOCAL_ORDER.key)]
     quotient: dict = {}
-    rem = _reduce(f.truncated(order), pool, budget, order, "mora divide", quotient)
+    rem = _reduce(f.truncated(order), pool, budget, order, "mora divide", [quotient])
     return rem, Polynomial(f.ring, quotient)
 
 
 def _reduce(h: Polynomial, pool: Sequence[_Lead], budget: Budget, order: int,
-            stage: str, quotient: Optional[dict] = None) -> Polynomial:
-    """Normal form of h on a pool of entries, h already truncated at order.
-    Each step subtracts c*x^shift times an entry.  quotient, when given for
-    a pool of one entry, collects {shift: c} over the steps; no shift
-    repeats, since each step lowers lm(h).
-
-    h is worked on as integer numerators times one rational scale, and a
-    step scales them instead of dividing (`ideals._cancel_lead`).  Leading
-    monomials come from a heap, as in `ideals.reduce_poly` (module
-    docstring)."""
-    heap_key = LOCAL_ORDER.heap_key
-    work = dict(h.num)
-    scale = (1, h.den)
-    heap = [(heap_key(m), m) for m in work]
-    heapify(heap)
-    while heap:
-        lm_h = heappop(heap)[1]
-        if lm_h not in work:
-            continue
-        g = _select(pool, lm_h)
-        if g is None:
-            break
-        shift, lc_h = monomial_div(lm_h, g.lm), work[lm_h]
-        if quotient is not None:
-            quotient[shift] = Fraction(lc_h * scale[0] * g.poly.den, scale[1] * g.lc)
-        # a product that stays within the corner needs no per-term test
-        cap = None if monomial_degree(shift) + g.degree <= order else order
-        scale = _cancel_lead(work, scale, lc_h, shift, g.lc, g.poly.num, cap)
-        for t in g.poly.num:
-            t = tuple(map(add, shift, t))
-            if t in work:
-                heappush(heap, (heap_key(t), t))
-        budget.spend(1, stage)
+            stage: str, quotients: Optional[list] = None) -> Polynomial:
+    """Normal form of h, already truncated at order, on a pool sorted
+    stably by total degree: lead reduction by `poly._divide` on the
+    corner, with quotients as there."""
+    work, scale = _divide(h, pool, LOCAL_ORDER.heap_key, max_degree=order, budget=budget,
+                          stage=stage, quotients=quotients)
     return _scaled(h.ring, work, scale)
 
 
@@ -186,7 +133,7 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
     if budget is None:
         budget = Budget(cap=500_000, stage="standard basis")
     ring = None
-    pool: list[_Lead] = []
+    pool: list[_Lead] = []  # in order of joining: pairs index it
     for g in gens:
         g = g.truncated(order)
         if g.is_zero():
@@ -195,7 +142,7 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
             ring = g.ring
             if len(ring) != 2:
                 raise DomainError("the local engine is specialized to two variables")
-        pool.append(_Lead(monic(g, LOCAL_ORDER)))
+        pool.append(_Lead(monic(g, LOCAL_ORDER), LOCAL_ORDER.key))
     # S-polynomials and their reductions lie in m, so only an input unit
     # makes the ideal the whole ring
     if any(not any(e.lm) for e in pool):
@@ -203,17 +150,19 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
     pairs = [(monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
              for i in range(len(pool)) for j in range(i + 1, len(pool))]
     heapify(pairs)
+    by_degree = sorted(pool, key=_by_degree)
     while pairs:
         budget.spend(1, "standard basis")
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
         s = _s_polynomial(a.poly, a.lm, b.poly, b.lm).truncated(order)
-        h = _reduce(s, pool, budget, order, "mora")
+        h = _reduce(s, by_degree, budget, order, "mora")
         if not h.is_zero():
-            new = _Lead(monic(h, LOCAL_ORDER))
+            new = _Lead(monic(h, LOCAL_ORDER), LOCAL_ORDER.key)
             for k, e in enumerate(pool):
                 heappush(pairs, (monomial_degree(monomial_lcm(e.lm, new.lm)), (k, len(pool))))
             pool.append(new)
+            insort(by_degree, new, key=_by_degree)
     return _minimalize(pool)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -64,6 +65,12 @@ def degrevlex_key(m: Monomial) -> tuple:
     return (sum(m), tuple(map(neg, m[::-1])))
 
 
+def _degrevlex_heap_key(m: Monomial) -> tuple:
+    """degrevlex_key with every entry negated: a min-heap pops the largest
+    monomial first."""
+    return (-sum(m), m[::-1])
+
+
 def _add_into(acc: dict, num: Mapping[Monomial, int], k: int = 1) -> None:
     """acc += k * num in place, dropping the coefficients that cancel."""
     for m, c in num.items():
@@ -94,6 +101,121 @@ def _sub_mul_into(acc: dict, mono: Monomial, coeff: int, num: Mapping[Monomial, 
                 acc[m] = s
             else:
                 del acc[m]
+
+
+class _Lead:
+    """A reducer of `_divide`: a nonzero polynomial with its leading
+    monomial under a sort key, the integer numerator there and its total
+    degree, computed once."""
+
+    __slots__ = ("poly", "lm", "lc", "degree")
+
+    def __init__(self, poly: "Polynomial", key):
+        self.poly = poly
+        self.lm = max(poly.num, key=key)
+        self.lc = poly.num[self.lm]
+        self.degree = poly.total_degree()
+
+
+def _cancel_lead(work: dict, scale: tuple, c: int, shift: Monomial, lc: int,
+                 reducer: Mapping[Monomial, int], max_degree: Optional[int] = None,
+                 rest: Optional[dict] = None) -> tuple:
+    """One fraction-free reduction step, in place.  work and rest (a
+    remainder kept beside it) are integer maps that stand for
+    (work + rest) * num / den, (num, den) = scale.  The term c*x^m of work
+    is cancelled by x^shift * reducer, whose coefficient at m/shift is lc:
+    work becomes s*work - t*x^shift*reducer with s = |lc|/gcd(lc, c) and
+    t = s*c/lc, the products of total degree above max_degree dropped, and
+    rest is scaled by s too.  When s != 1 the content k of work and rest is
+    then taken out.  Returns the new scale, (num*k, den*s) in lowest terms,
+    so the maps now stand for the old value less
+    (c/lc) * (num/den) * x^shift * reducer."""
+    g = math.gcd(lc, c)
+    s, t = lc // g, c // g
+    if s < 0:
+        s, t = -s, -t
+    maps = (work, rest) if rest else (work,)
+    if s != 1:
+        for d in maps:
+            for m in d:
+                d[m] *= s
+    _sub_mul_into(work, shift, t, reducer, max_degree)
+    if s == 1:
+        return scale
+    k = math.gcd(*work.values(), *(rest.values() if rest else ()))
+    if k > 1:
+        for d in maps:
+            for m in d:
+                d[m] //= k
+    else:
+        k = 1
+    num, den = scale[0] * k, scale[1] * s
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _divide(h: "Polynomial", reducers: Sequence[_Lead], heap_key, rest: Optional[dict] = None,
+            max_degree: Optional[int] = None, budget=None, stage: str = "",
+            quotients: Optional[list] = None) -> tuple:
+    """The package's one multivariate division loop (Monagan and Pearce,
+    "Polynomial division using dynamic arrays, heaps, and packed exponent
+    vectors", CASC 2007).  Each step cancels the leading term c*x^m of the
+    working polynomial with c/lc * x^shift times the first reducer whose
+    leading monomial divides m, and spends one step of budget, if given,
+    under stage; quotients, when given, holds one map per reducer, which
+    gets the rational coefficient of each step at its shift (no shift
+    repeats, since the leads decrease).  When no reducer divides m,
+    the term moves to rest, or, with rest None, the division stops.  With
+    max_degree, the products of total degree above it are dropped.
+
+    Returns (work, scale): h equals the quotient part plus
+    (work + rest) * scale[0] / scale[1] throughout (`_cancel_lead`).
+
+    The leading monomial comes from a heap, whose min is the largest
+    monomial under heap_key (a monomial order, global or local).  Every
+    monomial of work has an entry.  The other terms of x^shift * reducer
+    lie below m, so the leads strictly decrease, and after a step only the
+    shifted terms still in work need an entry.  A popped monomial no
+    longer in work is stale (cancelled, or handled through an earlier
+    entry) and is skipped.  So each pop is the monomial a scan of work
+    would find, and the remainder, its term order, the quotients and the
+    steps are those of a scan."""
+    work = dict(h.num)
+    scale = (1, h.den)
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        if m not in work:
+            continue
+        for i, g in enumerate(reducers):
+            if monomial_divides(g.lm, m):
+                break
+        else:
+            if rest is None:
+                break
+            rest[m] = work.pop(m)
+            continue
+        shift, c = monomial_div(m, g.lm), work[m]
+        if quotients is not None:
+            quotients[i][shift] = Fraction(c * scale[0] * g.poly.den, scale[1] * g.lc)
+        # a product that stays within max_degree needs no per-term test
+        cap = None if max_degree is None or sum(shift) + g.degree <= max_degree else max_degree
+        scale = _cancel_lead(work, scale, c, shift, g.lc, g.poly.num, cap, rest)
+        for t in g.poly.num:
+            t = tuple(map(add, shift, t))
+            if t in work:
+                heappush(heap, (heap_key(t), t))
+        if budget is not None:
+            budget.spend(1, stage)
+    return work, scale
+
+
+def _scaled(ring: tuple, num: dict, scale: tuple) -> "Polynomial":
+    """The polynomial num * scale[0] / scale[1], num an integer map."""
+    if scale[0] != 1:
+        num = {m: c * scale[0] for m, c in num.items()}
+    return _canonical(ring, num, scale[1])
 
 
 def _over_common_denominator(values) -> tuple:
@@ -333,21 +455,6 @@ class Polynomial:
                     else:
                         del acc[m]
         return _canonical(self.ring, acc, self.den * other.den)
-
-    def sub_mul(self, mono: Monomial, coeff, other: "Polynomial",
-                max_degree: Optional[int] = None) -> "Polynomial":
-        """self - coeff * x^mono * other, in one pass over other's terms,
-        without the products of total degree above max_degree (self's own
-        terms are kept); coeff is an int or a Fraction."""
-        self._check_ring(other)
-        if not coeff:
-            return self
-        ds, do = self.den, coeff.denominator * other.den
-        den = math.lcm(ds, do)
-        ks = den // ds
-        acc = {m: c * ks for m, c in self.num.items()} if ks != 1 else dict(self.num)
-        _sub_mul_into(acc, mono, coeff.numerator * (den // do), other.num, max_degree)
-        return _canonical(self.ring, acc, den)
 
     def truncated(self, max_degree: int) -> "Polynomial":
         """The terms of total degree at most max_degree."""
@@ -662,20 +769,11 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero():
         return a
     a._check_ring(b)
-    # divide leading terms under degrevlex until nothing is left
-    bm = max(b.num, key=degrevlex_key)
-    bc = b.num[bm]
-    q_terms: dict[Monomial, Fraction] = {}
-    r = a
-    while not r.is_zero():
-        rm = max(r.num, key=degrevlex_key)
-        if not monomial_divides(bm, rm):
-            raise DomainError("inexact polynomial division")
-        qm = monomial_div(rm, bm)
-        # each step lowers lm(r), so no quotient monomial repeats
-        qc = q_terms[qm] = Fraction(r.num[rm] * b.den, r.den * bc)
-        r = r.sub_mul(qm, qc, b)
-    return Polynomial._raw(a.ring, q_terms)
+    quotient: dict = {}
+    work, _ = _divide(a, [_Lead(b, degrevlex_key)], _degrevlex_heap_key, quotients=[quotient])
+    if work:
+        raise DomainError("inexact polynomial division")
+    return Polynomial._raw(a.ring, quotient)
 
 
 def _content_wrt(p: Polynomial, index: int, gcd_of=None) -> Polynomial:

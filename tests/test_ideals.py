@@ -203,7 +203,7 @@ class TestReducePolyMatchesReference:
         # reducing its powers; a scan for each leading term evaluated the key
         # 427k times on the 16th power, the heap evaluates it about once per
         # term the reduction creates (7.3k for 8.1k terms)
-        import leafmult.ideals as ideals
+        import leafmult.poly as poly
         xyz = ("x", "y", "z")
         gb = groebner(ideal("(z-1-x-y)*(y-x^3)", "(z-1-x-y)*(y+1/2*x^3)", ring=xyz))
         f = P("z-1-x-y", xyz) ** 16
@@ -215,13 +215,13 @@ class TestReducePolyMatchesReference:
                 return real(m)
             object.__setattr__(order, name, counting)
         created = [len(f.num)]
-        real_cancel = ideals._cancel_lead
+        real_cancel = poly._cancel_lead
 
         def cancel(work, scale, c, shift, lc, reducer, *args, **kwargs):
             created[0] += len(reducer)
             return real_cancel(work, scale, c, shift, lc, reducer, *args, **kwargs)
 
-        monkeypatch.setattr(ideals, "_cancel_lead", cancel)
+        monkeypatch.setattr(poly, "_cancel_lead", cancel)
         got = reduce_poly(f, gb.basis, order)
         assert created[0] > 5000
         assert calls[0] <= 2 * created[0]
