@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import inf, lcm
-from operator import neg
+from operator import attrgetter, neg
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
@@ -247,9 +247,11 @@ def _s_polynomial(f: Polynomial, mf: Monomial, g: Polynomial, mg: Monomial) -> P
     return _canonical(f.ring, acc, den)
 
 
-def _gm_update(G, P, lm, f, order):
-    """Gebauer-Moeller pair update; realizes the product and chain criteria."""
-    m_new = leading_monomial(f, order)
+def _gm_update(G: list, P: set, new: _Lead, order: MonomialOrder) -> set:
+    """Gebauer-Moeller pair update; realizes the product and chain criteria.
+    Appends new to G and returns the new pair set."""
+    lm = [e.lm for e in G]
+    m_new = new.lm
     t = len(G)
     # drop old pairs strictly dominated by the new element
     P = {(i, j) for (i, j) in P
@@ -266,9 +268,8 @@ def _gm_update(G, P, lm, f, order):
         if any(monomial_lcm(lm[i], m_new) == monomial_mul(lm[i], m_new) for i in lcms[L]):
             continue
         new_pairs.add((min(lcms[L]), t))
-    G = G + [f]
-    lm = lm + [m_new]
-    return G, P | new_pairs, lm
+    G.append(new)
+    return P | new_pairs
 
 
 _GB_CACHE: dict = {}
@@ -294,32 +295,30 @@ def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
     budget = budget or Budget()
     # every spend below is one S-pair or one reduction step of this basis
     used_before = budget.used
-    G: list[Polynomial] = []
-    lm: list[Monomial] = []
+    G: list[_Lead] = []  # the basis so far, each element with its leading term
     P: set = set()
     pairs_considered = 0
     for g in ideal.generators:
-        r = reduce_poly(g, G, order, budget) if G else g
+        r = _remainder(g, G, order, budget) if G else g
         if not r.is_zero():
-            G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
+            P = _gm_update(G, P, _Lead(monic(r, order), order.key), order)
     while P:
         pairs_considered += 1
         budget.spend(1, "groebner")
         # normal selection: smallest lcm degree, ties by order then index
-        i, j = min(P, key=lambda p: (monomial_degree(monomial_lcm(lm[p[0]], lm[p[1]])),
-                                     order.key(monomial_lcm(lm[p[0]], lm[p[1]])), p))
+        i, j = min(P, key=lambda p: (monomial_degree(m := monomial_lcm(G[p[0]].lm, G[p[1]].lm)),
+                                     order.key(m), p))
         P.remove((i, j))
-        s = _s_polynomial(G[i], lm[i], G[j], lm[j])
-        r = reduce_poly(s, G, order, budget)
+        s = _s_polynomial(G[i].poly, G[i].lm, G[j].poly, G[j].lm)
+        r = _remainder(s, G, order, budget)
         if not r.is_zero():
-            G, P, lm = _gm_update(G, P, lm, monic(r, order), order)
-    Gmin = [G[i] for i in minimal_generators(range(len(G)), key=lambda i: order.key(lm[i]),
-                                             monomial=lm.__getitem__)]
+            P = _gm_update(G, P, _Lead(monic(r, order), order.key), order)
+    Gmin = minimal_generators(G, key=lambda e: order.key(e.lm), monomial=attrgetter("lm"))
     # interreduce tails
     Gred = []
-    for i, g in enumerate(Gmin):
+    for i, e in enumerate(Gmin):
         others = Gmin[:i] + Gmin[i + 1:]
-        r = reduce_poly(g, others, order, budget) if others else g
+        r = _remainder(e.poly, others, order, budget) if others else e.poly
         Gred.append(monic(r, order))
     Gred.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     stats = GroebnerStats(pairs_considered=pairs_considered,

@@ -40,9 +40,21 @@ every N >= mu.  For polynomial generators of degree at most d, Bezout
 bounds mu by d^2 (two generic combinations of the generators meet at the
 origin with multiplicity at most d^2), so `local_quotient_dimension`
 reads "no closure at N = max(d, 1)^2" as infinite.  It doubles N up to
-that order rather than starting there: the corner's cost grows fast with N
-(a degree-7 pair of colength 5 closes at N = 8 in milliseconds and takes
-19 s at N = 28).
+that order rather than starting there, since a corner that does not close
+reduces up to its order: with f, g the colength-4 pair of the tests'
+`TestCornerLowering`, the pair `(t1-t2^2)*f, (t1-t2^2)*g` spends 36 budget
+steps at N = 8 and 737 at N = 28 (0.8 and 15 ms on a 2-vCPU Xeon VM, Python 3.11).
+
+The corner is lowered when it closes.  With m^k in I, I + m^{N+1} = I =
+I + m^{k+1} for every N >= k, so a standard basis computed at k decides at
+every N >= k: its elements, truncated at k, differ from elements of I by
+terms in m^{k+1}, inside I, and their leading monomials hold every minimal
+generator of L(I), all of degree <= k.  `standard_basis` checks the
+closure of its pool after each new element and goes on at k once the pool
+closes there, and `corner_member` reduces at k when its basis closes at k
+below the requested order.  A closed corner then costs the same at every
+N above its closure: the colength-4 pair f, g spends 10 budget steps at
+N = 8 and at N = 28, where the corner kept at N spent 53 and 793.
 """
 
 from __future__ import annotations
@@ -69,7 +81,6 @@ from .poly import (
     Polynomial,
     minimal_generators,
     monomial_degree,
-    monomial_divides,
     monomial_lcm,
     _Lead,
     _divide,
@@ -90,9 +101,14 @@ def mora_normal_form(f: Polynomial, gens: Sequence[Polynomial], order: int,
     docstring)."""
     if budget is None:
         budget = Budget(cap=500_000, stage="mora")
+    return _reduce(f.truncated(order), _corner_pool(gens, order), budget, order, "mora")
+
+
+def _corner_pool(gens: Sequence[Polynomial], order: int) -> list:
+    """The nonzero gens truncated at order, as reducers sorted stably by
+    total degree."""
     gens = (g.truncated(order) for g in gens)
-    pool = sorted((_Lead(g, LOCAL_ORDER.key) for g in gens if not g.is_zero()), key=_by_degree)
-    return _reduce(f.truncated(order), pool, budget, order, "mora")
+    return sorted((_Lead(g, LOCAL_ORDER.key) for g in gens if not g.is_zero()), key=_by_degree)
 
 
 def mora_divide(f: Polynomial, divisor: Polynomial, order: int,
@@ -125,11 +141,18 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
                    budget: Optional[Budget] = None) -> list:
     """Buchberger loop with the corner normal form modulo m^{order+1}; no pair
     criteria beyond deduplication (the product criterion is unsafe for
-    local orders).  Pairs are taken in (lcm degree, (i, j)) order.
+    local orders).  Pairs are taken in (lcm degree, (i, j)) order while
+    their lcm degree is at most the order: above it the S-polynomial
+    truncates to zero.
+
+    The corner is lowered when it closes: once the leading monomials of the
+    pool close at some k below the order, the loop goes on at order k with
+    the pool truncated there (module docstring).
 
     The result, together with the monomials of degree order+1, is a
-    standard basis of <gens> + m^{order+1} (module docstring), and a basis
-    holding a unit is returned as [1]."""
+    standard basis of <gens> + m^{order+1}; when its leading monomials
+    close at k <= order, it is a standard basis of <gens>, truncated at k.
+    A basis holding a unit is returned as [1]."""
     if budget is None:
         budget = Budget(cap=500_000, stage="standard basis")
     ring = None
@@ -150,8 +173,9 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
     pairs = [(monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
              for i in range(len(pool)) for j in range(i + 1, len(pool))]
     heapify(pairs)
+    pool, pairs, order = _lowered(pool, pairs, order)
     by_degree = sorted(pool, key=_by_degree)
-    while pairs:
+    while pairs and pairs[0][0] <= order:
         budget.spend(1, "standard basis")
         _, (i, j) = heappop(pairs)
         a, b = pool[i], pool[j]
@@ -162,8 +186,29 @@ def standard_basis(gens: Sequence[Polynomial], order: int,
             for k, e in enumerate(pool):
                 heappush(pairs, (monomial_degree(monomial_lcm(e.lm, new.lm)), (k, len(pool))))
             pool.append(new)
-            insort(by_degree, new, key=_by_degree)
+            pool, pairs, lowered = _lowered(pool, pairs, order)
+            if lowered < order:
+                order = lowered
+                by_degree = sorted(pool, key=_by_degree)
+            else:
+                insort(by_degree, new, key=_by_degree)
     return _minimalize(pool)
+
+
+def _lowered(pool: list, pairs: list, order: int) -> tuple:
+    """(pool, pairs, order), lowered to the closure degree k of the pool's
+    leading monomials when k < order: the entries truncated at k, and the
+    heap of their pairs of lcm degree at most k, reindexed.  An entry whose
+    leading monomial lies above k truncates to zero, and so does the
+    S-polynomial of every pair of it."""
+    k = closure_degree([e.lm for e in pool], order)
+    if k is None or k == order:
+        return pool, pairs, order
+    keep = [i for i, e in enumerate(pool) if monomial_degree(e.lm) <= k]
+    index = {i: n for n, i in enumerate(keep)}
+    pairs = [(d, (index[i], index[j])) for d, (i, j) in pairs if d <= k]
+    heapify(pairs)
+    return [_Lead(pool[i].poly.truncated(k), LOCAL_ORDER.key) for i in keep], pairs, k
 
 
 def _minimalize(pool: list) -> list:
@@ -179,12 +224,22 @@ def leading_staircase(basis: Sequence[Polynomial]) -> tuple:
 
 def closure_degree(staircase: Sequence[Monomial], order: int) -> Optional[int]:
     """The least k <= order such that every monomial of degree k lies in
-    the monomial ideal generated by staircase; None when there is none."""
-    for k in range(order + 1):
-        if all(any(monomial_divides(m, (a, k - a)) for m in staircase)
-               for a in range(k + 1)):
-            return k
-    return None
+    the monomial ideal generated by staircase; None when there is none.
+
+    In two variables the minimal generators (a_i, b_i), sorted by a, have
+    falling b.  The monomials outside the ideal lie under the corners
+    (a_{i+1} - 1, b_i - 1), so the ideal holds m^k from
+    k = max(a_{i+1} + b_i) - 1 on, when it holds pure powers of both
+    variables, and holds no power of m otherwise."""
+    corners, low = [], inf
+    for a, b in sorted(staircase):
+        if b < low:
+            corners.append((a, b))
+            low = b
+    if not corners or corners[0][0] or corners[-1][1]:
+        return None
+    k = max((a + b for (_, b), (a, _) in zip(corners, corners[1:])), default=1) - 1
+    return k if k <= order else None
 
 
 @dataclass(frozen=True)
@@ -232,11 +287,17 @@ def corner_member(f: Jet2, basis: Sequence[Polynomial], order: int,
                   budget: Optional[Budget] = None) -> bool:
     """f in <basis> + m^{n+1}, basis a standard basis of I + m^{N+1} for
     some N >= order, and n the order, or f's stored order when f cannot
-    regenerate."""
+    regenerate.  When the basis closes at k < n, m^k lies in I and the
+    normal form runs at k (module docstring)."""
     if f.is_zero():
         return True
-    order = _capped_order(order, [f])
-    return mora_normal_form(f.regenerate(order).poly, basis, order, budget).is_zero()
+    n = _capped_order(order, [f])
+    pool = _corner_pool(basis, n)
+    k = closure_degree([e.lm for e in pool], n)
+    order = n if k is None else k
+    if budget is None:
+        budget = Budget(cap=500_000, stage="mora")
+    return _reduce(f.regenerate(n).poly.truncated(order), pool, budget, order, "mora").is_zero()
 
 
 def local_membership(f: Jet2, gens: Sequence[Jet2], order: Optional[int] = None,

@@ -5,10 +5,15 @@ from math import inf
 from hypothesis import assume, example, given, settings, strategies as st
 
 from leafmult.errors import BudgetExceededError
-from leafmult.ideals import Budget
+from leafmult.ideals import Budget, _s_polynomial, monic
+from leafmult.jets import Jet2
 from leafmult.localbasis import (
+    LOCAL_ORDER,
+    _minimalize,
+    _reduce,
     closure_degree,
     corner_colength,
+    corner_member,
     leading_staircase,
     local_quotient_dimension,
     mora_divide,
@@ -22,6 +27,7 @@ from leafmult.poly import (
     monomial_divides,
     monomial_lcm,
     parse_polynomial,
+    _Lead,
 )
 
 T = ("t1", "t2")
@@ -301,7 +307,9 @@ class TestKernelMatchesReference:
         monkeypatch.setattr(localbasis, "LOCAL_ORDER", order)
         budget = Budget()
         assert mora_normal_form(f, basis, n, budget).is_zero()
-        assert budget.used == 146
+        # the basis is lowered to its closure degree, and its truncated
+        # reducers take one step more at order 16 than untruncated ones
+        assert budget.used == 147
         assert created[0] > 500
         assert calls[0] <= 2 * created[0]
 
@@ -359,3 +367,105 @@ class TestHighestCorner:
         gens = [P("t1^3"), P("1 - t1 + t2^2")]
         assert standard_basis(gens, 5) == [P("1")]
         assert mora_normal_form(P("t1 + t2^5"), [P("1")], 5).is_zero()
+
+
+def _ref_closure_degree(staircase, order):
+    """closure_degree by scanning every degree up to the order: O(N^2 L)."""
+    for k in range(order + 1):
+        if all(any(monomial_divides(m, (a, k - a)) for m in staircase)
+               for a in range(k + 1)):
+            return k
+    return None
+
+
+class TestClosureDegree:
+    """The corner formula of closure_degree is the scan it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6),
+           st.integers(0, 16))
+    @example([(0, 0)], 0)
+    @example([(2, 0), (1, 1), (0, 3)], 2)  # closes at 3, above the order
+    def test_formula_matches_scan(self, leads, order):
+        assert closure_degree(leads, order) == _ref_closure_degree(leads, order)
+
+
+def _unlowered_standard_basis(gens, order, budget):
+    """standard_basis without corner lowering: every pair is reduced at
+    the requested order, whatever its lcm degree."""
+    pool = [_Lead(monic(g, LOCAL_ORDER), LOCAL_ORDER.key)
+            for g in (g.truncated(order) for g in gens) if not g.is_zero()]
+    if any(not any(e.lm) for e in pool):
+        return [P("1")]
+    pairs = sorted((monomial_degree(monomial_lcm(pool[i].lm, pool[j].lm)), (i, j))
+                   for i in range(len(pool)) for j in range(i + 1, len(pool)))
+    while pairs:
+        budget.spend(1, "standard basis")
+        _, (i, j) = pairs.pop(0)
+        a, b = pool[i], pool[j]
+        s = _s_polynomial(a.poly, a.lm, b.poly, b.lm).truncated(order)
+        h = _reduce(s, sorted(pool, key=lambda e: e.degree), budget, order, "mora")
+        if not h.is_zero():
+            new = _Lead(monic(h, LOCAL_ORDER), LOCAL_ORDER.key)
+            pairs += [(monomial_degree(monomial_lcm(e.lm, new.lm)), (k, len(pool)))
+                      for k, e in enumerate(pool)]
+            pairs.sort()
+            pool.append(new)
+    return _minimalize(pool)
+
+
+class TestCornerLowering:
+    """A corner that closes at k is lowered to k: its staircase and its
+    membership decisions are those of the corner kept at N, and its cost
+    no longer depends on N."""
+
+    # a degree-7 pair of colength 4
+    GENS = ("2*t1^7 + t1^4 + 2*t1^2 + 3*t1*t2 + t1",
+            "-t2^7 + t1^3*t2 + 3*t1^2*t2^2 + 2*t2^4 - 3*t1^3 + t1")
+
+    def test_budget_of_a_closed_corner_does_not_depend_on_the_order(self):
+        # kept at N it spent 53, 253, 401 and 581 steps at N = 8, 16, 20, 24
+        gens = [P(t) for t in self.GENS]
+        for n in (8, 16, 24):
+            budget = Budget()
+            cert = corner_colength(gens, n, budget)
+            assert (cert.closure, cert.multiplicity) == (4, 4)
+            assert budget.used == 10
+
+    def test_budget_of_a_member_of_a_closed_corner_does_not_depend_on_the_order(self):
+        # reduced at N on the lowered basis the member took 38, 138 and 302
+        # steps at N = 8, 16 and 24
+        f, g = (P(t) for t in self.GENS)
+        member = P("(1+t1+t2)^6") * f + P("(2-t1)^6") * g
+        for n in (8, 16, 24):
+            budget = Budget()
+            assert corner_member(Jet2.from_polynomial(member, n), standard_basis([f, g], n), n,
+                                 budget)
+            assert budget.used == 11
+
+    def test_no_step_on_a_pair_above_the_order(self):
+        # the S-polynomial of t1^3 and t2^3 has degree 6 and truncates to
+        # zero at N = 4 and 5 (no closure by N), and at the closure 5
+        for n in (4, 5, 6):
+            budget = Budget()
+            assert standard_basis([P("t1^3"), P("t2^3")], n, budget) == [P("t1^3"), P("t2^3")]
+            assert budget.used == 0
+
+    @settings(max_examples=150, deadline=5000)
+    @given(st.lists(local_polys, min_size=1, max_size=3),
+           st.lists(local_polys, min_size=3, max_size=3), local_polys,
+           st.integers(0, 10), st.integers(0, 10))
+    def test_decisions_match_the_unlowered_corner(self, gens, cofactors, extra, n, m):
+        m = min(m, n)
+        try:
+            unlowered = _unlowered_standard_basis(gens, n, Budget(cap=2000))
+        except BudgetExceededError:
+            assume(False)
+        basis = standard_basis(gens, n)
+        assert leading_staircase(basis) == leading_staircase(unlowered)
+        target = extra
+        for c, g in zip(cofactors, gens):
+            target = target + c * g
+        for f in (target, extra):
+            expected = mora_normal_form(f, unlowered, m).is_zero()
+            assert corner_member(Jet2.from_polynomial(f, m), basis, m) == expected
