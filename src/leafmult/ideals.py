@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import inf, lcm
 from operator import attrgetter, neg
 from typing import Callable, Optional, Sequence
@@ -35,6 +35,7 @@ from .poly import (
     normalize_leading,
     squarefree_part,
     _Lead,
+    _as_univariate,
     _canonical,
     _degrevlex_heap_key,
     _divide,
@@ -51,23 +52,19 @@ class MonomialOrder:
     kinds: "degrevlex" and "lex" (global), "local" (negative degrevlex;
     1 is the largest monomial).
 
-    `permutation`, when given, lists ring indices in comparison order
-    (first entry compares first / is the biggest variable).
-
     `key(mono)` is the sort key: bigger key = bigger monomial.
     `heap_key(mono)` sorts the other way: a smaller heap key is a bigger
     monomial, so a min-heap pops the largest monomial first.
     """
 
     kind: str = "degrevlex"
-    permutation: Optional[tuple] = None
     key: Callable = field(init=False, repr=False, compare=False)
     heap_key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex", "local"):
             raise DomainError(f"unknown order kind {self.kind!r}")
-        key, heap_key = _sort_keys(self.kind, self.permutation)
+        key, heap_key = _sort_keys(self.kind)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "heap_key", heap_key)
 
@@ -78,26 +75,16 @@ class MonomialOrder:
         return self.key(a) > self.key(b)
 
 
-def _sort_keys(kind: str, permutation: Optional[tuple]) -> tuple:
+def _sort_keys(kind: str) -> tuple:
     """(key, heap_key) of an order, specialized once per order: monomials
     are compared (total degree, reversed negated exponents) for degrevlex,
     with the degree negated for local, and by exponents for lex.  The heap
     key negates every entry of the key, so it orders the other way."""
-    if permutation is None:
-        if kind == "lex":
-            return tuple, lambda m: tuple(map(neg, m))
-        if kind == "degrevlex":
-            return degrevlex_key, _degrevlex_heap_key
-        return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
-    perm = tuple(permutation)
-    rev = perm[::-1]
     if kind == "lex":
-        return lambda m: tuple([m[i] for i in perm]), lambda m: tuple([-m[i] for i in perm])
+        return tuple, lambda m: tuple(map(neg, m))
     if kind == "degrevlex":
-        return (lambda m: (sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
-                lambda m: (-sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
-    return (lambda m: (-sum([m[i] for i in perm]), tuple([-m[i] for i in rev])),
-            lambda m: (sum([m[i] for i in perm]), tuple([m[i] for i in rev])))
+        return degrevlex_key, _degrevlex_heap_key
+    return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -359,42 +346,63 @@ def extend_ring(ideal: IdealPresentation):
 
 def radical_membership(f: Polynomial, ideal: IdealPresentation,
                        budget: Optional[Budget] = None) -> bool:
-    """Whether f lies in rad(I).
+    """Whether f lies in rad(I), decided in the quotient by the reduced
+    degrevlex basis of I where one of two lemmas applies.
 
-    Let S be the variables that f and the reduced degrevlex basis of I use.
-    When the basis has a leading pure power of every variable of S, I is
-    zero-dimensional in S: the basis lies in Q[S], so it is a Groebner
-    basis of I_S = I ∩ Q[S], and rad(I_S*Q[x]) ∩ Q[S] = rad(I_S).  Then f
-    is in rad(I) iff its class is nilpotent in A = Q[S]/I_S, and in an
-    algebra of dimension D (the staircase count) a nilpotent b has b^D = 0,
-    since bA ⊋ b^2 A ⊋ ... decreases strictly until it reaches 0.  So f^D
-    is reduced modulo the basis, squaring with a normal form after each
-    product.  Any other ideal is decided by the Rabinowitsch trick: f in
+    (a) Let T be the variables the basis uses, S ⊆ T those of its leading
+    monomials, w the variables of T outside S and z the variables outside
+    T.  When the leading monomials include a pure power of every variable
+    of S, the standard monomials in T are s*w^a with s one of the D
+    standard monomials in S (D the staircase count), so B = Q[T]/(I ∩ Q[T])
+    is a free Q[w]-module of rank D, and Q[x]/I = B[z].  A polynomial over
+    a ring is nilpotent iff all its coefficients are (Atiyah and Macdonald,
+    *Introduction to Commutative Algebra*, Ex. 1.2), and a nilpotent c in B
+    has c^D = 0: B embeds in B ⊗ Q(w), an algebra of dimension D over a
+    field, where cB ⊋ c^2 B ⊋ ... decreases strictly until it reaches 0.
+    So f is in rad(I) iff c^D reduces to zero for every coefficient c of f
+    in z, squaring with a reduction after each product.
+
+    (b) Otherwise let d be the gcd of the basis.  When d is not constant,
+    I = d*(I/d), so rad(I) = rad(d) ∩ rad(I/d): f is in rad(I) iff
+    squarefree(d) divides f and f is in rad(I/d), decided in turn.
+
+    Any other ideal, gcd-free and not zero-dimensional in the variables of
+    its leading monomials, is decided by the Rabinowitsch trick: f in
     rad(I) iff 1 in <I, 1 - t*f> in the ring extended by t (Cox, Little
     and O'Shea, Ideals, Varieties, and Algorithms, 4.2).
 
-    The basis of I is read under a counter of its own with the budget's
-    cap, and charged to the budget as a cache hit only when the quotient
-    decides, so the trick spends what it spent alone."""
+    Each basis of I and I/d is read under a counter of its own with the
+    budget's cap, and charged to the budget as a cache hit only when (a)
+    or (b) decides, so the trick spends what it spent alone."""
     if f.is_zero():
         return True
     if ideal.is_zero_ideal():
         return False
-    gb = groebner(ideal, DEGREVLEX, None if budget is None else Budget(budget.cap))
-    support = sorted(set().union(f.variables_used(), *(g.variables_used() for g in gb.basis)))
-    dim = staircase_count([tuple(m[i] for i in support) for m in gb.leading_monomials()],
-                          len(support))
-    if dim is not inf:
-        groebner(ideal, DEGREVLEX, budget)  # a hit: charges what the basis cost
-        power = normal_form(Polynomial.constant(ideal.ring, 1), gb, budget)
-        base = normal_form(f, gb, budget)
-        while dim:
-            if dim & 1:
-                power = normal_form(power * base, gb, budget)
-            dim >>= 1
-            if dim:
-                base = normal_form(base * base, gb, budget)
-        return power.is_zero()
+    read = []
+    while True:
+        gb = groebner(ideal, DEGREVLEX, None if budget is None else Budget(budget.cap))
+        read.append(ideal)
+        leading = gb.leading_monomials()
+        support = sorted({i for m in leading for i, e in enumerate(m) if e})
+        dim = staircase_count([tuple(m[i] for i in support) for m in leading], len(support))
+        if dim is not inf:
+            for seen in read:
+                groebner(seen, DEGREVLEX, budget)  # a hit: charges what the basis cost
+            free = set(range(len(ideal.ring))).difference(*(g.variables_used() for g in gb.basis))
+            coefficients = [f]
+            for i in sorted(free):
+                coefficients = [c for p in coefficients
+                                for _, c in sorted(_as_univariate(p, i).items())]
+            return all(_power_vanishes(c, dim, gb, budget) for c in coefficients)
+        d = reduce(poly_gcd, gb.basis)
+        if d.is_constant():
+            break
+        # rad(d) is generated by squarefree(d), a Groebner basis of it
+        if not _remainder(f, _leads([squarefree_part(d)], DEGREVLEX), DEGREVLEX, None).is_zero():
+            for seen in read:
+                groebner(seen, DEGREVLEX, budget)
+            return False
+        ideal = _divided(gb, d)
     new_ring, lifted, t_index = extend_ring(ideal)
     var_map = list(range(len(ideal.ring)))
     f_lift = f.map_ring(new_ring, var_map)
@@ -402,6 +410,20 @@ def radical_membership(f: Polynomial, ideal: IdealPresentation,
     trick = IdealPresentation(new_ring, tuple(lifted) + (Polynomial.constant(new_ring, 1) - t * f_lift,))
     gb = groebner(trick, DEGREVLEX, budget)
     return gb.is_unit_ideal()
+
+
+def _power_vanishes(c: Polynomial, dim: int, gb: GroebnerBasis, budget: Optional[Budget]) -> bool:
+    """Whether c^dim reduces to zero modulo gb, by squaring with a
+    reduction after each product."""
+    power = _remainder(Polynomial.constant(c.ring, 1), gb.leads, gb.order, budget)
+    base = _remainder(c, gb.leads, gb.order, budget)
+    while dim:
+        if dim & 1:
+            power = _remainder(power * base, gb.leads, gb.order, budget)
+        dim >>= 1
+        if dim:
+            base = _remainder(base * base, gb.leads, gb.order, budget)
+    return power.is_zero()
 
 
 def leading_term_ideal(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
@@ -478,17 +500,39 @@ def dimension(ideal: IdealPresentation, budget: Optional[Budget] = None) -> int:
     return best
 
 
-def eliminant(ideal: IdealPresentation, var: int,
-              budget: Optional[Budget] = None) -> Optional[Polynomial]:
-    """Generator of I ∩ Q[x_var] when one exists (zero-dimensional case):
-    the univariate element of a lex basis with x_var smallest."""
-    perm = tuple(i for i in range(len(ideal.ring)) if i != var) + (var,)
-    order = MonomialOrder("lex", permutation=perm)
-    gb = groebner(ideal, order, budget)
-    candidates = [g for g in gb.basis if g.variables_used() <= {var}]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda g: g.degree_in(var))
+def eliminant(gb: GroebnerBasis, var: int, budget: Optional[Budget] = None) -> Polynomial:
+    """The monic generator of I ∩ Q[x_var], gb the reduced degrevlex basis
+    of a zero-dimensional I: the minimal polynomial of x_var in Q[x]/I.
+
+    The normal forms NF(x_var^k) = NF(x_var * NF(x_var^(k-1))) are the
+    classes of the powers in the quotient, of dimension D (the staircase
+    count).  The first k at which NF(x_var^k) is a linear combination
+    sum c_j NF(x_var^j) of those before it gives x_var^k - sum c_j x_var^j,
+    the monic element of I ∩ Q[x_var] of least degree, among at most D + 1
+    normal forms.  This is the univariate element of the reduced lex basis
+    with x_var smallest, read without that basis (Faugère, Gianni, Lazard
+    and Mora, J. Symbolic Comput. 16, 1993).  The reduction steps of the
+    normal forms are charged to budget."""
+    ring = gb.basis[0].ring
+    if staircase_count(gb.leading_monomials(), len(ring)) is inf:
+        raise DomainError("eliminant needs a zero-dimensional ideal")
+    x = Polynomial.variable(ring, var)
+    rows = []  # (pivot, row, relation): row = NF(relation), coefficient 1 at pivot
+    power = Polynomial.constant(ring, 1)
+    nf = normal_form(power, gb, budget)
+    while True:
+        row, relation = nf, power
+        for pivot, prow, prel in rows:
+            if pivot in row.num:
+                c = Polynomial.constant(ring, Fraction(row.num[pivot], row.den))
+                row, relation = row - c * prow, relation - c * prel
+        if row.is_zero():
+            return monic(relation, gb.order)
+        pivot = leading_monomial(row, gb.order)
+        scale = Polynomial.constant(ring, Fraction(row.den, row.num[pivot]))
+        rows.append((pivot, row * scale, relation * scale))
+        power = x * power
+        nf = normal_form(x * nf, gb, budget)
 
 
 def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
@@ -568,9 +612,11 @@ class RadicalCertificate:
         return sum(e - 1 for e in self.exponents) + 1
 
 
-def _divided(J: IdealPresentation, d: Polynomial) -> IdealPresentation:
-    """J/d for d dividing every generator of J."""
-    return IdealPresentation(J.ring, tuple(exact_divide(g, d) for g in J.generators))
+def _divided(gb: GroebnerBasis, d: Polynomial) -> IdealPresentation:
+    """J/d for d dividing every element of J, presented by the reduced
+    basis of J divided by d: one presentation for every caller, so the
+    cache holds one basis of it."""
+    return IdealPresentation(d.ring, tuple(exact_divide(g, d) for g in gb.basis))
 
 
 def _linear_basis(ideal: IdealPresentation, budget: Budget) -> bool:
@@ -584,18 +630,18 @@ def _linear_basis(ideal: IdealPresentation, budget: Budget) -> bool:
     return True
 
 
-def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable) -> bool:
-    """Conservative syntactic radicality tests for the implemented classes:
-    unit, principal squarefree, linear, squarefree monomial generators,
-    zero-dimensional with all eliminants squarefree, or d*P.  squarefree_of
-    is the caller's memoized squarefree part.
+def _is_certified_radical(gb: GroebnerBasis, budget, squarefree_of: Callable) -> bool:
+    """Conservative syntactic radicality tests, on the reduced degrevlex
+    basis of J, for the implemented classes: unit, principal squarefree,
+    linear, squarefree monomial generators, zero-dimensional with all
+    eliminants squarefree, or d*P.  squarefree_of is the caller's memoized
+    squarefree part.
 
     d*P: the reduced basis of J has a nonconstant gcd d that is squarefree,
     the reduced basis of P = J/d is linear and P is not the unit ideal, and
     d is not in P.  Then P is prime, so f = d*h in P gives h in P, and
     (d) ∩ P = d*P = J: an intersection of radical ideals, hence radical
     (Becker and Weispfenning, *Groebner Bases*, §8.7)."""
-    gb = groebner(J, DEGREVLEX, budget)
     basis = gb.basis
     if gb.is_unit_ideal():
         return True
@@ -606,18 +652,14 @@ def _is_certified_radical(J: IdealPresentation, budget, squarefree_of: Callable)
         return True
     if all(len(g.num) == 1 and all(e <= 1 for m in g.num for e in m) for g in basis):
         return True
-    if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
-        for var in range(len(J.ring)):
-            el = eliminant(J, var, budget)
-            if el is None:
-                return False
-            if squarefree_of(el) != normalize_leading(el):
-                return False
-        return True
+    ring = basis[0].ring
+    if staircase_count(gb.leading_monomials(), len(ring)) is not inf:
+        return all(squarefree_of(el) == el
+                   for el in (eliminant(gb, var, budget) for var in range(len(ring))))
     d = reduce(poly_gcd, basis)
     if d.is_constant() or squarefree_of(d) != normalize_leading(d):
         return False
-    gbP = groebner(_divided(J, d), DEGREVLEX, budget)
+    gbP = groebner(_divided(gb, d), DEGREVLEX, budget)
     return (not gbP.is_unit_ideal() and all(g.total_degree() <= 1 for g in gbP.basis)
             and not normal_form(d, gbP, budget).is_zero())
 
@@ -636,10 +678,11 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     best-effort radical of J/d, computed on the same budget: each lies in
     rad(J) ⊆ rad(I) and is certified by its exponent like any other.
 
-    A candidate with no power in I up to EXPONENT_CAP is searched once per
-    call; a repeat charges the budget the steps that search spent (as a
-    Groebner cache hit does).  A squarefree part, which spends no budget,
-    is also computed once per call.
+    A round searches each distinct candidate once.  A candidate with no
+    power in I up to EXPONENT_CAP is searched once per call; a repeat in a
+    later round charges the budget the steps that search spent (as a
+    Groebner cache hit does).  Squarefree parts and gcds, which spend no
+    budget, are computed once per call.
     """
     if ideal.is_zero_ideal():
         return ideal, RadicalCertificate(), "exact"
@@ -647,13 +690,7 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     J = ideal
     exponents: dict[Polynomial, int] = {g: 1 for g in ideal.generators}
     rejected: dict[Polynomial, int] = {}  # candidate -> steps its search spent
-    squarefree: dict[Polynomial, Polynomial] = {}
-
-    def squarefree_of(p: Polynomial) -> Polynomial:
-        s = squarefree.get(p)
-        if s is None:
-            s = squarefree[p] = squarefree_part(p)
-        return s
+    squarefree_of, gcd_of = cache(squarefree_part), cache(poly_gcd)
 
     def exponent(c: Polynomial) -> Optional[int]:
         if c in rejected:
@@ -667,11 +704,11 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
         return e
 
     def offer(candidates, gbJ) -> bool:
-        """Add to J each candidate outside it with a certified exponent."""
+        """Add to J each distinct candidate outside it with a certified
+        exponent."""
         nonlocal J
         grew = False
-        for c in candidates:
-            c = normalize_leading(c)
+        for c in dict.fromkeys(map(normalize_leading, candidates)):
             if c.is_constant():
                 continue
             if normal_form(c, gbJ, budget).is_zero():
@@ -691,27 +728,24 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
         candidates = []
         for g in gbJ.basis:
             candidates.append(squarefree_of(g))
-        pair_gcds = [poly_gcd(g1, g2) for g1, g2 in itertools.combinations(gbJ.basis, 2)]
+        pair_gcds = [gcd_of(g1, g2) for g1, g2 in itertools.combinations(gbJ.basis, 2)]
         for d in pair_gcds:
             if not d.is_constant():
                 candidates.append(d)
                 candidates.append(squarefree_of(d))
         # the gcd of the whole basis
-        d = reduce(poly_gcd, pair_gcds) if pair_gcds else None
+        d = reduce(gcd_of, pair_gcds) if pair_gcds else None
         if len(gbJ.basis) > 2 and not d.is_constant():
             candidates.append(squarefree_of(d))
-        if multiplicity_zero_dim(J, DEGREVLEX, budget) is not inf:
-            for var in range(len(J.ring)):
-                el = eliminant(J, var, budget)
-                if el is not None:
-                    candidates.append(squarefree_of(el))
+        if staircase_count(gbJ.leading_monomials(), len(J.ring)) is not inf:
+            candidates += [squarefree_of(eliminant(gbJ, var, budget)) for var in range(len(J.ring))]
         grew = offer(candidates, gbJ)
         if not grew and d is not None and not d.is_constant():
             # J = d*(J/d): the radical of J/d times squarefree(d) lies in
             # rad(J), which offers the generators d*P needs.  When d is
             # squarefree and J/d has a linear reduced basis, J/d is its own
             # radical and those generators lie in d*(J/d) = J already
-            P, sd = _divided(J, d), squarefree_of(d)
+            P, sd = _divided(gbJ, d), squarefree_of(d)
             if sd != normalize_leading(d) or not _linear_basis(P, budget):
                 inner, _, _ = attempt_radical(P, budget)
                 grew = offer([sd * g for g in inner.generators], gbJ)
@@ -719,7 +753,8 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
             break
 
     # canonical presentation: the reduced basis of the closure
-    J = IdealPresentation(ideal.ring, groebner(J, DEGREVLEX, budget).basis)
+    gbJ = groebner(J, DEGREVLEX, budget)
+    J = IdealPresentation(ideal.ring, gbJ.basis)
     # certificate for the final presentation's generators
     cert_exps = []
     capped = False
@@ -732,9 +767,8 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
             e = EXPONENT_CAP
         cert_exps.append(e)
     # sanity: I ⊆ J
-    gbJ = groebner(J, DEGREVLEX, budget)
     for g in ideal.generators:
         if not normal_form(g, gbJ, budget).is_zero():
             raise DomainError("radical closure lost a generator")  # pragma: no cover
-    status = "exact" if not capped and _is_certified_radical(J, budget, squarefree_of) else "partial"
+    status = "exact" if not capped and _is_certified_radical(gbJ, budget, squarefree_of) else "partial"
     return J, RadicalCertificate(tuple(cert_exps), capped), status

@@ -34,10 +34,14 @@ Four decisions are made without computing a new basis:
   generators all vanish, since the bracket is bilinear and antisymmetric;
 - a bracket nonzero at the base point p lies outside rad(I) when every
   generator of I vanishes at p, since rad(I) vanishes on V(I);
-- a bracket lies in rad(I) iff its D-th power reduces to zero modulo the
-  reduced basis of I, when I is zero-dimensional in the variables that
-  basis and the bracket use and D is its staircase count
-  (ideals.radical_membership), so no Rabinowitsch basis is built;
+- a bracket is decided in the quotient by the reduced basis of I
+  (ideals.radical_membership): a common factor d of the basis is split
+  off, since rad(I) = rad(d) ∩ rad(I/d), and when the leading monomials
+  have a pure power of each of their variables, with staircase count D,
+  the bracket lies in rad(I) iff the D-th power of each of its
+  coefficients in the variables the basis does not use reduces to zero;
+  a Rabinowitsch basis is built only for a gcd-free ideal whose leading
+  monomials are not zero-dimensional in their variables;
 - a nonzero rational multiple of a local generator is a local member.
 """
 

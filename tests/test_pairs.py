@@ -288,8 +288,29 @@ class TestBracketsDecidedInTheQuotient:
         # deciding its brackets by Rabinowitsch bases spent 670; rejecting
         # radical candidates in the quotient before their 8th power, where
         # the search went on to the 64th, adds 24 to the 542 it spent then;
-        # lowering its closed local corners saves 4
-        assert budget.used == 562
+        # lowering its closed local corners saves 4 (562).  Reading the
+        # round's staircase and the closure's basis without charging them
+        # again, dividing J/d on the reduced basis and searching each
+        # candidate of a round once saves 146
+        assert budget.used == 416
+
+
+class TestNoRabinowitschOrLexBasis:
+    """On the exponential-leaf catalog case every radical decision is made
+    in the quotient by a degrevlex basis: radical membership splits off
+    common factors and reads curves such as <z - 1, y^2 - x> as free
+    modules over their free variable, and eliminants come from normal
+    forms.  So no basis is built with the extra variable _t of the
+    Rabinowitsch trick, and none under lex."""
+
+    def test_catalog_case(self, monkeypatch):
+        calls = _count_decisions(monkeypatch)
+        _GB_CACHE.clear()
+        report = nonisolated_bound(P("(z-1)*(x-y^2)"), P("(z-1)*(x-2*y^2)"), exp_leaf())
+        assert (report.bound, report.direct_value) == (36, 2)
+        assert calls["radical_membership"] >= 1
+        assert not any("_t" in key[0].ring for key in _GB_CACHE)
+        assert {order.kind for _, order in _GB_CACHE} == {"degrevlex"}
 
 
 @st.composite
