@@ -90,10 +90,12 @@ class FoliationContext:
 
     Commutation and linear independence of V1(p), V2(p) are verified at
     construction; every leaf operation relies on both.  Iterated Lie
-    derivatives are memoized per (F, a, b); leaf jets per (F, order) (a Jet2
-    is immutable, so sharing it is safe); the flow jets (the leaf jets of
-    the coordinate functions x_i) and their truncated powers per truncation
-    order; budget-free local standard bases per generator set and order.
+    derivatives are memoized per (F, a, b) and each step V1 p or V2 p per
+    polynomial p, and `poisson` reads V1 F and V2 F from that memo; values
+    at p per polynomial; leaf jets per (F, order) (a Jet2 is immutable, so
+    sharing it is safe); the flow jets (the leaf jets of the coordinate
+    functions x_i) and their truncated powers per truncation order;
+    budget-free local standard bases per generator set and order.
     """
 
     def __init__(self, v1: VectorField, v2: VectorField, point: Sequence):
@@ -115,6 +117,8 @@ class FoliationContext:
                 "base point is singular: V1(p) and V2(p) are linearly dependent")
         self.commutation_verified = True
         self._memo: dict = {}
+        self._lie: dict = {}  # (field is V1, p) -> V1 p or V2 p
+        self._values: dict = {}  # f -> f(p)
         self._flows: dict = {}  # order -> (phi_i as Polynomial in LEAF_RING, ...)
         self._powers: dict = {}  # (order, i, e) -> phi_i^e truncated at order
         self._bases: dict = {}
@@ -135,7 +139,7 @@ class FoliationContext:
         return False
 
     def iterated_derivative(self, f: Polynomial, a: int, b: int) -> Polynomial:
-        """V1^a V2^b f, memoized."""
+        """V1^a V2^b f, memoized, each step by `_lie_derivative`."""
         key = (f, a, b)
         hit = self._memo.get(key)
         if hit is not None:
@@ -143,10 +147,27 @@ class FoliationContext:
         if a == 0 and b == 0:
             value = f
         elif a > 0:
-            value = self.v1.apply(self.iterated_derivative(f, a - 1, b))
+            value = self._lie_derivative(self.v1, self.iterated_derivative(f, a - 1, b))
         else:
-            value = self.v2.apply(self.iterated_derivative(f, a, b - 1))
+            value = self._lie_derivative(self.v2, self.iterated_derivative(f, a, b - 1))
         self._memo[key] = value
+        return value
+
+    def _lie_derivative(self, v: VectorField, p: Polynomial) -> Polynomial:
+        """v(p) for v one of the two fields, memoized: different (f, a, b)
+        often reach the same polynomial (on the exponential leaf every
+        V1^a z is z)."""
+        key = (v is self.v1, p)
+        value = self._lie.get(key)
+        if value is None:
+            value = self._lie[key] = v.apply(p)
+        return value
+
+    def value_at_point(self, f: Polynomial) -> Fraction:
+        """f(p), memoized."""
+        value = self._values.get(f)
+        if value is None:
+            value = self._values[f] = f.evaluate(self.point)
         return value
 
     def local_basis(self, polys: tuple, order: int) -> tuple:
@@ -186,7 +207,7 @@ class FoliationContext:
                 d = self.iterated_derivative(x, a, b)
                 if d.is_zero():
                     break
-                v = d.evaluate(self.point)
+                v = self.value_at_point(d)
                 if v:
                     coeffs[(a, b)] = v / (factorial(a) * factorial(b))
         return Polynomial(LEAF_RING, coeffs)
@@ -299,8 +320,10 @@ class FoliationContext:
         return Jet2(order, composed, cached_producer(lambda n: self.leaf_jet(f, n)))
 
     def poisson(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Leafwise Poisson bracket V1(f) V2(g) - V2(f) V1(g)."""
-        return self.v1.apply(f) * self.v2.apply(g) - self.v2.apply(f) * self.v1.apply(g)
+        """Leafwise Poisson bracket V1(f) V2(g) - V2(f) V1(g), the
+        derivatives read from the `iterated_derivative` memo."""
+        d = self.iterated_derivative
+        return d(f, 1, 0) * d(g, 0, 1) - d(f, 0, 1) * d(g, 1, 0)
 
     def default_jet_order(self, f: Polynomial, g: Polynomial) -> int:
         """Initial truncation order heuristic; consumers re-certify, so this

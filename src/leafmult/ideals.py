@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import inf, lcm
 from operator import attrgetter, neg
 from typing import Callable, Optional, Sequence
@@ -259,7 +259,23 @@ def _gm_update(G: list, P: set, new: _Lead, order: MonomialOrder) -> set:
     return P | new_pairs
 
 
-_GB_CACHE: dict = {}
+class _BasisCache(dict):
+    """The Groebner cache: (ideal, order) -> GroebnerBasis.  `derived`
+    holds what the radical layer reads off those bases and their elements,
+    squarefree parts, gcds and eliminants, keyed by the operation and its
+    arguments.  clear() empties both, so a derived result lives exactly as
+    long as the bases: one case, where a caller clears the cache per case."""
+
+    def __init__(self):
+        super().__init__()
+        self.derived: dict = {}
+
+    def clear(self):
+        super().clear()
+        self.derived.clear()
+
+
+_GB_CACHE = _BasisCache()
 
 
 def groebner(ideal: IdealPresentation, order: MonomialOrder = DEGREVLEX,
@@ -394,11 +410,11 @@ def radical_membership(f: Polynomial, ideal: IdealPresentation,
                 coefficients = [c for p in coefficients
                                 for _, c in sorted(_as_univariate(p, i).items())]
             return all(_power_vanishes(c, dim, gb, budget) for c in coefficients)
-        d = reduce(poly_gcd, gb.basis)
+        d = reduce(_gcd, gb.basis)
         if d.is_constant():
             break
         # rad(d) is generated by squarefree(d), a Groebner basis of it
-        if not _remainder(f, _leads([squarefree_part(d)], DEGREVLEX), DEGREVLEX, None).is_zero():
+        if not _remainder(f, _leads([_squarefree(d)], DEGREVLEX), DEGREVLEX, None).is_zero():
             for seen in read:
                 groebner(seen, DEGREVLEX, budget)
             return False
@@ -535,6 +551,42 @@ def eliminant(gb: GroebnerBasis, var: int, budget: Optional[Budget] = None) -> P
         nf = normal_form(x * nf, gb, budget)
 
 
+def _derived(key: tuple, compute: Callable):
+    """The entry of `_GB_CACHE.derived` at key, computed on first use."""
+    table = _GB_CACHE.derived
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute()
+    return value
+
+
+def _squarefree(p: Polynomial) -> Polynomial:
+    """squarefree_part(p), computed once per case."""
+    return _derived(("squarefree", p), lambda: squarefree_part(p))
+
+
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd(a, b), computed once per case."""
+    return _derived(("gcd", a, b), lambda: poly_gcd(a, b))
+
+
+def _eliminant(gb: GroebnerBasis, var: int, budget: Budget) -> Polynomial:
+    """eliminant(gb, var, budget), computed once per case.  A repeat
+    charges budget the reduction steps the computation spent, as a
+    Groebner cache hit does, so budget.used does not depend on the memo."""
+    key = ("eliminant", gb, var)
+    hit = _GB_CACHE.derived.get(key)
+    if hit is not None:
+        poly, steps = hit
+        if steps:
+            budget.spend(steps, "reduction")
+        return poly
+    before = budget.used
+    poly = eliminant(gb, var, budget)
+    _GB_CACHE.derived[key] = poly, budget.used - before
+    return poly
+
+
 def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
                              budget: Optional[Budget] = None) -> Optional[int]:
     """Least e <= EXPONENT_CAP with g^e in I, found by doubling then binary
@@ -630,12 +682,12 @@ def _linear_basis(ideal: IdealPresentation, budget: Budget) -> bool:
     return True
 
 
-def _is_certified_radical(gb: GroebnerBasis, budget, squarefree_of: Callable) -> bool:
+def _is_certified_radical(gb: GroebnerBasis, budget: Budget) -> bool:
     """Conservative syntactic radicality tests, on the reduced degrevlex
     basis of J, for the implemented classes: unit, principal squarefree,
     linear, squarefree monomial generators, zero-dimensional with all
-    eliminants squarefree, or d*P.  squarefree_of is the caller's memoized
-    squarefree part.
+    eliminants squarefree, or d*P.  Squarefree parts, the basis gcd and the
+    eliminants come from the case's table (`_GB_CACHE.derived`).
 
     d*P: the reduced basis of J has a nonconstant gcd d that is squarefree,
     the reduced basis of P = J/d is linear and P is not the unit ideal, and
@@ -647,17 +699,17 @@ def _is_certified_radical(gb: GroebnerBasis, budget, squarefree_of: Callable) ->
         return True
     if len(basis) == 1:
         g = basis[0]
-        return squarefree_of(g) == normalize_leading(g)
+        return _squarefree(g) == normalize_leading(g)
     if all(g.total_degree() <= 1 for g in basis):
         return True
     if all(len(g.num) == 1 and all(e <= 1 for m in g.num for e in m) for g in basis):
         return True
     ring = basis[0].ring
     if staircase_count(gb.leading_monomials(), len(ring)) is not inf:
-        return all(squarefree_of(el) == el
-                   for el in (eliminant(gb, var, budget) for var in range(len(ring))))
-    d = reduce(poly_gcd, basis)
-    if d.is_constant() or squarefree_of(d) != normalize_leading(d):
+        return all(_squarefree(el) == el
+                   for el in (_eliminant(gb, var, budget) for var in range(len(ring))))
+    d = reduce(_gcd, basis)
+    if d.is_constant() or _squarefree(d) != normalize_leading(d):
         return False
     gbP = groebner(_divided(gb, d), DEGREVLEX, budget)
     return (not gbP.is_unit_ideal() and all(g.total_degree() <= 1 for g in gbP.basis)
@@ -681,8 +733,8 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     A round searches each distinct candidate once.  A candidate with no
     power in I up to EXPONENT_CAP is searched once per call; a repeat in a
     later round charges the budget the steps that search spent (as a
-    Groebner cache hit does).  Squarefree parts and gcds, which spend no
-    budget, are computed once per call.
+    Groebner cache hit does).  Squarefree parts, gcds and eliminants are
+    computed once per case (`_GB_CACHE.derived`).
     """
     if ideal.is_zero_ideal():
         return ideal, RadicalCertificate(), "exact"
@@ -690,7 +742,6 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     J = ideal
     exponents: dict[Polynomial, int] = {g: 1 for g in ideal.generators}
     rejected: dict[Polynomial, int] = {}  # candidate -> steps its search spent
-    squarefree_of, gcd_of = cache(squarefree_part), cache(poly_gcd)
 
     def exponent(c: Polynomial) -> Optional[int]:
         if c in rejected:
@@ -725,27 +776,25 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
         gbJ = groebner(J, DEGREVLEX, budget)
         if gbJ.is_unit_ideal():
             break
-        candidates = []
-        for g in gbJ.basis:
-            candidates.append(squarefree_of(g))
-        pair_gcds = [gcd_of(g1, g2) for g1, g2 in itertools.combinations(gbJ.basis, 2)]
-        for d in pair_gcds:
+        candidates = [_squarefree(g) for g in gbJ.basis]
+        for g1, g2 in itertools.combinations(gbJ.basis, 2):
+            d = _gcd(g1, g2)
             if not d.is_constant():
                 candidates.append(d)
-                candidates.append(squarefree_of(d))
+                candidates.append(_squarefree(d))
         # the gcd of the whole basis
-        d = reduce(gcd_of, pair_gcds) if pair_gcds else None
+        d = reduce(_gcd, gbJ.basis) if len(gbJ.basis) > 1 else None
         if len(gbJ.basis) > 2 and not d.is_constant():
-            candidates.append(squarefree_of(d))
+            candidates.append(_squarefree(d))
         if staircase_count(gbJ.leading_monomials(), len(J.ring)) is not inf:
-            candidates += [squarefree_of(eliminant(gbJ, var, budget)) for var in range(len(J.ring))]
+            candidates += [_squarefree(_eliminant(gbJ, var, budget)) for var in range(len(J.ring))]
         grew = offer(candidates, gbJ)
         if not grew and d is not None and not d.is_constant():
             # J = d*(J/d): the radical of J/d times squarefree(d) lies in
             # rad(J), which offers the generators d*P needs.  When d is
             # squarefree and J/d has a linear reduced basis, J/d is its own
             # radical and those generators lie in d*(J/d) = J already
-            P, sd = _divided(gbJ, d), squarefree_of(d)
+            P, sd = _divided(gbJ, d), _squarefree(d)
             if sd != normalize_leading(d) or not _linear_basis(P, budget):
                 inner, _, _ = attempt_radical(P, budget)
                 grew = offer([sd * g for g in inner.generators], gbJ)
@@ -770,5 +819,5 @@ def attempt_radical(ideal: IdealPresentation, budget: Optional[Budget] = None):
     for g in ideal.generators:
         if not normal_form(g, gbJ, budget).is_zero():
             raise DomainError("radical closure lost a generator")  # pragma: no cover
-    status = "exact" if not capped and _is_certified_radical(gbJ, budget, squarefree_of) else "partial"
+    status = "exact" if not capped and _is_certified_radical(gbJ, budget) else "partial"
     return J, RadicalCertificate(tuple(cert_exps), capped), status

@@ -113,7 +113,7 @@ class NoetherianPair:
     _local_basis: Optional[tuple] = dfield(default=None, repr=False, compare=False)
 
     def point_excluded(self) -> bool:
-        return any(g.evaluate(self.ctx.point) != 0 for g in self.ideal.generators)
+        return any(self.ctx.value_at_point(g) != 0 for g in self.ideal.generators)
 
     def local_basis(self) -> tuple:
         """Standard basis of the local generators modulo m^{cert_order+1},

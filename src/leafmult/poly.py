@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg
@@ -719,8 +720,10 @@ def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
 
 # -- gcd and squarefree machinery ------------------------------------------
 #
-# The gcd is the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symb.
-# Comput. 1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+# `gcd` splits off the monomial contents and decides a rest with a
+# certificate of irreducibility by one division.  The other inputs go to
+# the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symb. Comput.
+# 1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
 # section 7.7) on integer coefficients: evaluate the last variable at an
 # integer xi, take the gcd of the images recursively, rebuild a candidate
 # from its symmetric xi-adic digits and keep it when its primitive part
@@ -817,16 +820,53 @@ def normalize_leading(p: Polynomial) -> Polynomial:
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """A gcd of a and b, normalized to leading coefficient 1 (degrevlex).
 
-    gcd(a, 0) is normalized a; gcd(0, 0) = 0.
+    gcd(a, 0) is normalized a; gcd(0, 0) = 0.  Otherwise a = x^la * u and
+    b = x^lb * v with u and v free of monomial factors, and the gcd is
+    x^min(la, lb) times gcd(u, v), which is 1 when u or v is constant.  When
+    u (or v) has a certificate of irreducibility (`_certified_irreducible`,
+    the one `factor` trusts), gcd(u, v) is u if one `exact_divide` of v by
+    u, which stops at the first leading term u's does not divide, leaves
+    nothing, and 1 otherwise.  Only the other rests go to the heuristic gcd
+    and its PRS fallback.  The normalized gcd is unique, so the route never
+    changes the result.
     """
     if a.ring != b.ring:
         raise RingMismatchError(f"ring {a.ring} != ring {b.ring}")
     if a.is_zero() or b.is_zero():
         return normalize_leading(a + b)
-    h = _heu_gcd(_primitive_ints(a), _primitive_ints(b))
+    (la, u), (lb, v) = _monomial_content(a), _monomial_content(b)
+    g = _gcd_of_rests(u, v)
+    low = tuple(map(min, la, lb))
+    if not any(low):
+        return g
+    # x^low * g has the leading coefficient of g
+    return _make(a.ring, {monomial_mul(m, low): c for m, c in g.num.items()}, g.den)
+
+
+def _monomial_content(p: Polynomial) -> tuple:
+    """(l, q) with p = x^l * q and q free of monomial factors, p nonzero."""
+    low = tuple(min(e) for e in zip(*p.num))
+    if not any(low):
+        return low, p
+    return low, _make(p.ring, {monomial_div(m, low): c for m, c in p.num.items()}, p.den)
+
+
+def _gcd_of_rests(u: Polynomial, v: Polynomial) -> Polynomial:
+    """gcd() of two nonzero polynomials free of monomial factors."""
+    one = Polynomial.constant(u.ring, 1)
+    if u.is_constant() or v.is_constant():
+        return one
+    for p, q in ((u, v), (v, u)):
+        if _certified_irreducible(p):
+            try:
+                exact_divide(q, p)
+            except DomainError:
+                return one
+            return normalize_leading(p)
+    h = _heu_gcd(_primitive_ints(u), _primitive_ints(v))
     if h is None:
-        return _gcd_prs(a, b)
-    return normalize_leading(_make(a.ring, h, 1))
+        return _gcd_prs(u, v)
+    return normalize_leading(_make(u.ring, h, 1))
 
 
 def _primitive_ints(p: Polynomial) -> dict:
@@ -965,6 +1005,10 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors of p, leading coeff 1.
 
     Computed as p / gcd(p, dp/dx_1, ..., dp/dx_n); valid over Q (char 0).
+    Each gcd takes `gcd`'s route: a monomial factor of p and a derivative
+    share their monomial content, and a certified factor is tested by one
+    division, so the small shapes the radical layer asks about (x^3*(y - z
+    + 1), (z - 1)*y) never reach the heuristic gcd.
     """
     if p.is_zero():
         raise DomainError("squarefree_part of the zero polynomial")
@@ -1008,15 +1052,13 @@ def _split_certified(q: Polynomial) -> Optional[list]:
     certificate."""
     if q.is_constant():
         return []
+    if _certified_irreducible(q):
+        return [q]
     used = sorted(q.variables_used())
     for i in used:
         if q.degree_in(i) == 1:
             c = _content_of_piece(q, i)
             return [q] if c.is_constant() else _split_pair(c, exact_divide(q, c))
-    if len(q.num) == 2:
-        a, b = q.num
-        if math.gcd(*(x - y for x, y in zip(a, b))) == 1:
-            return [q]
     for i in used:
         c = _content_of_piece(q, i)
         if not c.is_constant():
@@ -1024,11 +1066,29 @@ def _split_certified(q: Polynomial) -> Optional[list]:
     return None
 
 
+def _certified_irreducible(q: Polynomial) -> bool:
+    """Whether q, nonconstant with no monomial factor, has a certificate of
+    irreducibility: two terms whose exponent difference is primitive, or
+    degree 1 in a variable in which some coefficient has one term (so q is
+    primitive in it, `_monomial_coefficient`)."""
+    if len(q.num) == 2:
+        a, b = q.num
+        if math.gcd(*(x - y for x, y in zip(a, b))) == 1:
+            return True
+    return any(q.degree_in(i) == 1 and _monomial_coefficient(q, i) for i in q.variables_used())
+
+
+def _monomial_coefficient(q: Polynomial, index: int) -> bool:
+    """Whether some coefficient of q in variable `index` has one term: one
+    monomial of q has that exponent of the variable."""
+    return 1 in Counter(m[index] for m in q.num).values()
+
+
 def _content_of_piece(q: Polynomial, index: int) -> Polynomial:
     """Content of q in variable `index`, for q with no monomial factor.  A
     coefficient with one term has only monomial divisors, and a monomial
     content would divide q, so the content is 1 then and no gcd is taken."""
-    if any(len(c.num) == 1 for c in _as_univariate(q, index).values()):
+    if _monomial_coefficient(q, index):
         return Polynomial.constant(q.ring, 1)
     return _content_wrt(q, index)
 
@@ -1075,9 +1135,8 @@ def _factor_certified(p: Polynomial) -> Optional[tuple]:
     """factor() of a nonzero p, as sympy returns it, when every irreducible
     factor has a certificate; None otherwise."""
     ring = p.ring
-    low = tuple(min(e) for e in zip(*p.num))
-    pieces = _split_certified(
-        _make(ring, {monomial_div(m, low): c for m, c in p.num.items()}, p.den))
+    low, rest = _monomial_content(p)
+    pieces = _split_certified(rest)
     if pieces is None:
         return None
     return _in_sympy_form(p, [(Polynomial.variable(ring, i), e) for i, e in enumerate(low) if e]

@@ -991,8 +991,7 @@ class TestRadicalCertificateOfAProduct:
     @staticmethod
     def _certified(*gens):
         from leafmult.ideals import _is_certified_radical
-        from leafmult.poly import squarefree_part
-        return _is_certified_radical(groebner(ideal(*gens, ring=XYZ)), Budget(), squarefree_part)
+        return _is_certified_radical(groebner(ideal(*gens, ring=XYZ)), Budget())
 
     def test_line_times_a_point_is_certified(self):
         J = ideal("(z-1)*x", "(z-1)*y", ring=XYZ)

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from leafmult.errors import HypothesisError, InconclusiveError, RegenerationRequest
 from leafmult.foliation import MAX_CERT_ORDER, FoliationContext, VectorField
 from leafmult.germs import local_multiplicity
-from leafmult.ideals import _GB_CACHE, Budget, IdealPresentation, radical_membership
+from leafmult.ideals import (
+    _GB_CACHE,
+    Budget,
+    GroebnerBasis,
+    IdealPresentation,
+    MonomialOrder,
+    radical_membership,
+)
 from leafmult.jets import Jet2
 from leafmult.localbasis import corner_member
 from leafmult.pairs import (
@@ -311,6 +318,38 @@ class TestNoRabinowitschOrLexBasis:
         assert calls["radical_membership"] >= 1
         assert not any("_t" in key[0].ring for key in _GB_CACHE)
         assert {order.kind for _, order in _GB_CACHE} == {"degrevlex"}
+
+
+class TestOncePerCase:
+    """The radical layer computes each squarefree part, gcd and eliminant
+    once per case, in a table that `_GB_CACHE.clear()` empties.  So a case
+    run twice, with the cache cleared and a fresh context in between,
+    computes the same ones and spends the same budget both times, and the
+    cache's items are still the Groebner bases."""
+
+    def test_second_run_computes_the_same(self, monkeypatch):
+        import leafmult.ideals as ideals
+        computed = {"squarefree_part": [], "poly_gcd": [], "eliminant": []}
+        for name, seen in computed.items():
+            def counting(*args, real=getattr(ideals, name), seen=seen):
+                seen.append(args[:2])  # (p,), (a, b) or (gb, var)
+                return real(*args)
+            monkeypatch.setattr(ideals, name, counting)
+        runs = []
+        for _ in range(2):
+            _GB_CACHE.clear()
+            budget = Budget(cap=10 ** 7)
+            report = nonisolated_bound(P("(z-1)*(x-y^2)"), P("(z-1)*(x-2*y^2)"), exp_leaf(),
+                                       budget=budget)
+            runs.append(({name: len(seen) for name, seen in computed.items()},
+                         budget.used, report.bound))
+            for seen in computed.values():
+                assert len(seen) == len(set(seen))
+                seen.clear()
+            assert all(isinstance(J, IdealPresentation) and isinstance(order, MonomialOrder)
+                       and isinstance(gb, GroebnerBasis) for (J, order), gb in _GB_CACHE.items())
+        assert runs[0] == runs[1]
+        assert all(runs[0][0].values())
 
 
 @st.composite

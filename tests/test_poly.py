@@ -340,6 +340,79 @@ class TestHeuristicGcd:
         exact_divide(b, g)
 
 
+XYZ = ("x", "y", "z")
+# certified factors (two terms with a primitive exponent difference, or
+# degree 1 in a variable with a one-term coefficient), a factor with no
+# certificate, and the product of two certified ones
+FRONT_END_FACTORS = tuple(P(t, XYZ) for t in (
+    "x^2*y+z", "x^2-y^3", "x-y", "y*z-1", "x+y+z-1", "x^2+y^2", "(x-y)*(x+y)"))
+
+
+@st.composite
+def front_end_pairs(draw):
+    """(a, b), each a rational times a monomial times 0-2 factors from
+    FRONT_END_FACTORS to powers 1-2, with one such factor in common half
+    the time: monomial contents, constant rests, certified factors of
+    either side dividing the other or not, repeated factors, and rests that
+    still need the heuristic gcd."""
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(bool)
+    factor = st.sampled_from(FRONT_END_FACTORS)
+
+    def side():
+        mono = draw(st.tuples(*[st.integers(0, 2)] * 3))
+        p = Polynomial.monomial(XYZ, mono, draw(coeff))
+        for f in draw(st.lists(factor, max_size=2)):
+            p = p * f ** draw(st.integers(1, 2))
+        return p
+
+    common = draw(factor) if draw(st.booleans()) else Polynomial.constant(XYZ, 1)
+    return side() * common, side() * common
+
+
+class TestGcdFrontEnd:
+    """gcd splits off monomial contents and decides a rest with a
+    certificate of irreducibility by one division before GCDHEU."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(front_end_pairs())
+    @example((P("x^3*y", XYZ), P("x*y^2*z", XYZ)))                  # constant rests
+    @example((P("x^2*(x^2*y+z)^2", XYZ), P("y*(x^2*y+z)", XYZ)))    # certified, divides
+    @example((P("x^2-y^3", XYZ), P("(x-y)*(x^2+y^2)", XYZ)))        # certified, does not
+    @example((P("(x^2+y^2)^2", XYZ), P("z*(x^2+y^2)*(x-y)", XYZ)))  # no certificate
+    def test_equals_prs(self, pair):
+        a, b = pair
+        assert gcd(a, b) == _gcd_prs(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(front_end_pairs())
+    def test_squarefree_part_matches_sympy(self, pair):
+        import sympy
+
+        p = pair[0] * pair[1]
+        if p.is_constant():
+            return
+        ours = _sympy_poly(squarefree_part(p)).monic()
+        assert ours == sympy.sqf_part(_sympy_poly(p)).monic()
+
+    def test_small_shapes_skip_the_heuristic_gcd(self, monkeypatch):
+        # the shapes of the radical layer: basis elements with a monomial
+        # or a linear factor, and linear generators
+        import leafmult.poly as poly
+        calls = []
+        real = poly._heu_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(poly, "_heu_gcd", counting)
+        assert gcd(P("y*z-y", XYZ), P("z-1", XYZ)) == P("z-1", XYZ)
+        assert gcd(P("x^2*y-x^2*z+x^2", XYZ), P("x^3", XYZ)) == P("x^2", XYZ)
+        assert gcd(P("x-y"), P("x+y")) == P("1")
+        assert squarefree_part(P("x^3*y-x^3*z+x^3", XYZ)) == P("x*y-x*z+x", XYZ)
+        assert calls == []
+
+
 def _sympy_poly(p):
     import sympy
 
