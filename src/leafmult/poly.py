@@ -6,8 +6,10 @@ integer numerators, `num`, over one positive common denominator, `den`.
 The pair is canonical: gcd(den, *num) == 1, and the zero polynomial has
 den == 1, so equal polynomials have equal (num, den).  Arithmetic runs on
 the integers and takes the common factor out of each result.  `terms` is
-the same polynomial as a map to `Fraction` coefficients, built on first
-read.  All arithmetic is exact; nothing here ever rounds.
+the same polynomial as a map to `Fraction` coefficients; it, the total
+degree, the hash and the string are set on first read, and every slot is
+set through its member descriptor.  All arithmetic is exact; nothing here
+ever rounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, neg
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError, RingMismatchError
@@ -26,21 +28,21 @@ Monomial = tuple  # exponent tuple, one entry per ring variable
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a: Monomial) -> int:
@@ -190,14 +192,14 @@ def _divide(h: "Polynomial", reducers: Sequence[_Lead], heap_key, rest: Optional
         if m not in work:
             continue
         for i, g in enumerate(reducers):
-            if monomial_divides(g.lm, m):
+            if all(map(le, g.lm, m)):
                 break
         else:
             if rest is None:
                 break
             rest[m] = work.pop(m)
             continue
-        shift, c = monomial_div(m, g.lm), work[m]
+        shift, c = tuple(map(sub, m, g.lm)), work[m]
         if quotients is not None:
             quotients[i][shift] = Fraction(c * scale[0] * g.poly.den, scale[1] * g.lc)
         # a product that stays within max_degree needs no per-term test
@@ -240,10 +242,12 @@ class Polynomial:
 
     The zero polynomial has an empty numerator map.  Two polynomials are
     equal iff their rings, denominators and numerator maps coincide.  The
-    Fraction view, the hash and the string are set on first use.
+    Fraction view, the total degree, the hash and the string are set on
+    first use, each slot through its member descriptor (`_make`);
+    `__setattr__` only raises.
     """
 
-    __slots__ = ("ring", "num", "den", "_terms", "_hash", "_str")
+    __slots__ = ("ring", "num", "den", "_terms", "_degree", "_hash", "_str")
 
     def __init__(self, ring: Sequence[str], terms: Mapping[Monomial, Fraction] | Iterable = ()):
         ring = tuple(ring)
@@ -268,9 +272,9 @@ class Polynomial:
                     else:
                         del acc[mono]
         num, den = _from_fractions(acc)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_ring(self, ring)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -284,6 +288,8 @@ class Polynomial:
     @staticmethod
     def constant(ring: Sequence[str], value) -> "Polynomial":
         ring = tuple(ring)
+        if type(value) is int:
+            return _make(ring, {(0,) * len(ring): value} if value else {}, 1)
         c = Fraction(value)
         if not c:
             return _make(ring, {}, 1)
@@ -321,24 +327,27 @@ class Polynomial:
     def _fraction_view(self) -> dict:
         den = self.den
         t = {m: Fraction(n, den) for m, n in self.num.items()}
-        object.__setattr__(self, "_terms", t)
+        _set_terms(self, t)
         return t
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_constant(self) -> bool:
-        return all(monomial_degree(m) == 0 for m in self.num)
+        return not any(map(any, self.num))
 
     def constant_value(self) -> Fraction:
         """Coefficient of the constant monomial."""
         return Fraction(self.num.get((0,) * len(self.ring), 0), self.den)
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.num:
-            return -1
-        return max(monomial_degree(m) for m in self.num)
+        """Total degree; -1 for the zero polynomial.  Kept on first read."""
+        try:
+            return self._degree
+        except AttributeError:
+            d = max(map(sum, self.num)) if self.num else -1
+            _set_degree(self, d)
+            return d
 
     def degree_in(self, index: int) -> int:
         if not self.num:
@@ -366,7 +375,7 @@ class Polynomial:
             return self._hash
         except AttributeError:
             h = hash((self.ring, self.den, frozenset(self.num.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     # -- arithmetic ----------------------------------------------------
@@ -479,17 +488,24 @@ class Polynomial:
         return _canonical(self.ring, acc, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, on the integers: with q the lcm
+        of its denominators, N = q * point and d the total degree, it is
+        sum(num[m] * N^m * q^(d - |m|)) / (den * q^d)."""
         if len(point) != len(self.ring):
             raise DomainError("point arity does not match ring")
-        pt = [Fraction(x) for x in point]
+        if not self.num:
+            return Fraction(0)
+        nums, q = _over_common_denominator([Fraction(x) for x in point])
+        deg = self.total_degree()
         total = 0
         for m, c in self.num.items():
-            for x, e in zip(pt, m):
+            for n, e in zip(nums, m):
                 if e:
-                    c *= x ** e
+                    c *= n ** e
+            if q != 1:
+                c *= q ** (deg - sum(m))
             total += c
-        return Fraction(total, self.den)
+        return Fraction(total, self.den * q ** deg)
 
     def compose(self, targets: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute targets[i] for variable i.  Targets share one ring."""
@@ -531,7 +547,7 @@ class Polynomial:
             return self._str
         except AttributeError:
             s = self._render()
-            object.__setattr__(self, "_str", s)
+            _set_str(self, s)
             return s
 
     def _render(self) -> str:
@@ -566,10 +582,20 @@ def _make(ring: tuple, num: dict, den: int) -> Polynomial:
     """Internal: a polynomial from canonical (num, den): nonzero integer
     numerators on valid monomials, den > 0, gcd(den, *num) == 1."""
     p = Polynomial.__new__(Polynomial)
-    object.__setattr__(p, "ring", ring)
-    object.__setattr__(p, "num", num)
-    object.__setattr__(p, "den", den)
+    _set_ring(p, ring)
+    _set_num(p, num)
+    _set_den(p, den)
     return p
+
+
+# the slots' member descriptors, bound once: cheaper than object.__setattr__
+_set_ring = Polynomial.ring.__set__
+_set_num = Polynomial.num.__set__
+_set_den = Polynomial.den.__set__
+_set_terms = Polynomial._terms.__set__
+_set_degree = Polynomial._degree.__set__
+_set_hash = Polynomial._hash.__set__
+_set_str = Polynomial._str.__set__
 
 
 def _canonical(ring: tuple, num: dict, den: int) -> Polynomial:

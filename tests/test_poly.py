@@ -13,6 +13,10 @@ from leafmult.poly import (
     exact_divide,
     gcd,
     minimal_generators,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
     normalize_leading,
     parse_polynomial,
     squarefree_part,
@@ -698,3 +702,138 @@ class TestIntegerRepresentation:
         assert P("1/2*x").derive(0) == P("1/2") and P("1/2*x^2").derive(0).den == 1
         assert P("3/4").constant_value() == Fraction(3, 4)
         assert str(P("-3/4*x^2 + 2/3*y - 1")) == "-3/4*x^2 + 2/3*y - 1"
+
+
+def _exponents(n):
+    return st.tuples(*[st.integers(0, 6)] * n)
+
+
+monomial_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(_exponents(n), _exponents(n)))
+# rational coordinates with denominators 1-12, negative ones included
+coordinates = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _ref_evaluate(p, point):
+    """The value of p at point, one Fraction per term."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for x, e in zip(point, m):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+class TestKernelPrimitives:
+    """The exponent arithmetic, the cached total degree, the integer
+    evaluation and the integer route of `constant` agree with their
+    definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_pairs)
+    def test_monomial_arithmetic_is_componentwise(self, pair):
+        a, b = pair
+        n = len(a)
+        assert monomial_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+        assert monomial_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
+        assert monomial_divides(a, b) is all(a[i] <= b[i] for i in range(n))
+        assert monomial_divides(a, monomial_mul(a, b))
+        assert monomial_div(monomial_mul(a, b), b) == a
+        assert monomial_div(monomial_lcm(a, b), a) == tuple(max(a[i], b[i]) - a[i]
+                                                            for i in range(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_polys)
+    @example(Polynomial.zero(RING))
+    @example(Polynomial.constant(RING, Fraction(-7, 3)))
+    def test_total_degree_and_is_constant_by_definition(self, p):
+        degree = max((sum(m) for m in p.terms), default=-1)
+        assert p.total_degree() == degree
+        assert p.total_degree() == degree  # the kept value
+        assert p.is_constant() is all(sum(m) == 0 for m in p.terms)
+        assert p.is_constant() is (degree <= 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_polys, coordinates, coordinates)
+    @example(Polynomial.zero(RING), Fraction(-1, 12), Fraction(5, 7))
+    @example(Polynomial.constant(RING, Fraction(-7, 3)), Fraction(1, 2), Fraction(-3))
+    @example(Polynomial.constant(RING, 4), Fraction(0), Fraction(-11, 12))
+    def test_evaluate_matches_the_fraction_reference(self, p, x, y):
+        for point in ([x, y], [int(x), y], (x, int(y))):
+            value = p.evaluate(point)
+            assert type(value) is Fraction
+            assert value == _ref_evaluate(p, point)
+        with pytest.raises(DomainError):
+            p.evaluate([x])
+        with pytest.raises(DomainError):
+            p.evaluate([x, y, x])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_exponents(3), wide_coeffs), max_size=6),
+           coordinates, coordinates, coordinates)
+    def test_evaluate_in_three_variables(self, terms, x, y, z):
+        p = Polynomial(("x", "y", "z"), terms)
+        assert p.evaluate([x, y, z]) == _ref_evaluate(p, [x, y, z])
+
+    def test_constant_of_every_kind(self):
+        for n in range(4):
+            ring = ("x", "y", "z")[:n]
+            for value in (0, 1, -1, 6, -10 ** 30, True, False,
+                          Fraction(-3, 4), Fraction(0), Fraction(8, 2)):
+                c = Polynomial.constant(ring, value)
+                _assert_canonical(c)
+                ref = Polynomial(ring, {(0,) * n: Fraction(value)})
+                assert c == ref and hash(c) == hash(ref)
+                assert c.is_constant() and c.constant_value() == value
+                assert c.total_degree() == (0 if value else -1)
+
+
+ALL_SLOTS = ("ring", "num", "den", "_terms", "_degree", "_hash", "_str")
+
+
+def _built_by_every_route(a, b):
+    return [
+        a + b, a - b, a * b, -a, a * Fraction(2, 3), a.derive(0), a.truncated(1),
+        Polynomial(RING, a.terms),
+        Polynomial._raw(RING, dict(a.terms)),
+        parse_polynomial(str(a), RING),
+        Polynomial.constant(RING, 5),
+        Polynomial.constant(RING, Fraction(-1, 3)),
+        Polynomial.zero(RING),
+        Polynomial.variable(RING, 1),
+    ]
+
+
+class TestImmutability:
+    """No slot of a polynomial can be assigned, however it was built, and
+    the values kept on first read never change equality or the hash."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_polys, wide_polys)
+    def test_no_slot_can_be_assigned(self, a, b):
+        for p in _built_by_every_route(a, b):
+            before = (p.ring, dict(p.num), p.den)
+            for fill in (False, True):
+                if fill:
+                    p.terms, p.total_degree(), hash(p), str(p)
+                for slot in ALL_SLOTS:
+                    with pytest.raises(AttributeError):
+                        setattr(p, slot, None)
+                with pytest.raises(AttributeError):
+                    p.other = 1
+            assert (p.ring, p.num, p.den) == before
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_polys, st.permutations(["degree", "hash", "str"]))
+    def test_reads_in_any_order_keep_equality_and_hash(self, a, reads):
+        fresh = [Polynomial(RING, a.terms), parse_polynomial(str(a), RING),
+                 (a * 2) * Fraction(1, 2)]
+        read = {"degree": lambda p: p.total_degree(), "hash": hash, "str": str}
+        for p in fresh[1:]:
+            for r in reads:
+                read[r](p)
+        q = fresh[0]
+        for p in fresh[1:]:
+            assert p == q and q == p
+            assert hash(p) == hash(q)
+            assert p.total_degree() == q.total_degree() == a.total_degree()
+            assert str(p) == str(q)
