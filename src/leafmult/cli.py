@@ -9,7 +9,8 @@ command line), 2 hypothesis failure, 3 budget or partial result, 4 internal
 certificate failure.
 
 Each handler imports the layers it runs, so a cold command compiles only
-those.
+those; `germs` loads the series and Puiseux layers only for a germ that
+needs them, and no layer imports `dataclasses`.
 """
 
 from __future__ import annotations

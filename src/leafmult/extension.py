@@ -12,8 +12,7 @@ here by certified jet division, never assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dfield
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import CertificateError, HypothesisError
 from .foliation import FoliationContext
@@ -27,13 +26,15 @@ from .poly import Polynomial
 WITNESS_JET_ORDER = 16
 
 
-@dataclass(frozen=True)
 class MonodromicSubset:
     """A sub-multiset of the branch cycles: per cycle, a chosen multiplicity
     between 0 and its multiplicity in the branch set (not all zero).
     Whole-cycle choices are exactly the monodromy-stable subsets."""
 
-    choices: tuple  # one integer per cycle
+    __slots__ = ("choices",)
+
+    def __init__(self, choices: tuple):
+        self.choices = choices  # one integer per cycle
 
     def size(self) -> int:
         return sum(self.choices)
@@ -54,19 +55,24 @@ def enumerate_monodromic(cycles: Sequence) -> list:
     return out
 
 
-@dataclass
 class ExtensionWitness:
     """H with its two checked certificates: divisibility of h^(2^mu) by H
     on the leaf, and vanishing of H on every branch of the variety trace."""
 
-    H: Jet2
-    subsets: list
-    mu: int
-    certificate_order: int
-    h: Jet2
-    cycles: list = dfield(default_factory=list)
-    divisibility_checked: bool = False
-    vanishing_checked: bool = False
+    __slots__ = ("H", "subsets", "mu", "certificate_order", "h", "cycles",
+                 "divisibility_checked", "vanishing_checked")
+
+    def __init__(self, H: Jet2, subsets: list, mu: int, certificate_order: int, h: Jet2,
+                 cycles: Optional[list] = None, divisibility_checked: bool = False,
+                 vanishing_checked: bool = False):
+        self.H = H
+        self.subsets = subsets
+        self.mu = mu
+        self.certificate_order = certificate_order
+        self.h = h
+        self.cycles = [] if cycles is None else cycles
+        self.divisibility_checked = divisibility_checked
+        self.vanishing_checked = vanishing_checked
 
     def describe(self) -> dict:
         return {

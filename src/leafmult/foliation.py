@@ -7,7 +7,6 @@ flows: the jet coefficient of t1^a t2^b is (V1^a V2^b F)(p) / (a! b!).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional, Sequence
@@ -22,19 +21,23 @@ DEFAULT_EXTRA_ORDER = 4
 MAX_CERT_ORDER = 256
 
 
-@dataclass(frozen=True)
 class VectorField:
-    """A polynomial vector field: one component per ring variable."""
+    """A polynomial vector field: one component per ring variable.
+    Immutable: `__setattr__` only raises."""
 
-    ring: tuple
-    components: tuple
+    __slots__ = ("ring", "components")
 
-    def __post_init__(self):
-        if len(self.components) != len(self.ring):
+    def __init__(self, ring: tuple, components: tuple):
+        if len(components) != len(ring):
             raise DomainError("component count must equal ring size")
-        for c in self.components:
-            if c.ring != self.ring:
+        for c in components:
+            if c.ring != ring:
                 raise DomainError("component ring mismatch")
+        _set_ring(self, ring)
+        _set_components(self, components)
+
+    def __setattr__(self, *_):
+        raise AttributeError("VectorField is immutable")
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Lie derivative: sum_i components[i] * df/dx_i."""
@@ -50,6 +53,10 @@ class VectorField:
         return [c.evaluate(point) for c in self.components]
 
 
+_set_ring = VectorField.ring.__set__
+_set_components = VectorField.components.__set__
+
+
 def lie_derivative(v: VectorField, f: Polynomial) -> Polynomial:
     return v.apply(f)
 
@@ -61,11 +68,14 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     return VectorField(v1.ring, comps)
 
 
-@dataclass(frozen=True)
 class CommutationReport:
-    commute: bool
-    witness_index: Optional[int] = None
-    witness: Optional[Polynomial] = None
+    __slots__ = ("commute", "witness_index", "witness")
+
+    def __init__(self, commute: bool, witness_index: Optional[int] = None,
+                 witness: Optional[Polynomial] = None):
+        self.commute = commute
+        self.witness_index = witness_index
+        self.witness = witness
 
 
 def check_commute(v1: VectorField, v2: VectorField) -> CommutationReport:

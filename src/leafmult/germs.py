@@ -10,13 +10,15 @@ of global polynomials, which read branches off global factors first.
 Division and multiplicity run on the highest corner of `localbasis`: a
 division certifies a/b modulo m^{N+1}, and a multiplicity is certified by
 a staircase that closes below the corner order (Nakayama).
+
+The Weierstrass and Puiseux functions import `series` and `puiseux`
+themselves, so a run whose germs need neither does not load them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import gcd, inf, lcm
 from typing import Callable, Optional, Sequence
 
@@ -44,8 +46,6 @@ from .poly import (
     factor,
     normalize_leading,
 )
-from .puiseux import BranchParam, expand, factor_from_param
-from .series import QQ, XSeries, YPoly
 
 
 # branch decomposition regenerates a jet to no higher order than this
@@ -61,12 +61,17 @@ SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Frame:
-    """t1 -> t1 + shear*t2 (optionally after swapping t1,t2)."""
+    """t1 -> t1 + shear*t2 (optionally after swapping t1,t2).  Immutable."""
 
-    swap: bool = False
-    shear: Fraction = Fraction(0)
+    __slots__ = ("swap", "shear")
+
+    def __init__(self, swap: bool = False, shear: Fraction = Fraction(0)):
+        _set_swap(self, swap)
+        _set_shear(self, shear)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Frame is immutable")
 
     def push(self, jet: Jet2) -> Jet2:
         """Express a jet in frame coordinates: the swap, then
@@ -81,6 +86,10 @@ class Frame:
         t1 -> t1 - shear*t2, then the swap, as one linear substitution."""
         s = -self.shear
         return linear_substitution(p, *((s, 1, 1, 0) if self.swap else (1, s, 0, 1)))
+
+
+_set_swap = Frame.swap.__set__
+_set_shear = Frame.shear.__set__
 
 
 def choose_frame(jet: Jet2) -> Frame:
@@ -110,6 +119,7 @@ def choose_frame(jet: Jet2) -> Frame:
 
 def jet_to_ypoly(jet: Jet2) -> YPoly:
     """Frame-coordinate jet as a y-polynomial with per-coefficient x-precision."""
+    from .series import QQ, XSeries, YPoly
     order = jet.order
     den = jet.poly.den
     by_j: dict[int, dict] = {}
@@ -169,20 +179,27 @@ def germ_divides(a: Jet2, b: Jet2, order: Optional[int] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BranchCycle:
     """A conjugacy class of branches: its defining germ factor over Q (in
     original leaf coordinates), its multiplicity as a repeated factor, and
     its parameterization, which holds the ramification index and the
     coefficient field and is computed by parameterize on first read."""
 
-    factor: Jet2
-    multiplicity: int
-    parameterize: Callable[[], BranchParam] = dfield(repr=False, compare=False)
+    __slots__ = ("factor", "multiplicity", "parameterize", "_param")
 
-    @cached_property
+    def __init__(self, factor: Jet2, multiplicity: int,
+                 parameterize: Callable[[], BranchParam]):
+        self.factor = factor
+        self.multiplicity = multiplicity
+        self.parameterize = parameterize
+
+    @property
     def param(self) -> BranchParam:
-        return self.parameterize()
+        try:
+            return self._param
+        except AttributeError:
+            self._param = self.parameterize()
+            return self._param
 
     @property
     def ram_index(self) -> int:
@@ -216,15 +233,18 @@ class BranchCycle:
         }
 
 
-@dataclass
 class PuiseuxBranchSet:
     """Full branch decomposition of a germ at the origin."""
 
-    cycles: list
-    mu: int
-    certified_order: int
-    frame: Frame
-    source: Jet2
+    __slots__ = ("cycles", "mu", "certified_order", "frame", "source")
+
+    def __init__(self, cycles: list, mu: int, certified_order: int, frame: Frame,
+                 source: Jet2):
+        self.cycles = cycles
+        self.mu = mu
+        self.certified_order = certified_order
+        self.frame = frame
+        self.source = source
 
     def describe(self) -> dict:
         return {
@@ -282,6 +302,7 @@ def _exact_local_factors(jet: Jet2, divisors: Sequence[Polynomial] = ()):
 def _cycles_of_squarefree_ypoly(w: YPoly, frame: Frame, x_prec: int,
                                 source: Jet2) -> list:
     """Expand a y-squarefree, y-regular piece into cycles (multiplicity 1)."""
+    from .puiseux import expand, factor_from_param
     # cap the working precision: ramification cannot exceed the y-degree,
     # so this suffices to recover factors at x_prec and keeps exact
     # (infinite-precision) inputs from driving the solver unboundedly
@@ -375,6 +396,7 @@ def weierstrass_jet(f: Jet2) -> tuple:
     # t * u0 = 1 mod t2^mu, the Bezout cofactor of the splitting
     tn, td = [], 1
     if mu:
+        from .series import QQ, XSeries
         u0 = XSeries.make(QQ, {b: Fraction(n, fd) for b, n in enumerate(u0n) if n}, mu)
         t = dict(u0.inverse().coeffs)
         tn, td = _over_common_denominator([t.get(b, 0) for b in range(max(t) + 1)])
@@ -681,17 +703,19 @@ def _split_off(order: int, *parts) -> list:
     return list(zip(hs, quotients))
 
 
-@dataclass
 class GermSplit:
     """fL = h_f * f and gL = h_g * g with h_f, h_g supported exactly on the
     common branches (with each germ's own multiplicities) and f, g sharing
     no branch through the origin."""
 
-    h_f: Jet2
-    h_g: Jet2
-    f: Jet2
-    g: Jet2
-    certified_order: int
+    __slots__ = ("h_f", "h_g", "f", "g", "certified_order")
+
+    def __init__(self, h_f: Jet2, h_g: Jet2, f: Jet2, g: Jet2, certified_order: int):
+        self.h_f = h_f
+        self.h_g = h_g
+        self.f = f
+        self.g = g
+        self.certified_order = certified_order
 
     def describe(self) -> dict:
         return {

@@ -12,7 +12,6 @@ the stage that ran out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import inf, lcm
@@ -45,7 +44,6 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on a ring of fixed size.
 
@@ -54,19 +52,30 @@ class MonomialOrder:
 
     `key(mono)` is the sort key: bigger key = bigger monomial.
     `heap_key(mono)` sorts the other way: a smaller heap key is a bigger
-    monomial, so a min-heap pops the largest monomial first.
+    monomial, so a min-heap pops the largest monomial first.  An order is
+    its kind: the keys take no part in `==` and `hash`.  Immutable.
     """
 
-    kind: str = "degrevlex"
-    key: Callable = field(init=False, repr=False, compare=False)
-    heap_key: Callable = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "key", "heap_key")
 
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex", "local"):
-            raise DomainError(f"unknown order kind {self.kind!r}")
-        key, heap_key = _sort_keys(self.kind)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "heap_key", heap_key)
+    def __init__(self, kind: str = "degrevlex"):
+        if kind not in ("degrevlex", "lex", "local"):
+            raise DomainError(f"unknown order kind {kind!r}")
+        _set_kind(self, kind)
+        key, heap_key = _sort_keys(kind)
+        _set_key(self, key)
+        _set_heap_key(self, heap_key)
+
+    def __setattr__(self, *_):
+        raise AttributeError("MonomialOrder is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not MonomialOrder:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self):
+        return hash((self.kind,))
 
     def is_global(self) -> bool:
         return self.kind in ("degrevlex", "lex")
@@ -86,6 +95,10 @@ def _sort_keys(kind: str) -> tuple:
         return degrevlex_key, _degrevlex_heap_key
     return lambda m: (-sum(m), tuple(map(neg, m[::-1]))), lambda m: (sum(m), m[::-1])
 
+
+_set_kind = MonomialOrder.kind.__set__
+_set_key = MonomialOrder.key.__set__
+_set_heap_key = MonomialOrder.heap_key.__set__
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
@@ -132,19 +145,17 @@ class Budget:
             )
 
 
-@dataclass(frozen=True)
 class IdealPresentation:
     """A finite generator list.  Generators are nonzero, deduplicated and
-    canonically sorted so equal presentations hash equal."""
+    canonically sorted so equal presentations hash equal.  Immutable."""
 
-    ring: tuple
-    generators: tuple = ()
+    __slots__ = ("ring", "generators")
 
-    def __post_init__(self):
+    def __init__(self, ring: tuple, generators: tuple = ()):
         gens = []
         seen = set()
-        for g in self.generators:
-            if g.ring != self.ring:
+        for g in generators:
+            if g.ring != ring:
                 raise DomainError("generator ring does not match ideal ring")
             if g.is_zero():
                 continue
@@ -153,7 +164,19 @@ class IdealPresentation:
                 seen.add(g)
                 gens.append(g)
         gens.sort(key=lambda p: (p.total_degree(), len(p.num), str(p)))
-        object.__setattr__(self, "generators", tuple(gens))
+        _set_ring(self, ring)
+        _set_generators(self, tuple(gens))
+
+    def __setattr__(self, *_):
+        raise AttributeError("IdealPresentation is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not IdealPresentation:
+            return NotImplemented
+        return self.ring == other.ring and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.ring, self.generators))
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -168,26 +191,40 @@ class IdealPresentation:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
 
-@dataclass(frozen=True)
+_set_ring = IdealPresentation.ring.__set__
+_set_generators = IdealPresentation.generators.__set__
+
+
 class GroebnerStats:
     """The budget steps one basis computation spends, by stage."""
 
-    pairs_considered: int = 0
-    reductions: int = 0
+    __slots__ = ("pairs_considered", "reductions")
+
+    def __init__(self, pairs_considered: int = 0, reductions: int = 0):
+        self.pairs_considered = pairs_considered
+        self.reductions = reductions
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """`leads` holds each basis element as a `poly._Lead`, found once for
-    the normal forms that reduce against it."""
+    the normal forms that reduce against it.  A basis is its order and
+    elements: `stats` and `leads` take no part in `==` and `hash`."""
 
-    order: MonomialOrder
-    basis: tuple
-    stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
-    leads: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("order", "basis", "stats", "leads")
 
-    def __post_init__(self):
-        object.__setattr__(self, "leads", _leads(self.basis, self.order))
+    def __init__(self, order: MonomialOrder, basis: tuple, stats: Optional[GroebnerStats] = None):
+        self.order = order
+        self.basis = basis
+        self.stats = GroebnerStats() if stats is None else stats
+        self.leads = _leads(basis, order)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroebnerBasis:
+            return NotImplemented
+        return self.order == other.order and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.order, self.basis))
 
     def leading_monomials(self):
         return [e.lm for e in self.leads]
@@ -651,13 +688,15 @@ def nullstellensatz_exponent(g: Polynomial, ideal: IdealPresentation,
     return hi
 
 
-@dataclass(frozen=True)
 class RadicalCertificate:
     """Per-generator Nullstellensatz exponents for the output ideal J:
     exponents[i] is the least verified e with J.generators[i]^e in I."""
 
-    exponents: tuple = ()
-    capped: bool = False
+    __slots__ = ("exponents", "capped")
+
+    def __init__(self, exponents: tuple = (), capped: bool = False):
+        self.exponents = exponents
+        self.capped = capped
 
     def max_weight(self) -> int:
         """Sum of (e_i - 1) + 1: the membership-transfer exponent."""

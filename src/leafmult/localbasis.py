@@ -60,7 +60,6 @@ N = 8 and at N = 28, where the corner kept at N spent 53 and 793.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import inf
 from operator import attrgetter
@@ -242,17 +241,19 @@ def closure_degree(staircase: Sequence[Monomial], order: int) -> Optional[int]:
     return k if k <= order else None
 
 
-@dataclass(frozen=True)
 class StabilizationCertificate:
     """Evidence that a corner computation saw the whole staircase: every
     monomial of degree `closure` <= `order` is a leading monomial of
     I + m^{order+1}, so m^closure lies in I (Nakayama, module docstring)
     and `multiplicity` is the colength of I."""
 
-    order: int
-    closure: int
-    staircase: tuple
-    multiplicity: int
+    __slots__ = ("order", "closure", "staircase", "multiplicity")
+
+    def __init__(self, order: int, closure: int, staircase: tuple, multiplicity: int):
+        self.order = order
+        self.closure = closure
+        self.staircase = staircase
+        self.multiplicity = multiplicity
 
     def holds(self) -> bool:
         return (closure_degree(self.staircase, self.order) == self.closure

@@ -9,7 +9,6 @@ re-verification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -58,16 +57,20 @@ def _options(options) -> dict:
     return dict(options)
 
 
-@dataclass
 class ProblemManifest:
-    variables: tuple
-    v1: tuple
-    v2: tuple
-    point: tuple
-    f: Optional[Polynomial] = None
-    g: Optional[Polynomial] = None
-    ideal_generators: tuple = ()
-    options: dict = dfield(default_factory=dict)
+    __slots__ = ("variables", "v1", "v2", "point", "f", "g", "ideal_generators", "options")
+
+    def __init__(self, variables: tuple, v1: tuple, v2: tuple, point: tuple,
+                 f: Optional[Polynomial] = None, g: Optional[Polynomial] = None,
+                 ideal_generators: tuple = (), options: Optional[dict] = None):
+        self.variables = variables
+        self.v1 = v1
+        self.v2 = v2
+        self.point = point
+        self.f = f
+        self.g = g
+        self.ideal_generators = ideal_generators
+        self.options = {} if options is None else options
 
     @staticmethod
     def from_dict(data: dict) -> "ProblemManifest":

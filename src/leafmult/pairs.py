@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -89,28 +88,35 @@ TRANSVERSE_RETRIES = 12
 REGENERATION_RETRIES = 4
 
 
-@dataclass(frozen=True)
 class PipelineOptions:
-    seed: int = 0
-    jet_order: Optional[int] = None
+    __slots__ = ("seed", "jet_order")
+
+    def __init__(self, seed: int = 0, jet_order: Optional[int] = None):
+        self.seed = seed
+        self.jet_order = jet_order
 
     def rng_for(self, stage: str, salt: int) -> random.Random:
         # string seeding hashes stably across processes, unlike tuple hash
         return random.Random(f"{self.seed}|{stage}|{salt}")
 
 
-@dataclass
 class NoetherianPair:
     """(I, local ideal) with the containment I|_L in the local ideal
     certified up to cert_order."""
 
-    ideal: IdealPresentation
-    local_gens: tuple
-    ctx: FoliationContext
-    cert_order: int
-    radical_exact: bool = False
-    nonisolated_certified: bool = False
-    _local_basis: Optional[tuple] = dfield(default=None, repr=False, compare=False)
+    __slots__ = ("ideal", "local_gens", "ctx", "cert_order", "radical_exact",
+                 "nonisolated_certified", "_local_basis")
+
+    def __init__(self, ideal: IdealPresentation, local_gens: tuple, ctx: FoliationContext,
+                 cert_order: int, radical_exact: bool = False,
+                 nonisolated_certified: bool = False, _local_basis: Optional[tuple] = None):
+        self.ideal = ideal
+        self.local_gens = local_gens
+        self.ctx = ctx
+        self.cert_order = cert_order
+        self.radical_exact = radical_exact
+        self.nonisolated_certified = nonisolated_certified
+        self._local_basis = _local_basis
 
     def point_excluded(self) -> bool:
         return any(self.ctx.value_at_point(g) != 0 for g in self.ideal.generators)
@@ -205,15 +211,18 @@ def verify_pair(pair: NoetherianPair, generators: Optional[Sequence[Polynomial]]
                 witness=g)
 
 
-@dataclass
 class LedgerStep:
     """One controllable inclusion: mult(before) <= a*mult(after) + b."""
 
-    kind: str
-    transfer: tuple
-    evidence: dict
-    degrees: tuple
-    sound: bool = True
+    __slots__ = ("kind", "transfer", "evidence", "degrees", "sound")
+
+    def __init__(self, kind: str, transfer: tuple, evidence: dict, degrees: tuple,
+                 sound: bool = True):
+        self.kind = kind
+        self.transfer = transfer
+        self.evidence = evidence
+        self.degrees = degrees
+        self.sound = sound
 
     def apply(self, m):
         a, b = self.transfer
@@ -229,10 +238,12 @@ class LedgerStep:
         }
 
 
-@dataclass
 class BoundLedger:
-    steps: list = dfield(default_factory=list)
-    status: str = "in-progress"   # point-excluded | exhausted-budget | radical-partial
+    __slots__ = ("steps", "status")
+
+    def __init__(self, steps: Optional[list] = None, status: str = "in-progress"):
+        self.steps = [] if steps is None else steps
+        self.status = status   # point-excluded | exhausted-budget | radical-partial
 
     def composed_bound(self, final_mult: int = 0):
         m = final_mult
@@ -248,12 +259,15 @@ class BoundLedger:
                 "steps": [s.describe() for s in self.steps]}
 
 
-@dataclass
 class BoundReport:
-    bound: Optional[int]
-    ledger: BoundLedger
-    direct_value: Optional[object]
-    trace: dict
+    __slots__ = ("bound", "ledger", "direct_value", "trace")
+
+    def __init__(self, bound: Optional[int], ledger: BoundLedger,
+                 direct_value: Optional[object], trace: dict):
+        self.bound = bound
+        self.ledger = ledger
+        self.direct_value = direct_value
+        self.trace = trace
 
     def describe(self) -> dict:
         out = dict(self.trace)

@@ -16,7 +16,6 @@ caller then certifies it by dividing the source germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd as igcd
 from typing import Optional
@@ -33,16 +32,20 @@ from .series import (
 MAX_DEPTH = 40
 
 
-@dataclass
 class BranchParam:
-    """One cycle's parameterization: x = lam * s^ram, y = series(s)."""
+    """One cycle's parameterization: x = lam * s^ram, y = series(s), with
+    lam a nonzero field element, ord y(s) >= 1 and edge the (q, e) of the
+    first polygon edge met."""
 
-    field: object
-    ram: int
-    lam: object            # field element, nonzero
-    series: XSeries        # y(s), ord >= 1
-    edge: tuple            # (q, e) of the first polygon edge met
-    depth: int = 0
+    __slots__ = ("field", "ram", "lam", "series", "edge", "depth")
+
+    def __init__(self, field, ram: int, lam, series: XSeries, edge: tuple, depth: int = 0):
+        self.field = field
+        self.ram = ram
+        self.lam = lam
+        self.series = series
+        self.edge = edge
+        self.depth = depth
 
     def field_degree(self) -> int:
         return self.field.degree_over_q

@@ -14,7 +14,6 @@ Three layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -491,13 +490,27 @@ def _qq_product(a: tuple, b: tuple, prec: int) -> tuple:
     return tuple((lo + i, Fraction(n, den)) for i, n in enumerate(acc) if n)
 
 
-@dataclass(frozen=True)
 class XSeries:
-    """Truncated Laurent series: coefficients for exponents < prec."""
+    """Truncated Laurent series: coefficients for exponents < prec, as a
+    sorted tuple of (exponent, nonzero element).  Immutable."""
 
-    field: object
-    coeffs: tuple  # tuple of (exponent, element), sorted, nonzero
-    prec: int
+    __slots__ = ("field", "coeffs", "prec")
+
+    def __init__(self, field, coeffs: tuple, prec: int):
+        _set_xs_field(self, field)
+        _set_xs_coeffs(self, coeffs)
+        _set_xs_prec(self, prec)
+
+    def __setattr__(self, *_):
+        raise AttributeError("XSeries is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not XSeries:
+            return NotImplemented
+        return (self.field, self.coeffs, self.prec) == (other.field, other.coeffs, other.prec)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs, self.prec))
 
     @staticmethod
     def make(field, items, prec: int) -> "XSeries":
@@ -619,17 +632,36 @@ class XSeries:
         return (" + ".join(parts) if parts else "0") + f" + O(s^{self.prec})"
 
 
+_set_xs_field = XSeries.field.__set__
+_set_xs_coeffs = XSeries.coeffs.__set__
+_set_xs_prec = XSeries.prec.__set__
+
+
 # ---------------------------------------------------------------------------
 # polynomials in y with series coefficients
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class YPoly:
-    """Polynomial in y over truncated series in x."""
+    """Polynomial in y over truncated series in x: one XSeries per
+    y-degree, low first, trailing zeros trimmed.  Immutable."""
 
-    field: object
-    coeffs: tuple  # XSeries per y-degree, low first (trailing zeros trimmed)
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs: tuple):
+        _set_yp_field(self, field)
+        _set_yp_coeffs(self, coeffs)
+
+    def __setattr__(self, *_):
+        raise AttributeError("YPoly is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not YPoly:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @staticmethod
     def make(field, coeff_list) -> "YPoly":
@@ -708,6 +740,11 @@ class YPoly:
             for j in range(dw + 1):
                 rem[shift + j] = rem[shift + j] - c * w.coeffs[j]
         return YPoly.make(self.field, q), YPoly.make(self.field, rem[:dw])
+
+
+_set_yp_field = YPoly.field.__set__
+_set_yp_coeffs = YPoly.coeffs.__set__
+
 
 def ypoly_gcd_monic(a: YPoly, b: YPoly) -> YPoly:
     """gcd in (Laurent series field)[y] by the Euclidean algorithm with

@@ -9,7 +9,6 @@ violation is a release blocker, not a tolerance question.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from math import inf
 
@@ -35,11 +34,13 @@ from .poly import Polynomial, monomial_divides, parse_polynomial
 T = ("t1", "t2")
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    cases: int
-    violations: list = dfield(default_factory=list)
+    __slots__ = ("suite", "cases", "violations")
+
+    def __init__(self, suite: str, cases: int, violations: list | None = None):
+        self.suite = suite
+        self.cases = cases
+        self.violations = [] if violations is None else violations
 
     def passed(self) -> bool:
         return not self.violations
@@ -220,12 +221,14 @@ def run_all_suites(seed=0, count: int = 100) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TraceCheck:
-    step: int
-    kind: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("step", "kind", "ok", "detail")
+
+    def __init__(self, step: int, kind: str, ok: bool, detail: str = ""):
+        self.step = step
+        self.kind = kind
+        self.ok = ok
+        self.detail = detail
 
 
 # Legitimate jacobian evidence has small K and mu (the pipeline searches up

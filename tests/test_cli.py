@@ -281,6 +281,29 @@ class TestVerifyForgedTransfers:
         assert f"FAIL step {idx} [jacobian] (missing or ill-typed step field)" in out
         assert max(orders, default=0) <= MAX_CERT_ORDER
 
+    # Known hole: the verifier caps the Jacobian local order by the trace's
+    # own direct value, so lowering both together still verifies.  A fix
+    # shows up here as an unexpected pass.
+    @pytest.mark.xfail(strict=True, reason="local order checked against the trace's own "
+                                           "direct value")
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_direct_value_and_local_order_forged_together(self, tmp_path, capsys, d):
+        trace = tmp_path / "trace.json"
+        manifest = str(MANIFESTS / "e1-tangent-parabolas.json")
+        assert main(["bound", "--manifest", manifest, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        report = data["report"]
+        report["direct_value"] = d
+        # the step is written twice: in the ledger and in its round
+        copies = [s for s in report["ledger"]["steps"] if s["kind"] == "jacobian"]
+        copies += [r["step"] for r in report["rounds"] if r["stage"] == "jacobian"]
+        assert len(copies) == 2
+        for step in copies:
+            step["evidence"]["local_order"] = d + 1
+        trace.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--from-trace", str(trace)]) == 4
+
 
 # evidence keys nothing re-checks: deleting one leaves the trace valid
 INFORMATIONAL = {"status", "worst_case_factor", "basis", "removed_branches"}

@@ -3,8 +3,9 @@ be factored, no factor has a certificate of irreducibility and it is not a
 quadratic in one variable; no command on the shipped manifests needs it.  A
 command loads only the leafmult layers it runs: `import leafmult` loads
 none, and each command group runs in an interpreter of its own to show
-which ones it adds.  The commands run in fresh interpreters, because
-other tests import sympy and every layer into this one."""
+which ones it adds.  No layer imports `dataclasses` (nor, through it,
+`inspect`).  The commands run in fresh interpreters, because other tests
+import sympy and every layer into this one."""
 
 import json
 import os
@@ -23,13 +24,18 @@ BOUND_NAMES = ("e1-tangent-parabolas", "exponential-leaf", "isolated-transversal
 APPENDIX_NAMES = ("appendix-cusp", "appendix-double-sheet")
 
 # runs each step in turn and prints, per step, its exit codes, whether
-# sympy was loaded after it and which leafmult submodules were
+# sympy was loaded after it, which leafmult submodules were and which of
+# dataclasses and inspect were that the interpreter had not loaded at start
 PROBE = """
 import contextlib, io, json, sys
 
+AT_START = set(sys.modules)
+
 def loaded():
-    return "sympy" in sys.modules, sorted(
-        name.split(".", 1)[1] for name in sys.modules if name.startswith("leafmult."))
+    layers = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("leafmult."))
+    stdlib = sorted(name for name in ("dataclasses", "inspect")
+                    if name in sys.modules and name not in AT_START)
+    return "sympy" in sys.modules, layers, stdlib
 
 steps = []
 import leafmult
@@ -87,16 +93,24 @@ def cold_dir(tmp_path_factory):
 def probe(cold_dir) -> dict:
     """Every step in turn, in one interpreter."""
     return {label: (codes, loaded)
-            for label, codes, loaded, _ in _run(_steps(cold_dir), factor=True)}
+            for label, codes, loaded, _, _ in _run(_steps(cold_dir), factor=True)}
 
 
 # each command group, run in a fresh interpreter of its own: the layers it
-# needs, and the layers it must not load
+# needs, and the layers it must not load.  A bound loads series and puiseux
+# only for a germ that needs Weierstrass preparation or Puiseux expansion:
+# the transcendental restrictions of the exponential leaf do, so the bound
+# group, which runs all three bound manifests, loads them; the exact smooth
+# branches of the other two manifests do not, each in an interpreter alone
 GROUPS = {
     "check": ("check on every manifest", {"manifest", "foliation"},
               {"ideals", "localbasis", "germs", "series", "puiseux", "pairs",
                "extension", "verify"}),
-    "bound": ("bound --trace on", {"pairs", "germs"}, {"extension", "verify"}),
+    "bound": ("bound --trace on", {"pairs", "germs", "series", "puiseux"},
+              {"extension", "verify"}),
+    **{f"bound on {n}": (f"bound --trace on {n}", {"pairs", "germs"},
+                         {"series", "puiseux", "extension", "verify"})
+       for n in ("e1-tangent-parabolas", "isolated-transversal")},
     "verify": ("verify --from-trace on", {"verify", "localbasis"},
                {"germs", "series", "puiseux", "pairs", "extension"}),
     "appendix": ("appendix on", {"extension"}, {"verify"}),
@@ -105,14 +119,15 @@ GROUPS = {
 
 @pytest.fixture(scope="module")
 def layers(cold_dir, probe) -> dict:
-    """{group: leafmult submodules loaded after its last step}; the probe
-    fixture has written the traces that the verify group reads."""
+    """{group: (leafmult submodules, of dataclasses and inspect those)
+    loaded after its last step}; the probe fixture has written the traces
+    that the verify group reads."""
     steps = _steps(cold_dir)
     out = {}
     for group, (prefix, _, _) in GROUPS.items():
         ran = _run([step for step in steps if step[0].startswith(prefix)])
-        assert all(code == 0 for _, codes, _, _ in ran for code in codes)
-        out[group] = set(ran[-1][3])
+        assert all(code == 0 for _, codes, _, _, _ in ran for code in codes)
+        out[group] = set(ran[-1][3]), ran[-1][4]
     return out
 
 
@@ -135,16 +150,24 @@ def test_probe_detects_sympy(probe):
 
 
 def test_import_loads_no_layer():
-    label, _, _, modules = _run([])[0]
+    label, _, _, modules, stdlib = _run([])[0]
     assert label == "import leafmult"
     assert modules == []
+    assert stdlib == []
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_command_loads_only_its_layers(layers, group):
     _, needed, forbidden = GROUPS[group]
-    assert needed <= layers[group]
-    assert not layers[group] & forbidden
+    modules, _ = layers[group]
+    assert needed <= modules
+    assert not modules & forbidden
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_command_loads_no_dataclasses(layers, group):
+    _, stdlib = layers[group]
+    assert stdlib == []
 
 
 # the flat-leaf cases of tests/test_acceptance.py::test_criterion_7, then

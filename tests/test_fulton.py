@@ -15,8 +15,10 @@ running total above that bound proves I_0(F, G) infinite.
 from datetime import timedelta
 from math import inf
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from leafmult.errors import HypothesisError
 from leafmult.germs import local_multiplicity
 from leafmult.jets import Jet2
 from leafmult.localbasis import local_quotient_dimension
@@ -133,3 +135,43 @@ class TestAgainstLocalEngine:
         assert fulton(F, G) == inf
         assert local_multiplicity(_jet(F), _jet(G))[0] == inf
         assert local_quotient_dimension([F, G]) == inf
+
+
+XYZ = ("x", "y", "z")
+
+
+def _exponential_leaf():
+    """x = t1, y = t2, z = e^t1 through (0, 0, 1)."""
+    from leafmult.foliation import FoliationContext, VectorField
+
+    def field(texts):
+        return VectorField(XYZ, tuple(parse_polynomial(t, XYZ) for t in texts))
+
+    return FoliationContext(field(("1", "0", "z")), field(("0", "1", "0")), (0, 0, 1))
+
+
+class TestSmoothCommonFactorWithSingularCofactor:
+    """Known hole: on the exponential leaf a common smooth factor z-1-y
+    with a singular cofactor ends as a hypothesis failure ("no factor of the
+    restriction vanishes on the variety trace"), though each case is well
+    posed.  The cofactors are polynomials in x and y, which the leaf maps to
+    t1 and t2, so Fulton's number of their restrictions is the direct value.
+    A fix shows up here as an unexpected pass."""
+
+    @pytest.mark.xfail(strict=True, raises=HypothesisError,
+                       reason="split_on_variety_global hands a singular factor to "
+                              "the jet-level split_on_variety")
+    @pytest.mark.parametrize("f,g", [("x^2-y^3", "x-y"), ("x^2-2*y^2", "x-y"),
+                                     ("x^2-y^3", "y")])
+    def test_point_excluded(self, f, g):
+        from leafmult.pairs import nonisolated_bound
+
+        # x and y restrict to t1 and t2: same exponents, renamed ring
+        expected = fulton(*(Polynomial(T, parse_polynomial(p, ("x", "y")).terms) for p in (f, g)))
+        assert expected == 2
+        h = "(z-1-y)"
+        report = nonisolated_bound(parse_polynomial(f"{h}*({f})", XYZ),
+                                   parse_polynomial(f"{h}*({g})", XYZ), _exponential_leaf())
+        assert report.ledger.status == "point-excluded"
+        assert report.direct_value == expected
+        assert report.bound >= expected
